@@ -3,10 +3,10 @@
 from .adaptivity import Criterion, NonHydroMask, adaptive_step, evaluate_criterion
 from .bathymetry import (FlatBottom, HammackPlate, SlideMotion, WhittakerSlide,
                          GRAVITY, RHO_WATER)
-from .corrector import (EllipticSolveError, FluxCoefficients, PressureSolution,
-                        assemble_coefficients, correct_momentum, ldg_solve, phi_term)
+from .corrector import (EllipticSolveError, PressureSolution, assemble_coefficients,
+                        correct_momentum, ldg_solve)
 from .driver import RunResult, simulate
-from .grid import FlowState, GridSpec, NodalField, derivative, interface_trace, project
+from .grid import FlowState, GridSpec, NodalField, derivative, project
 from .hydrostatic import (ABSORBING, WALL, BoundaryCondition, BoundaryPair,
                           PositivityError, heun_step, physical_flux, rusanov_flux)
 from .metrics import RunReport, SeriesPair, pearson, rmse, time_ratio

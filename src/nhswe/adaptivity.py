@@ -14,8 +14,8 @@ from functools import reduce
 
 import numpy as np
 
-from .bathymetry import GRAVITY, RHO_WATER, BathymetryModel
-from .corrector import FluxCoefficients, PressureSolution, apply_correction
+from .bathymetry import GRAVITY, BathymetryModel
+from .corrector import PressureSolution, apply_correction
 from .grid import FlowState, NodalField, derivative_values
 from .hydrostatic import BoundaryPair, heun_step
 
@@ -70,7 +70,7 @@ def contiguous_ranges(flags: np.ndarray) -> tuple[tuple[int, int], ...]:
     if not len(flags):
         return ()
     # a run starts after each rise and ends at each fall of the flags
-    edges = [e + 1 for e in np.flatnonzero(flags[1:] != flags[:-1]).tolist()]
+    edges = (np.flatnonzero(flags[1:] != flags[:-1]) + 1).tolist()
     if flags[0]:
         edges.insert(0, 0)
     if flags[-1]:
@@ -126,7 +126,7 @@ def evaluate_criterion(predictor: FlowState, bathy: BathymetryModel,
 
 
 def full_mask(n_elements: int) -> NonHydroMask:
-    return NonHydroMask.from_flags(np.ones(n_elements, dtype=bool))
+    return NonHydroMask(np.ones(n_elements, dtype=bool), ((0, n_elements - 1),))
 
 
 @dataclass(frozen=True)
@@ -144,9 +144,7 @@ class StepResult:
 def adaptive_step(state: FlowState, dt: float, bathy: BathymetryModel,
                   bcs: BoundaryPair, mode: str = "adaptive",
                   crit: Criterion | None = None,
-                  flux: FluxCoefficients = FluxCoefficients(),
-                  g: float = GRAVITY, rho: float = RHO_WATER,
-                  cfl_warn: bool = True) -> StepResult:
+                  g: float = GRAVITY, cfl_warn: bool = True) -> StepResult:
     """One full time step: hydrostatic predictor, then optional correction.
 
     Modes: "hydrostatic" (predictor only), "global" (correct everywhere) and
@@ -160,7 +158,7 @@ def adaptive_step(state: FlowState, dt: float, bathy: BathymetryModel,
     predictor = heun_step(state, dt, bathy, bcs, g, cfl_warn=cfl_warn)
 
     if mode == "hydrostatic":
-        return StepResult(predictor, NonHydroMask.from_flags(np.zeros(n, dtype=bool)), None)
+        return StepResult(predictor, NonHydroMask(np.zeros(n, dtype=bool), ()), None)
 
     if mode == "global":
         mask = full_mask(n)
@@ -175,6 +173,5 @@ def adaptive_step(state: FlowState, dt: float, bathy: BathymetryModel,
     if mask.empty:
         return StepResult(predictor, mask, None)
 
-    corrected, sol = apply_correction(predictor, bathy, dt, mask.ranges, bcs,
-                                      flux, g, rho)
+    corrected, sol = apply_correction(predictor, bathy, dt, mask.ranges, bcs, g)
     return StepResult(corrected, mask, sol)

@@ -33,7 +33,8 @@ class BottomSample:
     @cached_property
     def active(self) -> frozenset[str]:
         """Names of the derivative channels that are nonzero somewhere."""
-        return frozenset(name for name in CHANNELS[1:] if getattr(self, name).any())
+        return frozenset(name for name in CHANNELS[1:]
+                         if np.count_nonzero(getattr(self, name)))
 
     @cached_property
     def jumps(self) -> tuple[np.ndarray, np.ndarray]:
@@ -42,9 +43,9 @@ class BottomSample:
         shape (2, jumps), and how far the bottom lies below the higher of
         the two edges there, on the left and on the right, same shape."""
         left = np.flatnonzero(self.d[:-1, -1] != self.d[1:, 0])
-        sides = np.stack((left, left + 1))
+        sides = np.array((left, left + 1))
         depth = self.d[sides, [[-1], [0]]]
-        return sides, depth - depth.min(axis=0)
+        return sides, depth - np.minimum(*depth)
 
 
 class BathymetryModel:

@@ -32,7 +32,7 @@ SCENARIOS = ("solitary", "hammack_up", "hammack_down", "whittaker")
 # keys accepted in a config file; every one is also a command-line flag
 CONFIG_KEYS = ("scenario", "mode", "criterion", "k_nh", "enlarge", "dt",
                "t_end", "dx", "n_elements", "poly_order", "froude", "gauges",
-               "outdir", "reference", "with_global", "seed")
+               "outdir", "reference", "with_global")
 
 
 class ConfigError(ValueError):
@@ -238,7 +238,7 @@ def cmd_run(args) -> int:
     outdir = Path(cfg.get("outdir") or ".")
     outdir.mkdir(parents=True, exist_ok=True)
 
-    echo = {"mode": mode, "seed": cfg.get("seed"),
+    echo = {"mode": mode,
             "criterion": criterion.kind if criterion else None,
             "k_nh": criterion.k_nh if criterion else None,
             "enlarge": criterion.enlarge if criterion else None}
@@ -259,7 +259,6 @@ def cmd_run(args) -> int:
     if _parse_bool(cfg.get("with_global", False)) and mode == "adaptive":
         gresult = simulate(spec, initial, "global")
         gconfig = gresult.config_echo()
-        gconfig["seed"] = cfg.get("seed")
         greport = RunReport(config=gconfig, loop_time=gresult.loop_time,
                             mask_fraction_mean=gresult.mask_fraction_mean)
         report.time_ratio = time_ratio(report, greport)
@@ -395,8 +394,6 @@ def _add_run_flags(sub) -> None:
     sub.add_argument("--gauges", help="comma-separated gauge positions (m)")
     sub.add_argument("--k-nh", dest="k_nh", type=float, help="flag threshold")
     sub.add_argument("--outdir")
-    sub.add_argument("--seed", type=int,
-                     help="echoed into outputs; the numerics use no randomness")
 
 
 def main(argv=None) -> int:

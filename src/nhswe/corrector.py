@@ -7,13 +7,18 @@ corrected horizontal momentum satisfy a first-order elliptic system
     hu_x + s21 hu + s22 p  = f2
 
 with s11 + s21 = 0 and s12 > 0 by construction.  The system is discretized
-with alternating one-sided interface fluxes plus a pressure-jump penalty
-(c11 = 1/2) and solved directly as a banded linear system on any contiguous
-element range, with zero Dirichlet pressure at the range endpoints.  The
-vertical momentum is then updated from the solved pressure.
+with the local DG fluxes in one fixed flip-flop pattern: at every face
+p* = p(left trace) and hu* = hu(right trace) + [p]/2, the pressure-jump
+penalty being 1/2 (Cockburn & Shu, SINUM 1998).  It is solved directly
+as a banded linear system on contiguous element ranges, with zero Dirichlet
+pressure at the range endpoints.  As the momentum flux takes the trace right
+of each face, the outer momentum enters only at each range's right end; at
+the left end the range's own trace stands in.  The vertical momentum is then
+updated from the solved pressure.
 
 Coefficients are assembled, and the banded system is filled and solved, on
-the flagged elements only; the pressure stays on those elements until a
+the flagged elements only, and a correction solves on exactly the ranges its
+coefficients were assembled on; the pressure stays on those elements until a
 caller asks for it on the whole grid.  The banded work storage is allocated
 once per grid and reused by every solve, so a step allocates nothing of the
 size of the banded system.  A correction's cost is therefore the work on the
@@ -26,7 +31,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import chain
 from math import isfinite, sqrt
 
 import numpy as np
@@ -45,40 +49,34 @@ class EllipticSolveError(RuntimeError):
 (_GBSV,) = get_lapack_funcs(("gbsv",), (np.array([0.0]),))
 
 
-@dataclass(frozen=True)
-class FluxCoefficients:
-    """Interface flux constants; the default pair gives the flip-flop pattern
-    p* = p(left trace), hu* = hu(right trace) + [p]/2."""
-
-    c11: float = 0.5
-    c12: float = -0.5
-    c22: float = 0.0
+# relative residual of an elliptic solve above which it is refused
+_MAX_RESIDUAL = 1e-10
 
 
-@lru_cache(maxsize=16)
-def _range_rows(ranges: tuple[tuple[int, int], ...]) -> slice | np.ndarray:
-    """Index of the elements of sorted, disjoint (first, last) ranges, in order.
-
-    One step asks for the index of the same ranges at every stage, so the
-    last few are kept; a cached index array is read-only.
-    """
-    if len(ranges) == 1:
+def _range_rows(ranges: tuple[tuple[int, int], ...], n_elements: int) -> slice | np.ndarray:
+    """Index of the elements of sorted, disjoint (first, last) ranges, in order."""
+    selected = None if len(ranges) == 1 else np.zeros(n_elements, dtype=bool)
+    last = -1
+    for e0, e1 in ranges:
+        if e0 > e1 or e0 <= last or e1 >= n_elements:
+            raise ValueError(f"invalid element range {(e0, e1)}")
+        if selected is not None:
+            selected[e0:e1 + 1] = True
+        last = e1
+    if selected is None:
         e0, e1 = ranges[0]
         return slice(e0, e1 + 1)
-    rows = np.fromiter(chain.from_iterable(range(e0, e1 + 1) for e0, e1 in ranges),
-                       dtype=np.intp)
-    rows.flags.writeable = False
-    return rows
+    return np.flatnonzero(selected)
 
 
 @dataclass(frozen=True)
 class EllipticCoefficients:
     """Nodal coefficient and forcing fields of the elliptic system.
 
-    The arrays hold one row per element of `ranges`, in range order; with
-    `ranges` None they cover the whole grid.  `phi` is None where the
-    moving-bottom forcing vanishes.  `bottom` is the bottom sample on the
-    whole grid at the predictor time.
+    The arrays hold one row per element of `ranges`, in range order; `ranges`
+    None stands for the whole grid, ((0, n_elements - 1),).  `phi` is None
+    where the moving-bottom forcing vanishes.  `bottom` is the bottom sample
+    on the whole grid at the predictor time.
     """
 
     grid: GridSpec
@@ -93,62 +91,47 @@ class EllipticCoefficients:
     dt: float
     rho: float
     ranges: tuple[tuple[int, int], ...] | None = None
-    # grid rows of the arrays: slice(None) for the whole grid
+    # grid rows of the arrays
     rows: slice | np.ndarray = field(init=False, repr=False, compare=False)
-    # node-by-node stack of what the banded solve reads, see `stacked`
-    _stack: np.ndarray | None = field(init=False, repr=False, compare=False)
+    # (s11, rho s22, s12 / rho, s21, f1 / rho, f2) node by node, shape
+    # (6, nodes, elements): the fields of the density-scaled system the
+    # banded solve assembles; assemble_coefficients computes them on the way
+    stack: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if (self.s11 + self.s21).any():
             raise AssertionError("structural condition s11 + s21 = 0 violated")
         if self.s12.min() <= 0.0:
             raise AssertionError("structural condition s12 > 0 violated")
-        rows = slice(None) if self.ranges is None else _range_rows(self.ranges)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "_stack", None)
-
-    def rows_of(self, ranges) -> slice | np.ndarray:
-        """Index into the coefficient arrays of the elements of `ranges`:
-        the coefficients cover the whole grid or exactly these ranges."""
-        if ranges == self.ranges:
-            return slice(None)
-        if self.ranges is None:
-            return _range_rows(ranges)
-        raise ValueError(f"coefficients assembled on {self.ranges}, "
-                         f"not on {ranges}")
-
-    def stacked(self, rows) -> np.ndarray:
-        """(s11, rho s22, s12 / rho, s21, f1 / rho, f2) on the given rows,
-        node by node: shape (6, nodes, len(rows)).
-
-        These are the fields of the density-scaled system the banded solve
-        assembles; assemble_coefficients computes them along the way.
-        """
-        if self._stack is not None and isinstance(rows, slice) and rows == slice(None):
-            return self._stack
+        n = self.grid.n_elements
+        ranges = ((0, n - 1),) if self.ranges is None else tuple(map(tuple, self.ranges))
         rho = self.rho
-        return np.stack([a[rows].T for a in (self.s11, rho * self.s22, self.s12 / rho,
-                                             self.s21, self.f1 / rho, self.f2)])
+        stack = np.stack([a.T for a in (self.s11, rho * self.s22, self.s12 / rho,
+                                        self.s21, self.f1 / rho, self.f2)])
+        object.__setattr__(self, "ranges", ranges)
+        object.__setattr__(self, "rows", _range_rows(ranges, n))
+        object.__setattr__(self, "stack", stack)
 
 
 @dataclass(frozen=True)
 class PressureSolution:
     """Solved pressure and corrected momentum.
 
-    `p` holds the pressure on the elements of `ranges` only, in range order;
-    `p_nh` is the same pressure on the whole grid, zero off the ranges,
-    built on first use.
+    `p` holds the pressure on the elements of `ranges` only, in range order,
+    `rows` being their grid rows; `p_nh` is the same pressure on the whole
+    grid, zero off the ranges, built on first use.
     """
 
     grid: GridSpec
     ranges: tuple[tuple[int, int], ...]
+    rows: slice | np.ndarray
     p: np.ndarray
     hu_corrected: NodalField
 
     @cached_property
     def p_nh(self) -> NodalField:
         p_full = np.zeros((self.grid.n_elements, self.grid.poly_order + 1))
-        p_full[_range_rows(self.ranges)] = self.p
+        p_full[self.rows] = self.p
         return NodalField._wrap(self.grid, p_full)
 
 
@@ -157,8 +140,9 @@ def _active_rows(bottom: BottomSample, channel: str, rows) -> np.ndarray | None:
     None where the channel vanishes there."""
     if channel not in bottom.active:
         return None
-    part = getattr(bottom, channel).T[:, rows]
-    return part if part.any() else None
+    values = getattr(bottom, channel)
+    part = (values[rows] if isinstance(rows, slice) else values.take(rows, axis=0)).T
+    return part if np.count_nonzero(part) else None
 
 
 def _phi_values(grid: GridSpec, h: np.ndarray, hu: np.ndarray,
@@ -191,18 +175,6 @@ def _phi_values(grid: GridSpec, h: np.ndarray, hu: np.ndarray,
     return (0.25 * rho) * h * inner
 
 
-def phi_term(predictor: FlowState, bathy: BathymetryModel,
-             g: float = GRAVITY, rho: float = RHO_WATER) -> NodalField:
-    """Moving-bottom forcing of the pressure closure, at predictor values."""
-    grid = predictor.grid
-    bottom = bathy.sample(grid.sample_nodes, predictor.time)
-    rows = slice(None)
-    h = predictor.h.values.T
-    vals = _phi_values(grid, h, predictor.hu.values.T, bottom, rows, g, rho,
-                       _active_rows(bottom, "d_x", rows))
-    return NodalField(grid, np.zeros_like(h.T) if vals is None else vals.T)
-
-
 def assemble_coefficients(predictor: FlowState, bathy: BathymetryModel, dt: float,
                           g: float = GRAVITY, rho: float = RHO_WATER,
                           ranges=None) -> EllipticCoefficients:
@@ -214,16 +186,15 @@ def assemble_coefficients(predictor: FlowState, bathy: BathymetryModel, dt: floa
     (element, node) views of it.
     """
     grid = predictor.grid
-    if ranges is not None:
-        ranges = tuple(ranges)
-    rows = slice(None) if ranges is None else _range_rows(ranges)
+    ranges = ((0, grid.n_elements - 1),) if ranges is None else tuple(ranges)
+    rows = _range_rows(ranges, grid.n_elements)
     bottom = bathy.sample(grid.sample_nodes, predictor.time)
     h, hu, hw = predictor.node_rows(rows)
     h_x = derivative_values(grid, h.T).T
     d_x = _active_rows(bottom, "d_x", rows)
     phi = _phi_values(grid, h, hu, bottom, rows, g, rho, d_x)
     inv_h = 1.0 / h
-    # (s11, rho s22, s12 / rho, s21, f1 / rho, f2): see EllipticCoefficients.stacked
+    # (s11, rho s22, s12 / rho, s21, f1 / rho, f2): see EllipticCoefficients.stack
     stack = np.empty((6,) + h.shape)
     s11, f2 = stack[0], stack[5]
     s22 = (3.0 * dt / rho) * inv_h
@@ -252,12 +223,10 @@ def assemble_coefficients(predictor: FlowState, bathy: BathymetryModel, dt: floa
     np.divide(f1, rho, out=stack[4])
     # s21 = -s11 holds by construction, so the checked constructor is skipped
     coeffs = object.__new__(EllipticCoefficients)
-    for name, value in (("grid", grid), ("s11", s11.T), ("s12", s12.T),
-                        ("s21", stack[3].T), ("s22", s22.T), ("f1", f1.T),
-                        ("f2", f2.T), ("phi", None if phi is None else phi.T),
-                        ("bottom", bottom), ("dt", dt), ("rho", rho),
-                        ("ranges", ranges), ("rows", rows), ("_stack", stack)):
-        object.__setattr__(coeffs, name, value)
+    vars(coeffs).update(grid=grid, s11=s11.T, s12=s12.T, s21=stack[3].T, s22=s22.T,
+                        f1=f1.T, f2=f2.T, phi=None if phi is None else phi.T,
+                        bottom=bottom, dt=dt, rho=rho, ranges=ranges, rows=rows,
+                        stack=stack)
     return coeffs
 
 
@@ -274,47 +243,39 @@ def assemble_coefficients(predictor: FlowState, bathy: BathymetryModel, dt: floa
 # own block, sheared one entry per row, and the interface couplings to the
 # neighbouring elements.
 
-def _triplets(n: int, m: int, c11: float, c12: float, c22: float):
+def _triplets(n: int, m: int):
     """(row, column, value) of the constant flux entries of one range of n
-    elements: interface fluxes and the Dirichlet-pressure range endpoints."""
+    elements: the flip-flop interface fluxes and the range endpoints.
+
+    Each flux enters with + at the face on an element's right and with - at
+    the neighbour's face on its left.  At an interface p* = p(left trace)
+    and hu* = hu(right trace) + [p]/2; at the range ends p* = 0, and hu*
+    takes the range's own trace at the left end and, at the right end, the
+    outer one, which enters the right-hand side.
+    """
     node = 2 * (np.arange(n)[:, None] * m + np.arange(m)[None, :])
-    ip = node
-    iq = node + 1
-    rows, cols, vals = [], [], []
-
-    def add(r, c, v):
-        r = np.asarray(r, dtype=np.int64).ravel()
-        rows.append(r)
-        cols.append(np.broadcast_to(np.asarray(c, dtype=np.int64), r.shape).ravel())
-        vals.append(np.broadcast_to(np.asarray(v, float), r.shape).ravel())
-
-    if n > 1:
-        pL, pR = ip[:-1, -1], ip[1:, 0]
-        qL, qR = iq[:-1, -1], iq[1:, 0]
-        star_p = ((pL, 0.5 - c12), (pR, 0.5 + c12), (qL, c22), (qR, -c22))
-        star_q = ((qL, 0.5 + c12), (qR, 0.5 - c12), (pL, c11), (pR, -c11))
-        for row_hi, row_lo, star in ((pL, pR, star_p), (qL, qR, star_q)):
-            for col, coef in star:
-                if coef != 0.0:
-                    add(row_hi, col, coef)     # + flux at an element's right face
-                    add(row_lo, col, -coef)    # - flux at the neighbor's left face
-
-    # range endpoints: p* = 0 (Dirichlet); hu* keeps its interior-trace terms
-    add(iq[0, 0], iq[0, 0], -(0.5 - c12))
-    add(iq[0, 0], ip[0, 0], c11)
-    add(iq[-1, -1], iq[-1, -1], 0.5 + c12)
-    add(iq[-1, -1], ip[-1, -1], c11)
-    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+    # pressure rows of the traces left and right of each interface
+    pL, pR = node[:-1, -1], node[1:, 0]
+    qL, qR = pL + 1, pR + 1
+    first, last = node[0, 0], node[-1, -1]
+    entries = ((pL, pL, 1.0), (pR, pL, -1.0),
+               (qL, qR, 1.0), (qR, qR, -1.0),
+               (qL, pL, 0.5), (qR, pL, -0.5),
+               (qL, pR, -0.5), (qR, pR, 0.5),
+               (first + 1, first + 1, -1.0), (first + 1, first, 0.5),
+               (last + 1, last, 0.5))
+    parts = [np.broadcast_arrays(np.atleast_1d(r), c, v) for r, c, v in entries]
+    return tuple(np.concatenate(column) for column in zip(*parts))
 
 
 @lru_cache(maxsize=None)
-def _element_slabs(m: int, c11: float, c12: float, c22: float) -> dict[str, np.ndarray]:
+def _element_slabs(m: int) -> dict[str, np.ndarray]:
     """Constant flux entries of one element's columns, (2m, 2*band + 1), by
     the element's place in its range: first, inner, last, or alone."""
     band = 2 * m - 1
 
     def block(n):
-        rows, cols, vals = _triplets(n, m, c11, c12, c22)
+        rows, cols, vals = _triplets(n, m)
         out = np.zeros((2 * n * m, 2 * band + 1))
         np.add.at(out, (cols, band + rows - cols), vals)
         return out
@@ -326,7 +287,7 @@ def _element_slabs(m: int, c11: float, c12: float, c22: float) -> dict[str, np.n
 
 
 @lru_cache(maxsize=256)
-def _block_template(n: int, m: int, c11: float, c12: float, c22: float) -> np.ndarray:
+def _block_template(n: int, m: int) -> np.ndarray:
     """Matrix rows of the banded storage of one contiguous range of n
     elements, holding its constant flux entries: shape (2 n m, 2*band + 1),
     row c being column c of the matrix rows.
@@ -335,7 +296,7 @@ def _block_template(n: int, m: int, c11: float, c12: float, c22: float) -> np.nd
     stacks the blocks of its lengths in range order.  Every inner element
     carries the same entries; the two ends differ.
     """
-    slabs = _element_slabs(m, c11, c12, c22)
+    slabs = _element_slabs(m)
     if n == 1:
         out = slabs["alone"].copy()
     else:
@@ -347,8 +308,7 @@ def _block_template(n: int, m: int, c11: float, c12: float, c22: float) -> np.nd
 
 
 @lru_cache(maxsize=512)
-def _ldg_template(lengths: tuple[int, ...], m: int,
-                  c11: float, c12: float, c22: float):
+def _ldg_template(lengths: tuple[int, ...], m: int):
     """Per-range blocks and range-end rows of a batch of independent ranges.
 
     The ranges are stacked into one block-diagonal system whose bandwidth
@@ -358,11 +318,10 @@ def _ldg_template(lengths: tuple[int, ...], m: int,
     by every combination they appear in; an entry here holds references to
     them, not a copy, so it is as small as the number of ranges.
     """
-    blocks = tuple(_block_template(nb, m, c11, c12, c22) for nb in lengths)
-    # momentum rows of the first and the last node of each range, in pairs:
-    # the rows where the outer momentum traces enter
-    ends = 2 * m * np.cumsum(lengths)
-    row_ends = np.stack((ends - 2 * m * np.array(lengths) + 1, ends - 1), axis=1).ravel()
+    blocks = tuple(_block_template(nb, m) for nb in lengths)
+    # momentum row of the last node of each range, where its outer momentum
+    # trace enters
+    row_ends = 2 * m * np.cumsum(lengths) - 1
     row_ends.flags.writeable = False
     return blocks, row_ends
 
@@ -446,14 +405,13 @@ def _banded_matvec(ab: np.ndarray, band: int, x: np.ndarray,
 
 
 def _solve_batched(coeffs: EllipticCoefficients, ranges,
-                   outer_hu: np.ndarray,
-                   flux: FluxCoefficients = FluxCoefficients(),
-                   residual_tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
+                   outer_hu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Solve the elliptic system on several disjoint ranges in one banded solve.
 
-    `ranges` is a sorted sequence of (first, last) inclusive element pairs and
-    `outer_hu` an array of matching (left, right) outer momentum traces.
-    Returns nodal (p, hu) arrays of shape (total flagged elements, nodes).
+    `ranges` is the sorted sequence of (first, last) inclusive element pairs
+    the coefficients were assembled on, and `outer_hu` the outer momentum
+    trace just right of each range.  Returns nodal (p, hu) arrays of shape
+    (total flagged elements, nodes).
 
     Internally the system is solved for the density-scaled pressure p/rho,
     which makes every coefficient, the forcing, and the interface penalty
@@ -461,16 +419,14 @@ def _solve_batched(coeffs: EllipticCoefficients, ranges,
     under a change of density and the two unknowns are comparably scaled.
     The physical pressure is recovered by one multiplication at the end.
     """
-    grid = coeffs.grid
     ranges = tuple(ranges)
-    for e0, e1 in ranges:
-        if e0 > e1 or e0 < 0 or e1 >= grid.n_elements:
-            raise ValueError(f"invalid element range {(e0, e1)}")
-    rows = coeffs.rows_of(ranges)
-
+    if ranges != coeffs.ranges:
+        raise ValueError(f"coefficients assembled on {coeffs.ranges}, "
+                         f"not on {ranges}")
+    grid = coeffs.grid
     m = grid.poly_order + 1
     lengths = tuple(e1 - e0 + 1 for e0, e1 in ranges)
-    const_blocks, row_ends = _ldg_template(lengths, m, flux.c11, flux.c12, flux.c22)
+    const_blocks, row_ends = _ldg_template(lengths, m)
     n = sum(lengths)
     band = 2 * m - 1
     rho = coeffs.rho
@@ -478,7 +434,7 @@ def _solve_batched(coeffs: EllipticCoefficients, ranges,
 
     workspace = _BandedWorkspace.of(grid)
     ab, mat, scratch = workspace.arrays(n)
-    stack = coeffs.stacked(rows)
+    stack = coeffs.stack
     slabs = mat.reshape(n, -1)
     np.matmul(stack[:4].reshape(4 * m, n).T, workspace.coupling, out=slabs)
     slabs -= workspace.stiffness
@@ -490,7 +446,7 @@ def _solve_batched(coeffs: EllipticCoefficients, ranges,
 
     b = np.empty(2 * m * n)
     b.reshape(n, m, 2)[...] = (M @ stack[4:]).transpose(2, 1, 0)
-    b[row_ends] += (outer_hu * ((0.5 + flux.c12), -(0.5 - flux.c12))).ravel()
+    b[row_ends] -= outer_hu
     rhs_norm = sqrt(b @ b)
 
     _, _, x, info = _GBSV(band, band, ab, b, overwrite_ab=True, overwrite_b=False)
@@ -504,64 +460,53 @@ def _solve_batched(coeffs: EllipticCoefficients, ranges,
     resid_norm = sqrt(resid @ resid)
     # the residual is measured against max(|b|, max|A| |x|); within the
     # tolerance of |b| alone it passes without computing the other term
-    if not resid_norm <= residual_tol * rhs_norm:
+    if not resid_norm <= _MAX_RESIDUAL * rhs_norm:
         x_norm = sqrt(x @ x)
         if not isfinite(x_norm):
             raise EllipticSolveError(f"non-finite elliptic solution on {ranges}")
         rel = resid_norm / max(rhs_norm, np.abs(mat).max() * x_norm, 1e-300)
-        if rel > residual_tol:
+        if rel > _MAX_RESIDUAL:
             raise EllipticSolveError(
-                f"elliptic solve residual {rel:.3e} exceeds {residual_tol:.1e} "
+                f"elliptic solve residual {rel:.3e} exceeds {_MAX_RESIDUAL:.1e} "
                 f"on {ranges} (likely ill-conditioned)")
 
     return (rho * x[0::2]).reshape(n, m), x[1::2].reshape(n, m)
 
 
 def ldg_solve(coeffs: EllipticCoefficients, elements: tuple[int, int],
-              outer_hu: tuple[float, float] = (0.0, 0.0),
-              flux: FluxCoefficients = FluxCoefficients(),
-              residual_tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
-    """Solve the elliptic system on one contiguous element range.
+              outer_hu: tuple[float, float] = (0.0, 0.0)) -> tuple[np.ndarray, np.ndarray]:
+    """Solve the elliptic system on the one contiguous element range the
+    coefficients were assembled on.
 
     Returns nodal (p, hu) arrays of shape (range length, poly_order + 1).
-    Zero Dirichlet pressure is imposed at both range endpoints; the outer
-    momentum traces there are supplied by the caller.
+    Zero Dirichlet pressure is imposed at both range endpoints.  `outer_hu`
+    holds the outer momentum traces (left, right) just outside the range;
+    the left one does not enter, as the flux takes the momentum right of
+    each face, which at the left end is the range's own trace.
     """
-    return _solve_batched(coeffs, (tuple(elements),),
-                          np.asarray(outer_hu, dtype=float).reshape(1, 2),
-                          flux, residual_tol)
+    return _solve_batched(coeffs, (tuple(elements),), np.array([outer_hu[1]], dtype=float))
 
 
-def _boundary_hu_traces(predictor: FlowState, bcs: BoundaryPair,
-                        e0: int, e1: int) -> tuple[float, float]:
-    """Outer (uncorrected) momentum traces just outside a solved range."""
+def _right_outer_hu(predictor: FlowState, bcs: BoundaryPair, e1: int) -> float:
+    """Outer (uncorrected) momentum trace just right of a range ending at e1:
+    the next element's first one, or the right boundary's ghost value."""
     hu = predictor.hu.values
-    n = predictor.grid.n_elements
-    if e0 > 0:
-        left = hu[e0 - 1, -1]
-    else:
-        left = bcs.left.ghost(predictor.h.values[0, 0], hu[0, 0],
-                              predictor.hw.values[0, 0])[1]
-    if e1 < n - 1:
-        right = hu[e1 + 1, 0]
-    else:
-        right = bcs.right.ghost(predictor.h.values[-1, -1], hu[-1, -1],
-                                predictor.hw.values[-1, -1])[1]
-    return left, right
+    if e1 < predictor.grid.n_elements - 1:
+        return hu[e1 + 1, 0]
+    return bcs.right.signs[1, 0] * hu[-1, -1]
 
 
 def solve_on_ranges(predictor: FlowState, coeffs: EllipticCoefficients,
-                    ranges, bcs: BoundaryPair,
-                    flux: FluxCoefficients = FluxCoefficients()) -> PressureSolution:
-    """Independent per-range elliptic solves, batched into one banded system."""
+                    ranges, bcs: BoundaryPair) -> PressureSolution:
+    """Independent per-range elliptic solves, batched into one banded system,
+    on the ranges the coefficients were assembled on."""
     grid = predictor.grid
-    ranges = tuple(sorted(tuple(r) for r in ranges))
-    outer = np.array([_boundary_hu_traces(predictor, bcs, e0, e1)
-                      for e0, e1 in ranges])
-    p, hu = _solve_batched(coeffs, ranges, outer, flux)
+    ranges = tuple(sorted(map(tuple, ranges)))
+    outer = np.array([_right_outer_hu(predictor, bcs, e1) for _, e1 in ranges])
+    p, hu = _solve_batched(coeffs, ranges, outer)
     hu_full = predictor.hu.values.copy(order="K")
-    hu_full[coeffs.rows if ranges == coeffs.ranges else _range_rows(ranges)] = hu
-    return PressureSolution(grid, ranges, p, NodalField._wrap(grid, hu_full))
+    hu_full[coeffs.rows] = hu
+    return PressureSolution(grid, ranges, coeffs.rows, p, NodalField._wrap(grid, hu_full))
 
 
 def central_derivative_values(grid: GridSpec, values: np.ndarray) -> np.ndarray:
@@ -625,10 +570,10 @@ def correct_momentum(predictor: FlowState, sol: PressureSolution,
     else the predictor values pass through unchanged.
     """
     grid = predictor.grid
-    if sol.ranges == coeffs.ranges:
-        crows, rows = slice(None), coeffs.rows
-    else:
-        crows, rows = coeffs.rows_of(sol.ranges), _range_rows(sol.ranges)
+    if sol.ranges != coeffs.ranges:
+        raise ValueError(f"coefficients assembled on {coeffs.ranges}, "
+                         f"solution on {sol.ranges}")
+    rows = sol.rows
     p = sol.p
     d_x = _active_rows(coeffs.bottom, "d_x", rows)
     if d_x is not None:
@@ -641,7 +586,7 @@ def correct_momentum(predictor: FlowState, sol: PressureSolution,
         # flat stretch: the slope-weighted (h p)_x term drops out exactly
         bottom_pressure = 1.5 * p
     if coeffs.phi is not None:
-        bottom_pressure += coeffs.phi[crows]
+        bottom_pressure += coeffs.phi
 
     hw = predictor.hw.values.copy(order="K")
     hw[rows] += (coeffs.dt / coeffs.rho) * bottom_pressure
@@ -656,11 +601,10 @@ def correct_momentum(predictor: FlowState, sol: PressureSolution,
 
 def apply_correction(predictor: FlowState, bathy: BathymetryModel, dt: float,
                      ranges, bcs: BoundaryPair,
-                     flux: FluxCoefficients = FluxCoefficients(),
                      g: float = GRAVITY, rho: float = RHO_WATER,
                      ) -> tuple[FlowState, PressureSolution]:
     """Full correction pipeline on the elements of the flagged ranges."""
-    ranges = tuple(sorted(tuple(r) for r in ranges))
+    ranges = tuple(sorted(map(tuple, ranges)))
     coeffs = assemble_coefficients(predictor, bathy, dt, g, rho, ranges=ranges)
-    sol = solve_on_ranges(predictor, coeffs, ranges, bcs, flux)
+    sol = solve_on_ranges(predictor, coeffs, ranges, bcs)
     return correct_momentum(predictor, sol, coeffs), sol

@@ -8,8 +8,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adaptivity import Criterion, NonHydroMask, adaptive_step
-from .bathymetry import RHO_WATER
-from .corrector import FluxCoefficients
 from .grid import FlowState, NodalField
 from .scenarios import ScenarioSpec
 
@@ -48,10 +46,7 @@ class RunResult:
 
 
 def simulate(spec: ScenarioSpec, initial: FlowState, mode: str,
-             criterion: Criterion | None = None,
-             flux: FluxCoefficients = FluxCoefficients(),
-             rho: float = RHO_WATER,
-             record_masks: bool = True) -> RunResult:
+             criterion: Criterion | None = None) -> RunResult:
     """Run the full time loop; wall time covers the stepping loop only."""
     grid = spec.grid
     n_steps = spec.n_steps
@@ -81,12 +76,11 @@ def simulate(spec: ScenarioSpec, initial: FlowState, mode: str,
     for step in range(n_steps):
         t0 = _time.perf_counter()
         result = adaptive_step(state, spec.dt, spec.bathymetry, spec.bcs,
-                               mode=mode, crit=criterion, flux=flux,
-                               g=spec.g, rho=rho)
+                               mode=mode, crit=criterion, g=spec.g)
         loop_time += _time.perf_counter() - t0
         state = result.state
         fractions[step] = result.mask.fraction
-        if record_masks and mode == "adaptive":
+        if mode == "adaptive":
             mask_history.append((step, state.time, result.mask.ranges))
         record_gauges(step + 1, state)
 

@@ -149,9 +149,6 @@ class NodalField:
             raise ValueError(f"non-finite nodal value at x={x} (element {bad[0]})")
         object.__setattr__(self, "values", values)
 
-    def at_nodes(self) -> np.ndarray:
-        return self.values
-
     @classmethod
     def _wrap(cls, grid: GridSpec, values: np.ndarray) -> "NodalField":
         """Trusted constructor for hot paths; skips shape/finiteness checks.
@@ -160,8 +157,7 @@ class NodalField:
         they have already vouched for (e.g. checked once per time step).
         """
         field = object.__new__(cls)
-        object.__setattr__(field, "grid", grid)
-        object.__setattr__(field, "values", values)
+        vars(field).update(grid=grid, values=values)
         return field
 
 
@@ -194,21 +190,17 @@ class FlowState:
         fields view transposed, when they share one; see `node_rows`.
         """
         state = object.__new__(cls)
-        set_ = object.__setattr__
-        set_(state, "h", h)
-        set_(state, "hu", hu)
-        set_(state, "hw", hw)
-        set_(state, "time", time)
-        set_(state, "_nodes", nodes)
+        vars(state).update(h=h, hu=hu, hw=hw, time=time, _nodes=nodes)
         return state
 
     def node_rows(self, rows) -> np.ndarray:
         """(h, hu, hw) on the given elements, node by node: shape
         (3, nodes, len(rows)); one gather when the fields share one array."""
         nodes = self.__dict__.get("_nodes")
-        if nodes is not None:
-            return nodes[:, :, rows]
-        return np.stack([f.values.T[:, rows] for f in (self.h, self.hu, self.hw)])
+        if nodes is None:
+            return np.stack([f.values.T[:, rows] for f in (self.h, self.hu, self.hw)])
+        # np.take gathers an index array several times faster than indexing
+        return nodes[:, :, rows] if isinstance(rows, slice) else nodes.take(rows, axis=2)
 
 
 def project(f: Callable[[np.ndarray], np.ndarray], grid: GridSpec) -> NodalField:
@@ -241,34 +233,3 @@ def evaluate(field: NodalField, x: np.ndarray) -> np.ndarray:
         xi_ref = 2.0 * (xi - grid.x_left - e * grid.dx) / grid.dx - 1.0
         out[k] = lagrange_eval_matrix(grid.ref_nodes, np.array([xi_ref]))[0] @ field.values[e]
     return out
-
-
-def interface_trace(field: NodalField, element: int, side: str,
-                    boundary: str = "copy") -> tuple[float, float]:
-    """Inner/outer traces at an element interface.
-
-    `boundary` selects the ghost rule at the domain ends: "copy" mirrors the
-    inner trace (absorbing/zero-gradient), "negate" reflects it (wall for the
-    momentum component).
-    """
-    grid = field.grid
-    if not 0 <= element < grid.n_elements:
-        raise IndexError(f"element {element} out of range")
-    if side == "left":
-        inner = field.values[element, 0]
-        outer = field.values[element - 1, -1] if element > 0 else _ghost(inner, boundary)
-    elif side == "right":
-        inner = field.values[element, -1]
-        outer = (field.values[element + 1, 0] if element < grid.n_elements - 1
-                 else _ghost(inner, boundary))
-    else:
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    return inner, outer
-
-
-def _ghost(inner: float, boundary: str) -> float:
-    if boundary == "copy":
-        return inner
-    if boundary == "negate":
-        return -inner
-    raise ValueError(f"unknown boundary ghost rule {boundary!r}")

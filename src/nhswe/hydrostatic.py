@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from math import sqrt
 
 import numpy as np
 
@@ -20,12 +21,17 @@ from .grid import FlowState, GridSpec, NodalField
 
 
 class PositivityError(RuntimeError):
-    """Water column became non-positive somewhere."""
+    """Water column became non-positive or non-finite somewhere; `stage` is
+    the Heun stage (1 or 2) whose update failed, None when a stage's input
+    state was already at fault."""
 
-    def __init__(self, element: int, time: float):
-        super().__init__(f"non-positive water depth in element {element} at t={time:.6g}")
+    def __init__(self, element: int, time: float, stage: int | None = None):
+        where = "" if stage is None else f" in Heun stage {stage}"
+        super().__init__(f"non-positive or non-finite water depth in element {element} "
+                         f"at t={time:.6g}{where}")
         self.element = element
         self.time = time
+        self.stage = stage
 
 
 @dataclass(frozen=True)
@@ -40,11 +46,6 @@ class BoundaryCondition:
         # the ghost rule as factors on (h, hu, hw), one row each
         signs = (1.0, -1.0, 1.0) if self.kind == "wall" else (1.0, 1.0, 1.0)
         object.__setattr__(self, "signs", np.array(signs).reshape(3, 1))
-
-    def ghost(self, h: float, hu: float, hw: float) -> tuple[float, float, float]:
-        if self.kind == "wall":
-            return h, -hu, hw
-        return h, hu, hw
 
 
 @dataclass(frozen=True)
@@ -96,31 +97,37 @@ def rusanov_flux(qL: np.ndarray, qR: np.ndarray,
     return np.moveaxis(flux, 0, -1)
 
 
-def _step_faces(side: np.ndarray, drop: np.ndarray, g: float) -> np.ndarray:
-    """Fluxes received on either side of bottom jumps, by hydrostatic
-    reconstruction: shape (3, 2, jumps), like `side`, the traces (h, hu, hw)
-    left and right of each jump.
+def _step_faces(q: np.ndarray, faces: np.ndarray, sides: np.ndarray,
+                drop: np.ndarray, g: float) -> None:
+    """Write into `faces` the fluxes received on either side of the bottom
+    jumps between the elements `sides`, shape (2, jumps), of the padded
+    state `q`, by hydrostatic reconstruction.
 
     Both traces are remeasured from the higher bottom edge, `drop` below it
     on either side: depths and vertical momenta shrink, velocities stay.
-    The two sides receive the Rusanov flux of the remeasured traces, each
-    shifted by the pressure on its own exposed bottom step.
+    The two sides receive the Rusanov flux (`_flux`, `_speed`, `_rusanov`)
+    of the remeasured traces, each shifted by the pressure on its own
+    exposed bottom step.  The jumps are few, so they are taken one by one in
+    plain floats: ~3.5 us a jump, where one numpy pass over all of them
+    costs ~50 us in its thirty-odd calls.
     """
-    h, hu, hw = side
-    u = hu / h
-    hs = np.maximum(h - drop, 0.0)
-    qs = np.stack((hs, hs * u, (hs / h) * hw))
-    fs = _flux(qs, u, g)
-    flux = _rusanov(qs[:, 0], qs[:, 1], fs[:, 0], fs[:, 1], np.maximum(*_speed(u, hs, g)))
-    received = np.repeat(flux[:, None], 2, axis=1)
-    received[1] += (0.5 * g) * (h * h - hs * hs)
-    return received
-
-
-# on either side of an interface: the trace node, the left element's last
-# and the right element's first, and the face, its right and its left one
-_SIDE_NODES = np.array([[-1], [0]])
-_SIDE_FACES = np.array([[1], [0]])
+    half_g = 0.5 * g
+    for eL, eR, dL, dR in zip(*sides.tolist(), *drop.tolist()):
+        hL, huL, hwL = q[:, -1, eL + 1].tolist()
+        hR, huR, hwR = q[:, 0, eR + 1].tolist()
+        uL, uR = huL / hL, huR / hR
+        hsL, hsR = hL - dL, hR - dR
+        hsL = 0.0 if hsL < 0.0 else hsL
+        hsR = 0.0 if hsR < 0.0 else hsR
+        mL, mR = hsL * uL, hsR * uR
+        wL, wR = (hsL / hL) * hwL, (hsR / hR) * hwR
+        speed = max(abs(uL) + sqrt(g * hsL), abs(uR) + sqrt(g * hsR))
+        f0 = 0.5 * ((mL + mR) - speed * (hsR - hsL))
+        f1 = 0.5 * (((mL * uL + (half_g * hsL) * hsL) + (mR * uR + (half_g * hsR) * hsR))
+                    - speed * (mR - mL))
+        f2 = 0.5 * ((wL * uL + wR * uR) - speed * (wR - wL))
+        faces[:, 1, eL] = f0, f1 + half_g * (hL * hL - hsL * hsL), f2
+        faces[:, 0, eR] = f0, f1 + half_g * (hR * hR - hsR * hsR), f2
 
 
 def rhs_operator(q: np.ndarray, t: float, grid: GridSpec, bathy: BathymetryModel,
@@ -162,20 +169,13 @@ def rhs_operator(q: np.ndarray, t: float, grid: GridSpec, bathy: BathymetryModel
     faces[:, 0] = face[:, :-1]
     faces[:, 1] = face[:, 1:]
     bottom = bathy.sample(grid.sample_nodes, t)
-    sides, drop = bottom.jumps
-    if sides.shape[1]:
-        faces[:, _SIDE_FACES, sides] = _step_faces(q[:, _SIDE_NODES, sides + 1], drop, g)
+    _step_faces(q, faces, *bottom.jumps, g)
 
     tend = grid.weak_div @ f[:, :, 1:-1]
     tend += grid.lift @ faces
     if "d_x" in bottom.active:
         tend[1] += (g * h) * bottom.d_x.T
     return tend, speed
-
-
-def max_wavespeed(state: FlowState, g: float = GRAVITY) -> float:
-    h = state.h.values
-    return float(np.max(np.abs(state.hu.values / h) + np.sqrt(g * h)))
 
 
 def heun_step(state: FlowState, dt: float, bathy: BathymetryModel,
@@ -197,22 +197,24 @@ def heun_step(state: FlowState, dt: float, bathy: BathymetryModel,
             warnings.warn(f"advisory CFL number {cfl:.3f} exceeds 1 at t={state.time:.6g}",
                           RuntimeWarning, stacklevel=2)
     star = np.empty_like(q)
-    _advance(q, k1, dt, new_time, out=star[:, :, 1:-1])
+    _advance(q, k1, dt, new_time, 1, out=star[:, :, 1:-1])
     k2, _ = rhs_operator(star, new_time, grid, bathy, bcs, g)
     k1 += k2
-    _advance(q, k1, 0.5 * dt, new_time, out=k1)
+    _advance(q, k1, 0.5 * dt, new_time, 2, out=k1)
     # the fields are (element, node) views of the node-by-node result
     return FlowState._wrap(NodalField._wrap(grid, k1[0].T), NodalField._wrap(grid, k1[1].T),
                            NodalField._wrap(grid, k1[2].T), new_time, nodes=k1)
 
 
 def _advance(q: np.ndarray, tend: np.ndarray, dt: float, new_time: float,
-             out: np.ndarray) -> np.ndarray:
+             stage: int, out: np.ndarray) -> np.ndarray:
     """out = grid elements of q + dt * tend, checked for positive depth;
     `out` may be `tend` itself."""
     np.multiply(tend, dt, out=out)
     out += q[:, :, 1:-1]
     # `not >` also trips on NaN, so a non-finite update is caught here too
     if not out[0].min() > 0.0:
-        raise PositivityError(-1, new_time)
+        h = out[0]
+        bad = ~((h > 0.0) & np.isfinite(h)).all(axis=0)
+        raise PositivityError(int(np.flatnonzero(bad)[0]), new_time, stage)
     return out

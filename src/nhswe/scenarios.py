@@ -7,7 +7,7 @@ plate next to a wall, and a semi-elliptic bump sliding along a flat bottom.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 

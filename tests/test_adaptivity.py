@@ -10,7 +10,7 @@ from nhswe.adaptivity import (Criterion, NonHydroMask, adaptive_step,
 from nhswe.bathymetry import FlatBottom
 from nhswe.grid import FlowState, GridSpec, NodalField
 from nhswe.hydrostatic import WALL, BoundaryPair, heun_step
-from nhswe.scenarios import build_solitary, solitary_exact, still_water_state
+from nhswe.scenarios import build_solitary, still_water_state
 
 WALLS = BoundaryPair(WALL, WALL)
 

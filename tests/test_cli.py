@@ -117,6 +117,17 @@ def test_config_error_exit_codes(tmp_path):
     assert run_cli("run", "--config", str(cfg)) == EXIT_CONFIG
 
 
+def test_seed_is_not_an_option(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        run_cli("run", "--scenario", "solitary", "--seed", "1",
+                "--outdir", str(tmp_path))
+    assert exit_.value.code == EXIT_CONFIG
+    cfg = tmp_path / "seeded.cfg"
+    cfg.write_text("scenario = solitary\nseed = 1\n")
+    assert run_cli("run", "--config", str(cfg), "--outdir", str(tmp_path)) == EXIT_CONFIG
+    assert "unknown key 'seed'" in capsys.readouterr().err
+
+
 def test_numerical_failure_exit_code(tmp_path):
     # a grossly unstable time step blows up into a positivity failure
     import warnings

@@ -11,11 +11,10 @@ import pytest
 from nhswe.bathymetry import (FlatBottom, GRAVITY, HammackPlate, RHO_WATER,
                               SlideMotion, WhittakerSlide)
 from nhswe.corrector import (EllipticCoefficients, EllipticSolveError,
-                             FluxCoefficients, _banded_matvec, apply_correction,
+                             _banded_matvec, _right_outer_hu, apply_correction,
                              assemble_coefficients, central_derivative_values,
-                             correct_momentum, ldg_solve, phi_term,
-                             solve_on_ranges)
-from nhswe.grid import FlowState, GridSpec, NodalField, derivative_values, project
+                             ldg_solve, solve_on_ranges)
+from nhswe.grid import FlowState, GridSpec, NodalField, derivative_values
 from nhswe.hydrostatic import ABSORBING, WALL, BoundaryPair
 
 WALLS = BoundaryPair(WALL, WALL)
@@ -42,8 +41,7 @@ def smooth_state(grid, d0=10.0, amp=0.5, u0=0.2):
 def test_phi_vanishes_on_flat_static_bottom():
     grid = GridSpec(0.0, 100.0, 20, 1)
     state = smooth_state(grid)
-    phi = phi_term(state, FlatBottom(10.0))
-    assert np.all(phi.values == 0.0)
+    assert assemble_coefficients(state, FlatBottom(10.0), 0.1).phi is None
 
 
 def test_phi_hand_value_inside_plate():
@@ -53,7 +51,7 @@ def test_phi_hand_value_inside_plate():
     bathy = HammackPlate(0.05, 0.005, 0.6, 0.13)
     t = 0.2
     state = still_state(grid, bathy, t)
-    phi = phi_term(state, bathy).values
+    phi = assemble_coefficients(state, bathy, 0.01).phi
     s = bathy.sample(grid.sample_nodes, t)
     expected = -RHO_WATER * state.h.values * s.d_tt / 4.0
     assert np.allclose(phi, expected, atol=1e-12)
@@ -73,7 +71,7 @@ def test_phi_matches_bruteforce_formula_on_moving_slope():
     eta_x = derivative_values(grid, h - s.d)
     brute = (RHO_WATER * h / (4.0 + s.d_x ** 2)) * (
         GRAVITY * s.d_x * eta_x - s.d_tt - 2.0 * u * s.d_xt - u * u * s.d_xx)
-    phi = phi_term(state, bathy).values
+    phi = assemble_coefficients(state, bathy, 0.01).phi
     assert np.allclose(phi, brute, rtol=1e-12, atol=1e-12)
 
 
@@ -160,32 +158,71 @@ def test_manufactured_solution_convergence():
     assert rates_q.min() > 1.5
 
 
+def assert_batch_matches_separate_solves(state, bathy, ranges):
+    sol = solve_on_ranges(state, assemble_coefficients(state, bathy, 0.1, ranges=ranges),
+                          ranges, WALLS)
+    for e0, e1 in ranges:
+        co = assemble_coefficients(state, bathy, 0.1, ranges=[(e0, e1)])
+        p_one, hu_one = ldg_solve(co, (e0, e1),
+                                  outer_hu=(0.0, _right_outer_hu(state, WALLS, e1)))
+        assert np.allclose(sol.p_nh.values[e0:e1 + 1], p_one, atol=1e-9)
+        assert np.allclose(sol.hu_corrected.values[e0:e1 + 1], hu_one, atol=1e-12)
+
+
 def test_batched_ranges_match_separate_solves():
     grid = GridSpec(0.0, 100.0, 60, 1)
     state = smooth_state(grid)
-    co = assemble_coefficients(state, FlatBottom(10.0), 0.1)
-    ranges = ((3, 12), (20, 21), (30, 55))
-    sol = solve_on_ranges(state, co, ranges, WALLS)
-    for e0, e1 in ranges:
-        from nhswe.corrector import _boundary_hu_traces
-        outer = _boundary_hu_traces(state, WALLS, e0, e1)
-        p_one, hu_one = ldg_solve(co, (e0, e1), outer_hu=outer)
-        assert np.allclose(sol.p_nh.values[e0:e1 + 1], p_one, atol=1e-9)
-        assert np.allclose(sol.hu_corrected.values[e0:e1 + 1], hu_one, atol=1e-12)
+    bathy = FlatBottom(10.0)
+    assert_batch_matches_separate_solves(state, bathy, ((3, 12), (20, 21), (30, 55)))
 
     # a batch whose combination of range lengths no solve has met before,
     # touching both domain ends: its template is composed on the spot from
     # the per-length blocks
-    from nhswe.corrector import _boundary_hu_traces, _ldg_template
+    from nhswe.corrector import _ldg_template
     ranges = ((0, 6), (9, 9), (14, 26), (40, 43), (51, 59))
     misses = _ldg_template.cache_info().misses
-    sol = solve_on_ranges(state, co, ranges, WALLS)
+    solve_on_ranges(state, assemble_coefficients(state, bathy, 0.1, ranges=ranges),
+                    ranges, WALLS)
     assert _ldg_template.cache_info().misses == misses + 1
-    for e0, e1 in ranges:
-        outer = _boundary_hu_traces(state, WALLS, e0, e1)
-        p_one, hu_one = ldg_solve(co, (e0, e1), outer_hu=outer)
-        assert np.allclose(sol.p_nh.values[e0:e1 + 1], p_one, atol=1e-9)
-        assert np.allclose(sol.hu_corrected.values[e0:e1 + 1], hu_one, atol=1e-12)
+    assert_batch_matches_separate_solves(state, bathy, ranges)
+
+
+def test_solves_refuse_coefficients_of_other_ranges():
+    grid = GridSpec(0.0, 100.0, 60, 1)
+    state = smooth_state(grid)
+    whole = assemble_coefficients(state, FlatBottom(10.0), 0.1)
+    part = assemble_coefficients(state, FlatBottom(10.0), 0.1, ranges=[(3, 12)])
+    with pytest.raises(ValueError, match=r"assembled on \(\(0, 59\),\), not on \(\(3, 12\),\)"):
+        solve_on_ranges(state, whole, [(3, 12)], WALLS)
+    with pytest.raises(ValueError, match=r"assembled on \(\(3, 12\),\), not on \(\(0, 59\),\)"):
+        solve_on_ranges(state, part, [(0, 59)], WALLS)
+    with pytest.raises(ValueError, match="assembled on"):
+        ldg_solve(part, (3, 13))
+    with pytest.raises(ValueError, match="assembled on"):
+        ldg_solve(whole, (3, 12))
+
+
+def test_left_outer_momentum_does_not_enter():
+    # with p* = p(left trace) and hu* = hu(right trace) + [p]/2, a range's
+    # left end reads only its own traces: a correction on a range starting
+    # at element 0 is the same under either left boundary, and ldg_solve
+    # ignores the left outer momentum
+    grid = GridSpec(0.0, 100.0, 40, 1)
+    state = smooth_state(grid)
+    bathy = FlatBottom(10.0)
+    ranges = [(0, 17), (25, 39)]
+    runs = [apply_correction(state, bathy, 0.1, ranges, BoundaryPair(left, WALL))
+            for left in (WALL, ABSORBING)]
+    (a, sol_a), (b, sol_b) = runs
+    assert sol_a.p.tobytes() == sol_b.p.tobytes()
+    for fa, fb in ((a.hu, b.hu), (a.hw, b.hw)):
+        assert fa.values.tobytes() == fb.values.tobytes()
+
+    co = assemble_coefficients(state, bathy, 0.1, ranges=[(5, 30)])
+    base = ldg_solve(co, (5, 30), outer_hu=(0.0, 1.5))
+    for left in (-7.0, 3.25, 1e6):
+        other = ldg_solve(co, (5, 30), outer_hu=(left, 1.5))
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(base, other))
 
 
 def test_subrange_covering_forcing_support_matches_global():
@@ -195,8 +232,9 @@ def test_subrange_covering_forcing_support_matches_global():
     from nhswe.hydrostatic import heun_step
     spec, init = build_solitary()
     pred = heun_step(init, spec.dt, spec.bathymetry, spec.bcs)
-    co = assemble_coefficients(pred, spec.bathymetry, spec.dt)
-    full = solve_on_ranges(pred, co, ((0, 199),), spec.bcs)
+    full = solve_on_ranges(pred, assemble_coefficients(pred, spec.bathymetry, spec.dt),
+                           ((0, 199),), spec.bcs)
+    co = assemble_coefficients(pred, spec.bathymetry, spec.dt, ranges=((10, 90),))
     sub = solve_on_ranges(pred, co, ((10, 90),), spec.bcs)
     # the zero-Dirichlet endpoints perturb the solution with an influence
     # decaying like exp(-sqrt(s12 s22) * distance), so compare well inside
@@ -311,6 +349,9 @@ def test_invalid_range_rejected():
         ldg_solve(co, (5, 3))
     with pytest.raises(ValueError):
         ldg_solve(co, (0, 10))
+    for bad in ([(5, 3)], [(0, 10)], [(-1, 4)], [(4, 6), (1, 2)], [(1, 4), (4, 6)]):
+        with pytest.raises(ValueError, match="invalid element range"):
+            assemble_coefficients(state, FlatBottom(1.0), 0.01, ranges=bad)
 
 
 GLOBAL_STEP_FAULTS = """

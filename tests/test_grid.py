@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from nhswe.grid import (FlowState, GridSpec, NodalField, derivative,
-                        derivative_values, evaluate, gauss_lobatto_nodes,
-                        interface_trace, project)
+                        derivative_values, evaluate, gauss_lobatto_nodes, project)
 
 
 def test_gauss_lobatto_low_degrees():
@@ -90,19 +89,6 @@ def test_evaluate_matches_nodes_and_midpoints():
     field = project(lambda x: 2.0 * x + 1.0, grid)
     xs = np.array([0.5, 1.5, 2.25, 3.9])
     assert np.allclose(evaluate(field, xs), 2.0 * xs + 1.0, atol=1e-12)
-
-
-def test_interface_trace_and_ghosts():
-    grid = GridSpec(0.0, 4.0, 4, 1)
-    field = project(lambda x: x, grid)
-    inner, outer = interface_trace(field, 1, "left")
-    assert inner == pytest.approx(1.0) and outer == pytest.approx(1.0)
-    inner, outer = interface_trace(field, 0, "left", boundary="negate")
-    assert outer == pytest.approx(-inner)
-    inner, outer = interface_trace(field, 3, "right", boundary="copy")
-    assert outer == pytest.approx(inner)
-    with pytest.raises(IndexError):
-        interface_trace(field, 7, "left")
 
 
 def test_nearest_node():

@@ -7,8 +7,8 @@ from nhswe.bathymetry import (BathymetryModel, BottomSample, FlatBottom, GRAVITY
                               HammackPlate)
 from nhswe.grid import FlowState, GridSpec, NodalField, evaluate, project
 from nhswe.hydrostatic import (ABSORBING, WALL, BoundaryCondition, BoundaryPair,
-                               PositivityError, heun_step, max_wavespeed,
-                               physical_flux, rusanov_flux)
+                               PositivityError, heun_step, physical_flux,
+                               rusanov_flux)
 
 WALLS = BoundaryPair(WALL, WALL)
 
@@ -49,8 +49,9 @@ def test_rusanov_dissipation_sign():
 
 
 def test_boundary_condition_ghosts():
-    assert BoundaryCondition("wall").ghost(1.0, 2.0, 3.0) == (1.0, -2.0, 3.0)
-    assert BoundaryCondition("absorbing").ghost(1.0, 2.0, 3.0) == (1.0, 2.0, 3.0)
+    # the ghost state's factors on (h, hu, hw): a wall reflects the momentum
+    assert BoundaryCondition("wall").signs.ravel().tolist() == [1.0, -1.0, 1.0]
+    assert BoundaryCondition("absorbing").signs.ravel().tolist() == [1.0, 1.0, 1.0]
     with pytest.raises(ValueError):
         BoundaryCondition("periodic")
 
@@ -135,21 +136,32 @@ def test_positivity_error_reports_location():
             s = heun_step(s, 0.5, FlatBottom(1.0), WALLS, cfl_warn=False)
 
 
+@pytest.mark.parametrize("k", [2, 7])
+def test_positivity_error_names_the_dried_element(k):
+    # still depth with the momentum flowing away from element k on both
+    # sides: every other element passes as much water as it receives, and
+    # element k empties within the first Heun stage
+    grid = GridSpec(0.0, 10.0, 10, 1)
+    h = np.ones((10, 2))
+    hu = np.full((10, 2), 5.0)
+    hu[:k] = -5.0
+    hu[k, 0] = -5.0
+    state = FlowState(NodalField(grid, h), NodalField(grid, hu),
+                      NodalField(grid, np.zeros((10, 2))), 0.0)
+    with pytest.raises(PositivityError) as err:
+        heun_step(state, 0.2, FlatBottom(1.0), BoundaryPair(ABSORBING, ABSORBING),
+                  cfl_warn=False)
+    assert (err.value.element, err.value.stage) == (k, 1)
+    assert err.value.time == pytest.approx(0.2)
+    assert f"element {k} " in str(err.value) and "stage 1" in str(err.value)
+
+
 def test_cfl_warning():
     grid = GridSpec(0.0, 10.0, 10, 1)
     bathy = FlatBottom(1.0)
     state = still_state(grid, bathy)
     with pytest.warns(RuntimeWarning, match="CFL"):
         heun_step(state, 10.0, bathy, WALLS)
-
-
-def test_max_wavespeed_value():
-    grid = GridSpec(0.0, 10.0, 10, 1)
-    h = np.full((10, 2), 4.0)
-    hu = np.full((10, 2), 8.0)   # u = 2
-    state = FlowState(NodalField(grid, h), NodalField(grid, hu),
-                      NodalField(grid, np.zeros((10, 2))), 0.0)
-    assert max_wavespeed(state) == pytest.approx(2.0 + np.sqrt(GRAVITY * 4.0))
 
 
 def test_predictor_converges_at_second_order():

@@ -6,8 +6,7 @@ import pytest
 from nhswe.bathymetry import GRAVITY
 from nhswe.grid import derivative_values
 from nhswe.scenarios import (build_hammack, build_scenario, build_solitary,
-                             build_whittaker, snap_to_node, solitary_exact,
-                             still_water_state, vertical_momentum_from_constraint)
+                             build_whittaker, snap_to_node, solitary_exact)
 
 
 def test_solitary_exact_profile():
