@@ -9,12 +9,23 @@ corrected horizontal momentum satisfy a first-order elliptic system
 with s11 + s21 = 0 and s12 > 0 by construction.  The system is discretized
 with the local DG fluxes in one fixed flip-flop pattern: at every face
 p* = p(left trace) and hu* = hu(right trace) + [p]/2, the pressure-jump
-penalty being 1/2 (Cockburn & Shu, SINUM 1998).  It is solved directly
-as a banded linear system on contiguous element ranges, with zero Dirichlet
-pressure at the range endpoints.  As the momentum flux takes the trace right
-of each face, the outer momentum enters only at each range's right end; at
-the left end the range's own trace stands in.  The vertical momentum is then
-updated from the solved pressure.
+penalty being 1/2 (Cockburn & Shu, SINUM 1998).  It is solved directly on
+contiguous element ranges, with zero Dirichlet pressure at the range
+endpoints.  As the momentum flux takes the trace right of each face, the
+outer momentum enters only at each range's right end; at the left end the
+range's own trace stands in.  The vertical momentum is then updated from the
+solved pressure.
+
+Since p* is the left trace, the first equation of an element holds its own
+momentum only, weighted by M diag(s12), which is invertible.  So hu is
+eliminated element by element, the standard elimination of the LDG auxiliary
+variable: the second equation becomes a banded system in the pressure alone,
+one unknown per node, and hu is recovered from the first equation by an
+element-local back-substitution.  Every entry of that pressure system is
+linear in a few nodal features of the coefficients, which the assembly
+computes directly, so it is filled by one product of the features with a
+constant coupling tensor of the reference element, plus one product for the
+coupling to the right neighbour and fix-ups at the range ends.
 
 Coefficients are assembled, and the banded system is filled and solved, on
 the flagged elements only, and a correction solves on exactly the ranges its
@@ -24,7 +35,7 @@ once per grid and reused by every solve, so a step allocates nothing of the
 size of the banded system.  A correction's cost is therefore the work on the
 flagged elements, plus two parts that do not shrink with them: copying the
 two corrected momentum fields, which the corrected state must own, and a
-fixed count of some sixty array operations, which dominates on small masks.
+fixed count of array operations, which dominates on small masks.
 """
 
 from __future__ import annotations
@@ -51,6 +62,24 @@ class EllipticSolveError(RuntimeError):
 
 # relative residual of an elliptic solve above which it is refused
 _MAX_RESIDUAL = 1e-10
+
+# rows of EllipticCoefficients.stack: with s12' = s12 / rho, f1' = f1 / rho
+# and the element half-width c = dx / 2, the nodal features 1 / (c s12'),
+# s11 / s12', c s11^2 / s12', c rho s22, one, f1' / s12' and
+# c (f2 + s11 f1' / s12').  The powers of c make the features carry the
+# element size, so that the couplings act on reference-element matrices.
+_T, _A, _C, _S, _ONE, _G, _R = range(7)
+
+# the coefficient fields, derived from the stack where only it was built;
+# t = 1 / s12' = c stack[_T]
+_DERIVED = {
+    "s11": lambda st, rho, c: (st[_A] / (c * st[_T])).T,
+    "s12": lambda st, rho, c: (rho / (c * st[_T])).T,
+    "s21": lambda st, rho, c: (-st[_A] / (c * st[_T])).T,
+    "s22": lambda st, rho, c: (st[_S] / (c * rho)).T,
+    "f1": lambda st, rho, c: (rho * st[_G] / (c * st[_T])).T,
+    "f2": lambda st, rho, c: (st[_R] / c - st[_A] / (c * st[_T]) * st[_G]).T,
+}
 
 
 def _range_rows(ranges: tuple[tuple[int, int], ...], n_elements: int) -> slice | np.ndarray:
@@ -93,24 +122,43 @@ class EllipticCoefficients:
     ranges: tuple[tuple[int, int], ...] | None = None
     # grid rows of the arrays
     rows: slice | np.ndarray = field(init=False, repr=False, compare=False)
-    # (s11, rho s22, s12 / rho, s21, f1 / rho, f2) node by node, shape
-    # (6, nodes, elements): the fields of the density-scaled system the
-    # banded solve assembles; assemble_coefficients computes them on the way
+    # the nodal features of the condensed pressure system, rows _T ... _R,
+    # node by node: shape (7, nodes, elements); assemble_coefficients
+    # computes them directly and stores only them, the s- and f-fields
+    # being derived from them on first access
     stack: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        n = self.grid.n_elements
+        ranges = ((0, n - 1),) if self.ranges is None else tuple(map(tuple, self.ranges))
+        rows = _range_rows(ranges, n)
+        count = sum(e1 - e0 + 1 for e0, e1 in ranges)
+        for name in ("s11", "s12", "s21", "s22", "f1", "f2", "phi"):
+            value = getattr(self, name)
+            if value is not None and len(value) != count:
+                raise ValueError(f"{name} has {len(value)} rows, but the ranges "
+                                 f"{ranges} hold {count} elements")
         if (self.s11 + self.s21).any():
             raise AssertionError("structural condition s11 + s21 = 0 violated")
         if self.s12.min() <= 0.0:
             raise AssertionError("structural condition s12 > 0 violated")
-        n = self.grid.n_elements
-        ranges = ((0, n - 1),) if self.ranges is None else tuple(map(tuple, self.ranges))
-        rho = self.rho
-        stack = np.stack([a.T for a in (self.s11, rho * self.s22, self.s12 / rho,
-                                        self.s21, self.f1 / rho, self.f2)])
+        c = 0.5 * self.grid.dx
+        t = self.rho / self.s12
+        g = self.f1 / self.s12
+        stack = np.stack([a.T for a in (t / c, self.s11 * t, c * self.s11 * self.s11 * t,
+                                        c * self.rho * self.s22, np.ones_like(t), g,
+                                        c * (self.f2 + self.s11 * g))])
         object.__setattr__(self, "ranges", ranges)
-        object.__setattr__(self, "rows", _range_rows(ranges, n))
+        object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "stack", stack)
+
+    def __getattr__(self, name):
+        derive = _DERIVED.get(name)
+        if derive is None or "stack" not in vars(self):
+            raise AttributeError(name)
+        value = derive(self.stack, self.rho, 0.5 * self.grid.dx)
+        object.__setattr__(self, name, value)
+        return value
 
 
 @dataclass(frozen=True)
@@ -182,8 +230,16 @@ def assemble_coefficients(predictor: FlowState, bathy: BathymetryModel, dt: floa
 
     With `ranges` (sorted, disjoint (first, last) pairs) the fields are
     computed on the elements of those ranges only; otherwise on the whole
-    grid.  The work runs node by node, (nodes, elements), and the fields are
-    (element, node) views of it.
+    grid.  The work runs node by node, (nodes, elements), and yields the
+    features of EllipticCoefficients.stack; the fields are derived from them
+    when asked for.
+
+    With q = 4 + d_x^2 (4 on a flat stretch), s12 = rho q / (4 dt h),
+    s11 = (h_x - 1.5 d_x) / h, s22 = 3 dt / (rho h), f1 = q (phi d_x +
+    rho hu / dt) / (4 h) and f2 = -(2 hw + d_x hu / 2 + dt q phi / (2 rho)) / h
+    - 2 d_t, so 1 / s12' = 4 dt h / q and f1' / s12' = hu + dt phi d_x / rho.
+    The work runs on c / h, c = dx / 2, which carries the element size into
+    the features at no extra cost.
     """
     grid = predictor.grid
     ranges = ((0, grid.n_elements - 1),) if ranges is None else tuple(ranges)
@@ -193,38 +249,39 @@ def assemble_coefficients(predictor: FlowState, bathy: BathymetryModel, dt: floa
     h_x = derivative_values(grid, h.T).T
     d_x = _active_rows(bottom, "d_x", rows)
     phi = _phi_values(grid, h, hu, bottom, rows, g, rho, d_x)
-    inv_h = 1.0 / h
-    # (s11, rho s22, s12 / rho, s21, f1 / rho, f2): see EllipticCoefficients.stack
-    stack = np.empty((6,) + h.shape)
-    s11, f2 = stack[0], stack[5]
-    s22 = (3.0 * dt / rho) * inv_h
+    c = 0.5 * grid.dx
+    c_h = c / h
+    stack = np.empty((7,) + h.shape)
+    t, a, r = stack[_T], stack[_A], stack[_R]
     if d_x is not None:
         quad = 4.0 + d_x * d_x
-        np.multiply(h_x - 1.5 * d_x, inv_h, out=s11)
-        s12 = (0.25 * rho / dt) * quad * inv_h
-        f1 = (0.25 * quad * inv_h) * (phi * d_x + (rho / dt) * hu)
-        np.multiply(-2.0 * hw - (0.5 * d_x) * hu, inv_h, out=f2)
-        f2 -= (0.5 * dt / rho) * quad * phi * inv_h
+        np.divide((4.0 * dt / c) * h, quad, out=t)
+        c_s11 = (h_x - 1.5 * d_x) * c_h
+        np.multiply(c_s11, t, out=a)
+        np.multiply((dt / rho) * phi, d_x, out=stack[_G])
+        stack[_G] += hu
+        np.multiply(-2.0 * hw - (0.5 * d_x) * hu, c_h, out=r)
+        r -= (0.5 * dt / rho) * quad * phi * c_h
     else:
-        np.multiply(h_x, inv_h, out=s11)
-        s12 = (rho / dt) * inv_h
-        f1 = (rho / dt) * hu * inv_h
-        np.multiply(-2.0 * hw, inv_h, out=f2)
+        np.multiply(h, dt / c, out=t)
+        np.multiply(h_x, dt, out=a)
+        c_s11 = h_x * c_h
+        stack[_G] = hu
+        np.multiply(-2.0 * hw, c_h, out=r)
         if phi is not None:
-            f2 -= (2.0 * dt / rho) * phi * inv_h
+            r -= (2.0 * dt / rho) * phi * c_h
     d_t = _active_rows(bottom, "d_t", rows)
     if d_t is not None:
-        f2 -= 2.0 * d_t
-    if s12.min() <= 0.0:
+        r -= (2.0 * c) * d_t
+    if t.min() <= 0.0:
         raise AssertionError("structural condition s12 > 0 violated")
-    np.multiply(s22, rho, out=stack[1])
-    np.divide(s12, rho, out=stack[2])
-    np.negative(s11, out=stack[3])
-    np.divide(f1, rho, out=stack[4])
+    r += c_s11 * stack[_G]
+    np.multiply(c_s11, a, out=stack[_C])
+    np.multiply(c_h, 3.0 * dt, out=stack[_S])
+    stack[_ONE] = 1.0
     # s21 = -s11 holds by construction, so the checked constructor is skipped
     coeffs = object.__new__(EllipticCoefficients)
-    vars(coeffs).update(grid=grid, s11=s11.T, s12=s12.T, s21=stack[3].T, s22=s22.T,
-                        f1=f1.T, f2=f2.T, phi=None if phi is None else phi.T,
+    vars(coeffs).update(grid=grid, phi=None if phi is None else phi.T,
                         bottom=bottom, dt=dt, rho=rho, ranges=ranges, rows=rows,
                         stack=stack)
     return coeffs
@@ -232,130 +289,177 @@ def assemble_coefficients(predictor: FlowState, bathy: BathymetryModel, dt: floa
 
 # ------------------------------------------------------------ banded layout
 #
-# Unknowns are ordered element by element, node by node, pressure before
-# momentum: (p, hu) of node j of the k-th solved element sit at 2(k m + j)
-# and 2(k m + j) + 1.  The system is stored in the LAPACK general-banded
-# layout that dgbsv factorizes in place: entry (r, c) at row 2*band + r - c
-# of column c of a (3*band + 1, size) Fortran-ordered array, the leading
-# band rows being pivoting fill-in that dgbsv sets itself.  The matrix
-# rows alone are assembled in a (size, 2*band + 1) array, row c holding
-# column c; seen so, each element owns a (2m, 2*band + 1) slab holding its
-# own block, sheared one entry per row, and the interface couplings to the
-# neighbouring elements.
+# The solve runs on the density-scaled unknowns P = p / rho and Q = hu, with
+# s12' = s12 / rho, S22' = rho s22 and f1' = f1 / rho.  Per element k of a
+# range, with W = M^-1 K, L_l, L_r the lifting vectors M^-1 e_1, M^-1 e_m,
+# t = 1 / s12' and a = s11 t node by node, the first equation gives
+#
+#   Q_k = f1' t - a P_k + t (W P_k - [k not last] L_r P_k,m
+#                                  + [k not first] L_l P_k-1,m)
+#
+# and the second, D_k Q_k + [k not last] E_m1 Q_k+1 + (M S22' + E_mm / 2
+# + E_11 / 2) P_k - [k not first] E_1m P_k-1 / 2 - [k not last] E_m1 P_k+1 / 2
+# = M f2 - [k last] e_m hu_outer with D_k = M S21 - K - E_11, becomes a
+# system in P alone.  Its unknowns are ordered element by element, node by
+# node: P of node j of the k-th solved element sits at k m + j.  An element
+# couples to its own nodes and to the last node of its left neighbour, and
+# its last node to the nodes of its right neighbour, so the bandwidth is m
+# on both sides.  The system is stored in the LAPACK general-banded layout
+# that dgbsv factorizes in place: entry (r, c) at row 2m + r - c of column c
+# of a (3m + 1, size) Fortran-ordered array, the leading m rows being
+# pivoting fill-in that dgbsv sets itself.  The matrix rows are assembled
+# in a (size, 3m + 3) array: row c holds column c at positions m + r - c,
+# the right-hand side of row c at 2m + 1, and from 2m + 2 on the
+# back-substitution row of node c, the coefficients of (P_k-1,m, P_k) in
+# Q_c - f1' t.  Seen so, each element owns an (m, 3m + 3) slab, which
+# holds its own block, the row its left neighbour's last node has in it,
+# its right-hand side and its back-substitution.  The only other entries
+# an element's features make are in its left neighbour's last column: the
+# rows of its own nodes there, and the diagonal term and the right-hand
+# side its momentum adds through E_m1 Q_k+1.  The features (see
+# EllipticCoefficients.stack) carry the powers of dx / 2 that M, W and the
+# lifts do, so all these entries come from reference-element matrices.
 
-def _triplets(n: int, m: int):
-    """(row, column, value) of the constant flux entries of one range of n
-    elements: the flip-flop interface fluxes and the range endpoints.
-
-    Each flux enters with + at the face on an element's right and with - at
-    the neighbour's face on its left.  At an interface p* = p(left trace)
-    and hu* = hu(right trace) + [p]/2; at the range ends p* = 0, and hu*
-    takes the range's own trace at the left end and, at the right end, the
-    outer one, which enters the right-hand side.
-    """
-    node = 2 * (np.arange(n)[:, None] * m + np.arange(m)[None, :])
-    # pressure rows of the traces left and right of each interface
-    pL, pR = node[:-1, -1], node[1:, 0]
-    qL, qR = pL + 1, pR + 1
-    first, last = node[0, 0], node[-1, -1]
-    entries = ((pL, pL, 1.0), (pR, pL, -1.0),
-               (qL, qR, 1.0), (qR, qR, -1.0),
-               (qL, pL, 0.5), (qR, pL, -0.5),
-               (qL, pR, -0.5), (qR, pR, 0.5),
-               (first + 1, first + 1, -1.0), (first + 1, first, 0.5),
-               (last + 1, last, 0.5))
-    parts = [np.broadcast_arrays(np.atleast_1d(r), c, v) for r, c, v in entries]
-    return tuple(np.concatenate(column) for column in zip(*parts))
+# element kinds by place in the range, 2 [not first] + [not last]
+_ALONE, _FIRST, _LAST, _INNER = range(4)
 
 
 @lru_cache(maxsize=None)
-def _element_slabs(m: int) -> dict[str, np.ndarray]:
-    """Constant flux entries of one element's columns, (2m, 2*band + 1), by
-    the element's place in its range: first, inner, last, or alone."""
-    band = 2 * m - 1
+def _couplings(m: int):
+    """Constant tensors of the condensed system for elements of m nodes.
 
-    def block(n):
-        rows, cols, vals = _triplets(n, m)
-        out = np.zeros((2 * n * m, 2 * band + 1))
-        np.add.at(out, (cols, band + rows - cols), vals)
-        return out
-
-    three, alone = block(3), block(1)
-    three.flags.writeable = alone.flags.writeable = False
-    return {"first": three[:2 * m], "inner": three[2 * m:4 * m],
-            "last": three[4 * m:], "alone": alone}
+    The features of EllipticCoefficients.stack carry the element size, so
+    the tensors are built on the reference element, whose half-width is 1.
+    `own[kind]` maps an element's features, (7 m,) feature by feature, to
+    its (m, 3m + 3) slab; `next_column` maps them to the band entries and
+    right-hand side of its left neighbour's last column, (2m + 2,).
+    """
+    ref = GridSpec(0.0, 4.0, 2, m - 1)
+    M, W = ref.mass, ref.weak_div
+    L_l, L_r = ref.lift_left, ref.lift_right
+    K1 = ref.stiffness.copy()
+    K1[0, 0] += 1.0                                 # -D_k = M diag(s11) + K1
+    eye = np.eye(m)
+    e0, em = eye[0], eye[-1]
+    mass_diag = np.einsum("ij,lj->lij", M, eye)     # (node l, row i, column j)
+    nodes = np.arange(m)
+    own = np.zeros((4, 7, m, m, 3 * m + 3))         # kind, feature, node, row, position
+    for kind in range(4):
+        not_first, not_last = kind >> 1, kind & 1
+        # own block, d/d(feature at node l) of entry (i, j)
+        block = np.zeros((7, m, m, m))
+        block[_T] = (-np.einsum("il,lj->lij", K1, W)
+                     + not_last * np.einsum("il,l,j->lij", K1, L_r, em))
+        block[_A] = (np.einsum("ij,lj->lij", K1, eye) - np.einsum("il,lj->lij", M, W)
+                     + not_last * np.einsum("il,l,j->lij", M, L_r, em))
+        block[_C] = block[_S] = mass_diag
+        block[_ONE, 0] = 0.5 * (np.outer(em, em) + np.outer(e0, e0))
+        # the left neighbour's last row: -E_m1 (A_k + I / 2), A_k the
+        # matrix of P_k in Q_k
+        upper = np.zeros((7, m, m))
+        upper[_A, 0, 0] = -1.0
+        upper[_T, 0] = W[0] - not_last * L_r[0] * em
+        upper[_ONE, 0, 0] = -0.5
+        slab = own[kind]
+        for j in range(m):
+            for i in range(m):
+                slab[:, :, j, m + i - j] = block[:, :, i, j]
+            slab[:, :, j, m - 1 - j] = not_first * upper[:, :, j]
+        slab[_R, :, :, 2 * m + 1] = M.T
+        slab[_G, :, :, 2 * m + 1] = K1.T
+        # back-substitution row of node i: Q_k,i - g_i, as t_i and a_i
+        # times (P_k-1,m, P_k)
+        lift = np.zeros((m + 1, m))
+        lift[0] = not_first * L_l
+        lift[1:] = W.T - not_last * np.outer(em, L_r)
+        slab[_T, nodes, nodes, 2 * m + 2:] = lift.T
+        slab[_A, nodes, nodes, 2 * m + 3 + nodes] = -1.0
+    next_column = np.zeros((7, m, 2 * m + 2))
+    next_column[_T, 0, m] = L_l[0]
+    next_column[_A, :, m + 1:m + 1 + m] = -(M * L_l).T
+    next_column[_T, :, m + 1:m + 1 + m] = -(K1 * L_l).T
+    next_column[_ONE, 0, m + 1] = -0.5
+    next_column[_G, 0, -1] = -1.0
+    own = own.reshape(4, 7 * m, m * (3 * m + 3))
+    next_column = next_column.reshape(7 * m, 2 * m + 2)
+    own.flags.writeable = next_column.flags.writeable = False
+    return own, next_column
 
 
 @lru_cache(maxsize=256)
-def _block_template(n: int, m: int) -> np.ndarray:
-    """Matrix rows of the banded storage of one contiguous range of n
-    elements, holding its constant flux entries: shape (2 n m, 2*band + 1),
-    row c being column c of the matrix rows.
-
-    The entries depend on the range length only, so a batch of ranges
-    stacks the blocks of its lengths in range order.  Every inner element
-    carries the same entries; the two ends differ.
-    """
-    slabs = _element_slabs(m)
+def _block_template(n: int, m: int):
+    """The elements of one range of n elements whose slabs differ from an
+    inner element's, its ends: their positions in the range and kinds; and
+    the unknown of the range's last node, where the outer momentum enters."""
     if n == 1:
-        out = slabs["alone"].copy()
-    else:
-        out = np.tile(slabs["inner"], (n, 1))
-        out[:2 * m] = slabs["first"]
-        out[-2 * m:] = slabs["last"]
-    out.flags.writeable = False
-    return out
+        return (0,), (_ALONE,), m - 1
+    return (0, n - 1), (_FIRST, _LAST), n * m - 1
+
+
+@lru_cache(maxsize=128)
+def _end_couplings(kinds: tuple[int, ...], m: int) -> np.ndarray:
+    """The own tensors (see _couplings) of range-end elements of the given
+    kinds, shared by every batch whose range ends have these kinds."""
+    own = _couplings(m)[0][list(kinds)]
+    own.flags.writeable = False
+    return own
 
 
 @lru_cache(maxsize=512)
 def _ldg_template(lengths: tuple[int, ...], m: int):
-    """Per-range blocks and range-end rows of a batch of independent ranges.
+    """Range-end structure of a batch of independent ranges.
 
     The ranges are stacked into one block-diagonal system whose bandwidth
     equals that of a single range, so the whole batch is factorized in one
-    banded solve.  Its constant entries are the _block_template blocks of
-    its lengths in range order, which are built once per length and shared
-    by every combination they appear in; an entry here holds references to
-    them, not a copy, so it is as small as the number of ranges.
+    banded solve.  Returns the batch positions of the range-end elements
+    and their own tensors, the positions of the last elements of all ranges
+    but the final one, across whose right face nothing couples, and the
+    unknowns of the ranges' last nodes.  The per-length parts come from
+    _block_template and the tensors from _end_couplings, so an entry here
+    is as small as the number of ranges.
     """
-    blocks = tuple(_block_template(nb, m) for nb in lengths)
-    # momentum row of the last node of each range, where its outer momentum
-    # trace enters
-    row_ends = 2 * m * np.cumsum(lengths) - 1
-    row_ends.flags.writeable = False
-    return blocks, row_ends
+    ends, kinds, row_ends = [], [], []
+    start = 0
+    for nb in lengths:
+        positions, kind, last_row = _block_template(nb, m)
+        ends.extend(start + k for k in positions)
+        kinds.extend(kind)
+        row_ends.append(m * start + last_row)
+        start += nb
+    ends, row_ends = np.array(ends), np.array(row_ends)
+    boundaries = row_ends[:-1] // m
+    for a in (ends, boundaries, row_ends):
+        a.flags.writeable = False
+    return ends, _end_couplings(tuple(kinds), m), boundaries, row_ends
 
 
 class _BandedWorkspace:
-    """Banded storage reused by every solve on one grid, grown to the
-    largest system seen there, and the grid's element block patterns.
+    """Banded storage reused by every solve on one grid.
 
-    `ab` is the dgbsv work array, factorized in place; once the solve is
-    done its storage serves as `scratch`, the work space of the residual
-    check's banded product.  `mat` holds the assembled matrix rows, which
-    the residual check reads after the factorization.
-
-    `coupling` maps an element's coefficients, (s11, rho s22, s12 / rho,
-    s21) node by node, to its slab: entry (row node i, kind r; column node
-    j, kind c), kind 0 being the pressure and 1 the momentum, is M[i, j]
-    times coefficient 2c + r at node j.  `stiffness` is the slab of the
-    -K[i, j] the two diagonal kinds carry besides.
+    It is sized for a system on the whole grid, and a solve on fewer
+    elements uses a prefix of each array, so the pages no solve has reached
+    are never touched.  `ab` is the dgbsv work array, factorized in place;
+    once the solve is done its storage serves as `scratch`, the work space
+    of the residual check's banded product.  `slabs` holds the assembled
+    matrix rows, the right-hand side and the back-substitution rows, which
+    the residual check and the back-substitution read after the
+    factorization.  `padded` is the solution with one leading zero, so that
+    `windows` row k views (P_k-1,m, P_k), what the back-substitution of
+    element k reads.
     """
 
     def __init__(self, grid: GridSpec):
         self.m = m = grid.poly_order + 1
-        self.band = band = 2 * m - 1
-        width = 2 * band + 1
-        coupling = np.zeros((2, 2, m, 2 * m, width))
-        stiffness = np.zeros((2 * m, width))
-        for (c, r, i, j), mass in np.ndenumerate(np.broadcast_to(grid.mass, (2, 2, m, m))):
-            col, row = 2 * j + c, 2 * i + r
-            coupling[c, r, j, col, band + row - col] = mass
-            if r == c:
-                stiffness[col, band + row - col] = grid.stiffness[i, j]
-        self.coupling = coupling.reshape(4 * m, 2 * m * width)
-        self.stiffness = stiffness.ravel()
-        self.elements = 0
+        n = grid.n_elements
+        height = 3 * m + 1
+        size = m * n
+        storage = np.empty(max(height * size, (2 * m + 1) * (size + 2 * m + 1)))
+        self._ab = storage[:height * size].reshape(size, height).T
+        self._slabs = np.empty((n, m * (3 * m + 3)))
+        self._padded = padded = np.zeros(size + 1)
+        self._windows = np.lib.stride_tricks.as_strided(
+            padded, (n, m + 1), (m * padded.itemsize, padded.itemsize))
+        self._scratch = storage
 
     @classmethod
     def of(cls, grid: GridSpec) -> "_BandedWorkspace":
@@ -367,21 +471,10 @@ class _BandedWorkspace:
         return workspace
 
     def arrays(self, n: int):
-        """(ab, mat, scratch) for a system of n elements."""
-        if n > self.elements:
-            self._grow(n)
-        size = 2 * self.m * n
-        return self._ab[:, :size], self._mat[:size], self._scratch
-
-    def _grow(self, n: int) -> None:
-        band = self.band
-        height = 3 * band + 1
-        size = 2 * self.m * n
-        storage = np.empty(max(height * size, (2 * band + 1) * (size + 2 * band + 1)))
-        self._ab = storage[:height * size].reshape(size, height).T
-        self._mat = np.empty((size, 2 * band + 1))
-        self._scratch = storage
-        self.elements = n
+        """(ab, slabs, padded, windows, scratch) for a system of n elements."""
+        size = self.m * n
+        return (self._ab[:, :size], self._slabs[:n], self._padded[:size + 1],
+                self._windows[:n], self._scratch)
 
 
 def _banded_matvec(ab: np.ndarray, band: int, x: np.ndarray,
@@ -391,6 +484,7 @@ def _banded_matvec(ab: np.ndarray, band: int, x: np.ndarray,
     Each stored diagonal's products are written one column further right
     than the diagonal above, which lines up all products of row r in column
     r + band of a (2*band + 1, size + 2*band) array; y is its column sum.
+    The entries between the products are zeroed, the rest is not read.
     `scratch` holds at least (2*band + 1) * (size + 2*band + 1) entries, or
     is None.
     """
@@ -398,10 +492,19 @@ def _banded_matvec(ab: np.ndarray, band: int, x: np.ndarray,
     width = size + 2 * band
     if scratch is None:
         scratch = np.empty(rows * (width + 1))
-    scratch = scratch[:rows * (width + 1)]
-    scratch.fill(0.0)
-    np.multiply(ab, x, out=scratch.reshape(rows, width + 1)[:, :size])
+    sheared = scratch[:rows * (width + 1)].reshape(rows, width + 1)
+    sheared[:, size:] = 0.0
+    np.multiply(ab, x, out=sheared[:, :size])
     return scratch[:rows * width].reshape(rows, width).sum(axis=0)[band:band + size]
+
+
+def _element_of(ranges, k: int) -> int:
+    """Grid element of the k-th element of a batch of ranges."""
+    for e0, e1 in ranges:
+        if k <= e1 - e0:
+            return e0 + k
+        k -= e1 - e0 + 1
+    raise IndexError(k)
 
 
 def _solve_batched(coeffs: EllipticCoefficients, ranges,
@@ -416,8 +519,8 @@ def _solve_batched(coeffs: EllipticCoefficients, ranges,
     Internally the system is solved for the density-scaled pressure p/rho,
     which makes every coefficient, the forcing, and the interface penalty
     independent of rho: the corrected momenta are then exactly invariant
-    under a change of density and the two unknowns are comparably scaled.
-    The physical pressure is recovered by one multiplication at the end.
+    under a change of density.  The physical pressure is recovered by one
+    multiplication at the end.
     """
     ranges = tuple(ranges)
     if ranges != coeffs.ranges:
@@ -426,36 +529,41 @@ def _solve_batched(coeffs: EllipticCoefficients, ranges,
     grid = coeffs.grid
     m = grid.poly_order + 1
     lengths = tuple(e1 - e0 + 1 for e0, e1 in ranges)
-    const_blocks, row_ends = _ldg_template(lengths, m)
     n = sum(lengths)
-    band = 2 * m - 1
-    rho = coeffs.rho
-    M = grid.mass
-
-    workspace = _BandedWorkspace.of(grid)
-    ab, mat, scratch = workspace.arrays(n)
     stack = coeffs.stack
-    slabs = mat.reshape(n, -1)
-    np.matmul(stack[:4].reshape(4 * m, n).T, workspace.coupling, out=slabs)
-    slabs -= workspace.stiffness
-    start = 0
-    for block in const_blocks:
-        mat[start:start + len(block)] += block
-        start += len(block)
-    ab[band:] = mat.T
+    features = stack.reshape(7 * m, n)
+    own, next_column = _couplings(m)
+    ends, own_ends, boundaries, row_ends = _ldg_template(lengths, m)
 
-    b = np.empty(2 * m * n)
-    b.reshape(n, m, 2)[...] = (M @ stack[4:]).transpose(2, 1, 0)
+    ab, slabs, padded, windows, scratch = _BandedWorkspace.of(grid).arrays(n)
+    # every slab as an inner element's, then the range ends as what they are
+    np.matmul(features.T, own[_INNER], out=slabs)
+    slabs[ends] = np.matmul(features.take(ends, axis=1).T[:, None, :], own_ends)[:, 0]
+    nodes = slabs.reshape(n, m, -1)
+    # the entries of each element in its left neighbour's last column, but
+    # for the first element of a range
+    left = features[:, 1:].T @ next_column
+    left[boundaries] = 0.0
+    nodes[:-1, -1, :2 * m + 2] += left
+    rows = nodes.reshape(m * n, -1)
+    mat, b = rows[:, :2 * m + 1], rows[:, 2 * m + 1]
     b[row_ends] -= outer_hu
-    rhs_norm = sqrt(b @ b)
+    ab[m:] = mat.T
+    x = padded[1:]
+    x[...] = b
+    rhs_norm = sqrt(x @ x)
 
-    _, _, x, info = _GBSV(band, band, ab, b, overwrite_ab=True, overwrite_b=False)
+    _, _, x, info = _GBSV(m, m, ab, x, overwrite_ab=True, overwrite_b=True)
+    if info > 0:
+        raise EllipticSolveError(
+            f"singular elliptic system on {ranges}: zero pivot at element "
+            f"{_element_of(ranges, (info - 1) // m)}, node {(info - 1) % m} "
+            f"(lapack info {info})")
     if info != 0:
-        raise EllipticSolveError(f"singular elliptic system on {ranges} "
-                                 f"(lapack info {info})")
+        raise EllipticSolveError(f"elliptic solve on {ranges} failed (lapack info {info})")
 
     # residual of the system as assembled, not as factorized
-    resid = _banded_matvec(mat.T, band, x, scratch)
+    resid = _banded_matvec(mat.T, m, x, scratch)
     resid -= b
     resid_norm = sqrt(resid @ resid)
     # the residual is measured against max(|b|, max|A| |x|); within the
@@ -470,7 +578,10 @@ def _solve_batched(coeffs: EllipticCoefficients, ranges,
                 f"elliptic solve residual {rel:.3e} exceeds {_MAX_RESIDUAL:.1e} "
                 f"on {ranges} (likely ill-conditioned)")
 
-    return (rho * x[0::2]).reshape(n, m), x[1::2].reshape(n, m)
+    # back-substitution for the momentum, element by element
+    hu = np.einsum("kic,kc->ki", nodes[:, :, 2 * m + 2:], windows)
+    hu += stack[_G].T
+    return coeffs.rho * x.reshape(n, m), hu
 
 
 def ldg_solve(coeffs: EllipticCoefficients, elements: tuple[int, int],

@@ -187,6 +187,169 @@ def test_batched_ranges_match_separate_solves():
     assert_batch_matches_separate_solves(state, bathy, ranges)
 
 
+def dense_ldg_system(co, ranges, outer_hu):
+    """The uncondensed flip-flop LDG system of the coefficients, built
+    densely from its weak form, in the unknowns (p / rho, hu) of each node,
+    element by element: (A, b).
+
+    Per element, -K p + M (s11 p + s12' hu) + [p*] = M f1' and
+    -K hu + M (s21 hu + s22' p) + [hu*] = M f2, with s12' = s12 / rho,
+    s22' = rho s22, f1' = f1 / rho and [F] the face terms of a flux F: F
+    on the row of the element's last node at its right face, -F on the row
+    of its first node at its left face.  Inside a range p* = p(left
+    trace) and hu* = hu(right trace) + (p(left) - p(right)) / 2; at a range
+    end p* = 0, the pressure outside is 0, and hu* takes the range's own
+    trace at the left end and the outer momentum at the right end.
+    """
+    grid = co.grid
+    m = grid.poly_order + 1
+    M, K = grid.mass, grid.stiffness
+    rho = co.rho
+    s11, s12, s21 = co.s11, co.s12 / rho, co.s21
+    s22, f1, f2 = co.s22 * rho, co.f1 / rho, co.f2
+    size = 2 * m * len(s11)
+    A = np.zeros((size, size))
+    b = np.zeros(size)
+
+    def P(k, j):
+        return 2 * (k * m + j)
+
+    def Q(k, j):
+        return 2 * (k * m + j) + 1
+
+    first = 0
+    for (e0, e1), hu_out in zip(ranges, outer_hu):
+        last = first + e1 - e0
+        for k in range(first, last + 1):
+            for i in range(m):
+                for j in range(m):
+                    A[P(k, i), P(k, j)] += M[i, j] * s11[k, j] - K[i, j]
+                    A[P(k, i), Q(k, j)] += M[i, j] * s12[k, j]
+                    A[Q(k, i), Q(k, j)] += M[i, j] * s21[k, j] - K[i, j]
+                    A[Q(k, i), P(k, j)] += M[i, j] * s22[k, j]
+                b[P(k, i)] += M[i] @ f1[k]
+                b[Q(k, i)] += M[i] @ f2[k]
+        # the faces of the range, left to right: (element left, element
+        # right, p* and hu* as {unknown: weight}, constant part of hu*)
+        faces = [(None, first, {}, {Q(first, 0): 1.0, P(first, 0): -0.5}, 0.0)]
+        for k in range(first, last):
+            faces.append((k, k + 1, {P(k, m - 1): 1.0},
+                          {Q(k + 1, 0): 1.0, P(k, m - 1): 0.5, P(k + 1, 0): -0.5}, 0.0))
+        faces.append((last, None, {}, {P(last, m - 1): 0.5}, hu_out))
+        for left, right, p_star, hu_star, hu_const in faces:
+            for element, node, sign in ((left, m - 1, 1.0), (right, 0, -1.0)):
+                if element is None:
+                    continue
+                for col, w in p_star.items():
+                    A[P(element, node), col] += sign * w
+                for col, w in hu_star.items():
+                    A[Q(element, node), col] += sign * w
+                b[Q(element, node)] -= sign * hu_const
+        first = last + 1
+    return A, b
+
+
+def sloped_state(grid, t=0.3):
+    # a bump wider than the grid slopes under every element, and moves
+    motion = SlideMotion(1.5, 0.327, 0.218, 2.218, 2.436)
+    bathy = WhittakerSlide(1.0, 0.3, 14.0, motion, x_start=5.0)
+    x = grid.nodes
+    h = bathy.sample(grid.sample_nodes, t).d + 0.02 * np.sin(0.7 * x)
+    state = FlowState(NodalField(grid, h), NodalField(grid, 0.1 * h * np.cos(0.4 * x)),
+                      NodalField(grid, 0.01 * h * np.sin(0.9 * x)), t)
+    return state, bathy
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("bottom", ["flat", "sloped"])
+@pytest.mark.parametrize("ranges", [((0, 0), (1, 2), (5, 11), (20, 39)),
+                                    ((0, 5), (6, 6), (10, 11), (39, 39)),
+                                    ((3, 17),)])
+def test_pressure_only_solve_satisfies_the_full_ldg_system(order, bottom, ranges):
+    # the solve eliminates hu element by element and solves for the
+    # pressure alone; the recovered (p, hu) must satisfy the uncondensed
+    # system, built here independently of the solver.  The ranges cover
+    # 1- and 2-element ranges, ranges that meet, and both domain ends
+    if bottom == "flat":
+        grid = GridSpec(0.0, 100.0, 40, order)
+        state, bathy, dt = smooth_state(grid), FlatBottom(10.0), 0.1
+    else:
+        grid = GridSpec(0.0, 10.0, 40, order)
+        (state, bathy), dt = sloped_state(grid), 0.01
+    co = assemble_coefficients(state, bathy, dt, ranges=ranges)
+    if bottom == "sloped":
+        assert co.phi is not None and np.all(co.bottom.d_x != 0.0)
+    outer = [_right_outer_hu(state, WALLS, e1) for _, e1 in ranges]
+    assert all(hu != 0.0 for hu in outer)
+    sol = solve_on_ranges(state, co, ranges, WALLS)
+    z = np.empty(2 * sol.p.size)
+    z[0::2] = sol.p.ravel() / co.rho
+    z[1::2] = sol.hu_corrected.values[co.rows].ravel()
+    A, b = dense_ldg_system(co, ranges, outer)
+    resid = np.abs(A @ z - b).max()
+    assert resid <= 1e-12 * max(np.abs(b).max(), (np.abs(A) @ np.abs(z)).max())
+    # and the system has one solution, which the solve found
+    exact = np.linalg.solve(A, b)
+    assert np.abs(z - exact).max() <= 1e-9 * np.abs(exact).max()
+
+
+def test_global_solve_factors_the_pressure_system_only(monkeypatch):
+    # one unknown per node: m n columns and bandwidth m on both sides, so
+    # the dgbsv work array has 3 m + 1 rows
+    from nhswe import corrector
+    seen = []
+    solve = corrector._GBSV
+
+    def recording(kl, ku, ab, b, **kwargs):
+        seen.append((kl, ku, ab.shape, b.shape))
+        return solve(kl, ku, ab, b, **kwargs)
+
+    monkeypatch.setattr(corrector, "_GBSV", recording)
+    for order in (1, 2):
+        m, n = order + 1, 30
+        grid = GridSpec(0.0, 100.0, n, order)
+        apply_correction(smooth_state(grid), FlatBottom(10.0), 0.1, [(0, n - 1)], WALLS)
+        assert seen[-1] == (m, m, (3 * m + 1, m * n), (m * n,))
+
+
+def test_coefficients_must_hold_one_row_per_element_of_their_ranges():
+    grid = GridSpec(0.0, 100.0, 60, 1)
+    state = smooth_state(grid)
+    whole = assemble_coefficients(state, FlatBottom(10.0), 0.1)
+    fields = [whole.s11, whole.s12, whole.s21, whole.s22, whole.f1, whole.f2, whole.phi]
+    with pytest.raises(ValueError, match=r"s11 has 60 rows, but the ranges "
+                                         r"\(\(3, 12\),\) hold 10 elements"):
+        EllipticCoefficients(grid, *fields, whole.bottom, 0.1, RHO_WATER, ranges=[(3, 12)])
+    # the rows of those elements are accepted, and solve as assembled
+    part = assemble_coefficients(state, FlatBottom(10.0), 0.1, ranges=[(3, 12)])
+    rows = [f[3:13] for f in fields[:-1]]
+    checked = EllipticCoefficients(grid, *rows, None, whole.bottom, 0.1, RHO_WATER,
+                                   ranges=[(3, 12)])
+    for a, b in zip(ldg_solve(part, (3, 12), (0.0, 1.0)),
+                    ldg_solve(checked, (3, 12), (0.0, 1.0))):
+        assert np.abs(a - b).max() <= 1e-12 * np.abs(a).max()
+
+
+def test_zero_pivot_names_the_grid_element(monkeypatch):
+    # lapack reports the column of a zero pivot; the error maps it back
+    # through the ranges to a grid element and node
+    from nhswe import corrector
+    grid = GridSpec(0.0, 100.0, 60, 1)
+    state = smooth_state(grid)
+    ranges = ((3, 4), (10, 12))
+    co = assemble_coefficients(state, FlatBottom(10.0), 0.1, ranges=ranges)
+    solve = corrector._GBSV
+
+    def singular(*args, **kwargs):
+        lub, piv, x, _ = solve(*args, **kwargs)
+        return lub, piv, x, 8    # U(8, 8) = 0: column 7, the 4th element's node 1
+
+    monkeypatch.setattr(corrector, "_GBSV", singular)
+    with pytest.raises(EllipticSolveError, match=r"zero pivot at element 11, node 1 "
+                                                 r"\(lapack info 8\)"):
+        solve_on_ranges(state, co, ranges, WALLS)
+
+
 def test_solves_refuse_coefficients_of_other_ranges():
     grid = GridSpec(0.0, 100.0, 60, 1)
     state = smooth_state(grid)
