@@ -14,7 +14,7 @@ from functools import reduce
 
 import numpy as np
 
-from .bathymetry import GRAVITY, BathymetryModel
+from .bathymetry import GRAVITY, BathymetryModel, BottomSample
 from .corrector import PressureSolution, apply_correction
 from .grid import FlowState, NodalField, derivative_values
 from .hydrostatic import BoundaryPair, heun_step
@@ -78,21 +78,21 @@ def contiguous_ranges(flags: np.ndarray) -> tuple[tuple[int, int], ...]:
     return tuple(zip(edges[::2], [b - 1 for b in edges[1::2]]))
 
 
-def criterion_values(predictor: FlowState, bathy: BathymetryModel,
+def criterion_values(predictor: FlowState, bottom: BottomSample,
                      kind: str) -> np.ndarray:
-    """Nodal values of one indicator, from the predictor state."""
+    """Nodal values of one indicator, from the predictor state and the
+    bottom sampled at the grid's sample nodes at its time."""
     grid = predictor.grid
     h = predictor.h.values
     if kind == "eta_over_d":
         # node by node, so that the reduction over an element's nodes in
         # evaluate_criterion runs along contiguous rows
-        d = bathy.sample(grid.sample_nodes, predictor.time).d.T
+        d = bottom.d.T
         values = h.T - d
         values /= d
         return np.abs(values, out=values).T
     if kind == "eta_x":
-        d = bathy.sample(grid.sample_nodes, predictor.time).d
-        return np.abs(derivative_values(grid, h - d))
+        return np.abs(derivative_values(grid, h - bottom.d))
     u = predictor.hu.values / h
     if kind == "u":
         return np.abs(u)
@@ -114,9 +114,9 @@ def enlarge_flags(flags: np.ndarray) -> np.ndarray:
     return grown
 
 
-def evaluate_criterion(predictor: FlowState, bathy: BathymetryModel,
+def evaluate_criterion(predictor: FlowState, bottom: BottomSample,
                        crit: Criterion) -> NonHydroMask:
-    values = criterion_values(predictor, bathy, crit.kind)
+    values = criterion_values(predictor, bottom, crit.kind)
     # the largest nodal value of each element, reduced node column by node
     # column: numpy reduces over a short inner axis one element at a time
     flags = reduce(np.maximum, values.T) > crit.k_nh
@@ -131,9 +131,13 @@ def full_mask(n_elements: int) -> NonHydroMask:
 
 @dataclass(frozen=True)
 class StepResult:
+    """A step's new state, its mask and pressure, and the bottom sampled at
+    the grid's sample nodes at the new time, for the next step to reuse."""
+
     state: FlowState
     mask: NonHydroMask
     solution: PressureSolution | None
+    bottom: BottomSample
 
     @property
     def p_nh(self) -> NodalField | None:
@@ -144,21 +148,34 @@ class StepResult:
 def adaptive_step(state: FlowState, dt: float, bathy: BathymetryModel,
                   bcs: BoundaryPair, mode: str = "adaptive",
                   crit: Criterion | None = None,
-                  g: float = GRAVITY, cfl_warn: bool = True) -> StepResult:
+                  g: float = GRAVITY, cfl_warn: bool = True,
+                  bottom: BottomSample | None = None) -> StepResult:
     """One full time step: hydrostatic predictor, then optional correction.
 
     Modes: "hydrostatic" (predictor only), "global" (correct everywhere) and
     "adaptive" (correct on the criterion-flagged ranges).  A vertical-velocity
     criterion applied to a state with identically zero vertical momentum falls
     back to a global correction for that step, so the indicator can activate.
+
+    `bottom` is the bottom at the grid's sample nodes at the state's time,
+    as the previous step's result carries it; without it the step samples
+    it.  The step samples the bottom once at its new time; the predictor's
+    second stage, the criterion and the correction all read that sample,
+    and the result carries it on.
     """
     if mode not in ("hydrostatic", "global", "adaptive"):
         raise ValueError(f"unknown mode {mode!r}")
-    n = state.grid.n_elements
-    predictor = heun_step(state, dt, bathy, bcs, g, cfl_warn=cfl_warn)
+    grid = state.grid
+    n = grid.n_elements
+    if bottom is None:
+        bottom = bathy.sample(grid.sample_nodes, state.time)
+    new_bottom = bathy.sample(grid.sample_nodes, state.time + dt)
+    predictor = heun_step(state, dt, bathy, bcs, g, cfl_warn=cfl_warn,
+                          bottoms=(bottom, new_bottom))
 
     if mode == "hydrostatic":
-        return StepResult(predictor, NonHydroMask(np.zeros(n, dtype=bool), ()), None)
+        return StepResult(predictor, NonHydroMask(np.zeros(n, dtype=bool), ()), None,
+                          new_bottom)
 
     if mode == "global":
         mask = full_mask(n)
@@ -168,10 +185,10 @@ def adaptive_step(state: FlowState, dt: float, bathy: BathymetryModel,
         if crit.kind in ("w", "w_x") and not np.any(state.hw.values):
             mask = full_mask(n)
         else:
-            mask = evaluate_criterion(predictor, bathy, crit)
+            mask = evaluate_criterion(predictor, new_bottom, crit)
 
     if mask.empty:
-        return StepResult(predictor, mask, None)
+        return StepResult(predictor, mask, None, new_bottom)
 
-    corrected, sol = apply_correction(predictor, bathy, dt, mask.ranges, bcs, g)
-    return StepResult(corrected, mask, sol)
+    corrected, sol = apply_correction(predictor, new_bottom, dt, mask.ranges, bcs, g)
+    return StepResult(corrected, mask, sol, new_bottom)

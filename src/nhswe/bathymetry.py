@@ -4,6 +4,11 @@ Every model exposes the five derivative channels (d_x, d_t, d_tt, d_xt, d_xx)
 needed by the pressure closure, evaluated analytically and vectorized over x.
 Depth d is positive downward from the still water line; the wet column is
 h = eta + d.
+
+A model's depth is continuous in x except at the positions it declares in
+`jumps(t)`.  The predictor reconstructs its interface flux only at the
+element interfaces nearest those positions, so a model whose bottom can jump
+must list every such position; a smooth model declares none.
 """
 
 from __future__ import annotations
@@ -36,47 +41,28 @@ class BottomSample:
         return frozenset(name for name in CHANNELS[1:]
                          if np.count_nonzero(getattr(self, name)))
 
-    @cached_property
-    def jumps(self) -> tuple[np.ndarray, np.ndarray]:
-        """For a sample at element nodes, shape (n_elements, nodes): the
-        elements on either side of each interface where the depth jumps,
-        shape (2, jumps), and how far the bottom lies below the higher of
-        the two edges there, on the left and on the right, same shape."""
-        left = np.flatnonzero(self.d[:-1, -1] != self.d[1:, 0])
-        sides = np.array((left, left + 1))
-        depth = self.d[sides, [[-1], [0]]]
-        return sides, depth - np.minimum(*depth)
-
 
 class BathymetryModel:
     """Base class; subclasses implement _sample(x, t) -> BottomSample.
 
-    sample() memoizes the last few evaluations per (coordinate array, time)
-    pair, because one time step reads the bottom at the same nodes and instant
-    from several places (predictor stages, pressure closure, flag criterion).
-    The memo assumes sampled coordinate arrays are not mutated in place; a
-    reference to each key array is held, so its id cannot be reused while
-    it is cached.
+    sample() evaluates the model afresh on every call.  A time step takes
+    one sample of the grid at its new time and passes it on to every stage
+    that reads the bottom there, including the next step's first stage.
+
+    A subclass whose depth can be discontinuous in x overrides jumps(t) to
+    list the positions where it may jump at time t; everywhere else the
+    depth must be continuous.
     """
 
     def sample(self, x: np.ndarray, t: float) -> BottomSample:
-        x = np.asarray(x, dtype=float)
-        key = (id(x), float(t))
-        memo = getattr(self, "_memo", None)
-        if memo is None:
-            memo = {}
-            object.__setattr__(self, "_memo", memo)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit[1]
-        out = self._sample(x, t)
-        if len(memo) >= 16:
-            memo.pop(next(iter(memo)))
-        memo[key] = (x, out)
-        return out
+        return self._sample(np.asarray(x, dtype=float), t)
 
     def _sample(self, x: np.ndarray, t: float) -> BottomSample:
         raise NotImplementedError
+
+    def jumps(self, t: float) -> tuple[float, ...]:
+        """The positions x where the depth may jump at time t; none by default."""
+        return ()
 
     def depth(self, x: np.ndarray, t: float) -> np.ndarray:
         return self.sample(x, t).d
@@ -120,6 +106,10 @@ class HammackPlate(BathymetryModel):
     @property
     def alpha(self) -> float:
         return 1.11 / self.t_c
+
+    def jumps(self, t: float) -> tuple[float, ...]:
+        # the plate edges, once the plate has left the still bottom
+        return (-self.b, self.b) if t > 0.0 else ()
 
     def _sample(self, x: np.ndarray, t: float) -> BottomSample:
         x = np.asarray(x, dtype=float)

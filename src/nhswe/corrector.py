@@ -47,7 +47,7 @@ from math import isfinite, sqrt
 import numpy as np
 from scipy.linalg import get_lapack_funcs
 
-from .bathymetry import GRAVITY, RHO_WATER, BathymetryModel, BottomSample
+from .bathymetry import GRAVITY, RHO_WATER, BottomSample
 from .grid import FlowState, GridSpec, NodalField, derivative_values
 from .hydrostatic import BoundaryPair
 
@@ -223,10 +223,11 @@ def _phi_values(grid: GridSpec, h: np.ndarray, hu: np.ndarray,
     return (0.25 * rho) * h * inner
 
 
-def assemble_coefficients(predictor: FlowState, bathy: BathymetryModel, dt: float,
+def assemble_coefficients(predictor: FlowState, bottom: BottomSample, dt: float,
                           g: float = GRAVITY, rho: float = RHO_WATER,
                           ranges=None) -> EllipticCoefficients:
-    """Nodal s- and f-fields of the elliptic system from the predictor state.
+    """Nodal s- and f-fields of the elliptic system from the predictor state
+    and the bottom sampled at the grid's sample nodes at its time.
 
     With `ranges` (sorted, disjoint (first, last) pairs) the fields are
     computed on the elements of those ranges only; otherwise on the whole
@@ -244,7 +245,6 @@ def assemble_coefficients(predictor: FlowState, bathy: BathymetryModel, dt: floa
     grid = predictor.grid
     ranges = ((0, grid.n_elements - 1),) if ranges is None else tuple(ranges)
     rows = _range_rows(ranges, grid.n_elements)
-    bottom = bathy.sample(grid.sample_nodes, predictor.time)
     h, hu, hw = predictor.node_rows(rows)
     h_x = derivative_values(grid, h.T).T
     d_x = _active_rows(bottom, "d_x", rows)
@@ -710,12 +710,13 @@ def correct_momentum(predictor: FlowState, sol: PressureSolution,
     )
 
 
-def apply_correction(predictor: FlowState, bathy: BathymetryModel, dt: float,
+def apply_correction(predictor: FlowState, bottom: BottomSample, dt: float,
                      ranges, bcs: BoundaryPair,
                      g: float = GRAVITY, rho: float = RHO_WATER,
                      ) -> tuple[FlowState, PressureSolution]:
-    """Full correction pipeline on the elements of the flagged ranges."""
+    """Full correction pipeline on the elements of the flagged ranges, over
+    the bottom sampled at the grid's sample nodes at the predictor's time."""
     ranges = tuple(sorted(map(tuple, ranges)))
-    coeffs = assemble_coefficients(predictor, bathy, dt, g, rho, ranges=ranges)
+    coeffs = assemble_coefficients(predictor, bottom, dt, g, rho, ranges=ranges)
     sol = solve_on_ranges(predictor, coeffs, ranges, bcs)
     return correct_momentum(predictor, sol, coeffs), sol

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adaptivity import Criterion, NonHydroMask, adaptive_step
+from .bathymetry import BottomSample
 from .grid import FlowState, NodalField
 from .scenarios import ScenarioSpec
 
@@ -53,36 +54,38 @@ def simulate(spec: ScenarioSpec, initial: FlowState, mode: str,
     gauge_idx = [grid.nearest_node(x) for x in spec.gauges]
     gauge_rows = np.array([e for e, _ in gauge_idx], dtype=int)
     gauge_cols = np.array([j for _, j in gauge_idx], dtype=int)
-    gauge_x = grid.sample_nodes[gauge_rows, gauge_cols]
 
     gauge_eta = np.empty((n_steps + 1, len(gauge_idx)))
     gauge_times = np.empty(n_steps + 1)
     mask_history: list = []
     fractions = np.empty(n_steps)
 
-    def record_gauges(row: int, state: FlowState) -> None:
+    def record_gauges(row: int, state: FlowState, bottom: BottomSample) -> None:
         gauge_times[row] = state.time
         if len(gauge_idx):
-            d = spec.bathymetry.depth(gauge_x, state.time)
-            gauge_eta[row] = state.h.values[gauge_rows, gauge_cols] - d
+            gauge_eta[row] = (state.h.values[gauge_rows, gauge_cols]
+                              - bottom.d[gauge_rows, gauge_cols])
 
+    # one bottom sample per step: each step samples its new time and hands
+    # the sample on to the gauges and the next step
     state = initial
-    record_gauges(0, state)
+    bottom = spec.bathymetry.sample(grid.sample_nodes, state.time)
+    record_gauges(0, state, bottom)
     result = None
 
-    # wall time covers the numerical step calls only; gauge sampling and mask
+    # wall time covers the numerical step calls only; gauge reads and mask
     # bookkeeping are output collection and stay outside the timed section
     loop_time = 0.0
     for step in range(n_steps):
         t0 = _time.perf_counter()
         result = adaptive_step(state, spec.dt, spec.bathymetry, spec.bcs,
-                               mode=mode, crit=criterion, g=spec.g)
+                               mode=mode, crit=criterion, g=spec.g, bottom=bottom)
         loop_time += _time.perf_counter() - t0
-        state = result.state
+        state, bottom = result.state, result.bottom
         fractions[step] = result.mask.fraction
         if mode == "adaptive":
             mask_history.append((step, state.time, result.mask.ranges))
-        record_gauges(step + 1, state)
+        record_gauges(step + 1, state, bottom)
 
     return RunResult(
         spec=spec, mode=mode, criterion=criterion,

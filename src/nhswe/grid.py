@@ -124,6 +124,13 @@ class GridSpec:
         i = int((x - self.x_left) / self.dx)
         return min(max(i, 0), self.n_elements - 1)
 
+    def interfaces_near(self, points) -> list[int]:
+        """The interior element interfaces nearest the points x, interface k
+        lying at x_left + k dx, between elements k - 1 and k; a point nearest
+        a domain end has none."""
+        near = (round((x - self.x_left) / self.dx) for x in points)
+        return [k for k in near if 0 < k < self.n_elements]
+
     def nearest_node(self, x: float) -> tuple[int, int]:
         """Element and local node index of the grid node closest to x."""
         flat = np.argmin(np.abs(self.nodes - x))

@@ -9,7 +9,7 @@ from nhswe.adaptivity import (Criterion, NonHydroMask, adaptive_step,
                               enlarge_flags, evaluate_criterion, full_mask)
 from nhswe.bathymetry import FlatBottom
 from nhswe.grid import FlowState, GridSpec, NodalField
-from nhswe.hydrostatic import WALL, BoundaryPair, heun_step
+from nhswe.hydrostatic import WALL, BoundaryPair, PositivityError, heun_step
 from nhswe.scenarios import build_solitary, still_water_state
 
 WALLS = BoundaryPair(WALL, WALL)
@@ -54,7 +54,8 @@ def test_criterion_values_eta_over_d():
     h[3] = 2.5
     state = FlowState(NodalField(grid, h), NodalField(grid, np.zeros((10, 2))),
                       NodalField(grid, np.zeros((10, 2))), 0.0)
-    vals = criterion_values(state, FlatBottom(d0), "eta_over_d")
+    vals = criterion_values(state, FlatBottom(d0).sample(grid.sample_nodes, 0.0),
+                            "eta_over_d")
     assert vals[3, 0] == pytest.approx(0.25)
     assert np.all(vals[np.arange(10) != 3] == 0.0)
 
@@ -64,7 +65,8 @@ def test_flagged_band_matches_analytic_width():
     # |xi| < arccosh(sqrt(a/(k d))) / K; count flagged elements against that
     a, d, k = 2.0, 10.0, 0.001
     spec, state = build_solitary(a=a, d=d)
-    mask = evaluate_criterion(state, spec.bathymetry, Criterion("eta_over_d", k))
+    bottom = spec.bathymetry.sample(spec.grid.sample_nodes, state.time)
+    mask = evaluate_criterion(state, bottom, Criterion("eta_over_d", k))
     K = np.sqrt(3.0 * a / (4.0 * d * d * (d + a)))
     half_width = np.arccosh(np.sqrt(a / (k * d))) / K
     expected = 2.0 * half_width / spec.grid.dx
@@ -75,8 +77,9 @@ def test_flagged_band_matches_analytic_width():
 
 def test_threshold_monotonicity():
     spec, state = build_solitary()
-    loose = evaluate_criterion(state, spec.bathymetry, Criterion("eta_over_d", 1e-4))
-    tight = evaluate_criterion(state, spec.bathymetry, Criterion("eta_over_d", 1e-2))
+    bottom = spec.bathymetry.sample(spec.grid.sample_nodes, state.time)
+    loose = evaluate_criterion(state, bottom, Criterion("eta_over_d", 1e-4))
+    tight = evaluate_criterion(state, bottom, Criterion("eta_over_d", 1e-2))
     assert np.all(loose.flags[tight.flags])   # tight set contained in loose set
     assert tight.flags.sum() < loose.flags.sum()
 
@@ -120,6 +123,17 @@ def test_empty_mask_step_is_purely_hydrostatic():
     assert res.mask.empty
     assert res.p_nh is None
     assert np.array_equal(res.state.h.values, ref.h.values)
+
+
+def test_non_finite_vertical_momentum_stops_a_global_step_in_the_predictor():
+    # the predictor passes hw on untouched; its NaN must not reach the
+    # elliptic solve as a non-finite right-hand side
+    spec, state = build_solitary()
+    hw = state.hw.values.copy()
+    hw[120, 0] = np.nan
+    state = FlowState._wrap(state.h, state.hu, NodalField._wrap(spec.grid, hw), state.time)
+    with pytest.raises(PositivityError, match="non-finite hw in element 120 .* stage 1"):
+        adaptive_step(state, spec.dt, spec.bathymetry, spec.bcs, mode="global")
 
 
 def test_hydrostatic_mode_never_flags():

@@ -1,11 +1,16 @@
 """Bathymetry models checked against finite-difference oracles."""
 
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from nhswe.adaptivity import Criterion, adaptive_step
 from nhswe.bathymetry import (FlatBottom, HammackPlate, SlideMotion,
                               WhittakerSlide, hammack_time_constant)
+from nhswe.driver import simulate
+from nhswe.scenarios import build_scenario
 
 # independent finite-difference oracles for the analytic channels
 EPS_T = 1e-6
@@ -117,28 +122,94 @@ def test_parameter_validation():
         WhittakerSlide(0.02, 0.026, 0.5, SlideMotion(1, 1, 1, 2, 3))
 
 
-def test_sample_memo_returns_cached_result():
-    model = HammackPlate(0.05, 0.005, 0.61, 0.13)
-    x = np.linspace(0, 2, 50)
-    first = model.sample(x, 0.4)
-    assert model.sample(x, 0.4) is first          # same buffer, same instant
-    assert model.sample(x, 0.5) is not first      # time changes the key
-    y = x.copy()
-    assert model.sample(y, 0.4) is not first      # different buffer
-
-
-def test_sample_memo_eviction_keeps_results_correct():
-    model = HammackPlate(0.05, 0.005, 0.61, 0.13)
-    x = np.linspace(0, 2, 20)
-    times = np.linspace(0.0, 4.0, 40)
-    direct = [model._sample(x, t).d.copy() for t in times]
-    via_memo = [model.sample(x, t).d for t in times]
-    for a, b in zip(direct, via_memo):
-        assert np.array_equal(a, b)
-
-
 @given(t=st.floats(0.0, 5.0), x0=st.floats(-0.6, 0.6))
 def test_hammack_depth_bounds(t, x0):
     model = HammackPlate(0.05, 0.005, 0.61, 0.13)
     d = model.depth(np.array([x0]), t)[0]
     assert 0.045 - 1e-12 <= d <= 0.05 + 1e-12
+
+
+# ------------------------------------------------ one sample per step
+
+def counting(model):
+    """A copy of `model` that records the shape and time of every one of its
+    evaluations, with the list it records them in."""
+    evaluated = []
+
+    class Counting(type(model)):
+        def _sample(self, x, t):
+            evaluated.append((x.shape, t))
+            return super()._sample(x, t)
+
+    return Counting(**{f.name: getattr(model, f.name) for f in fields(model)}), evaluated
+
+
+@pytest.mark.parametrize("mode", ["hydrostatic", "global", "adaptive"])
+@pytest.mark.parametrize("name, t_end", [("solitary", 0.5), ("hammack_up", 0.05),
+                                         ("whittaker", 0.05)])
+def test_a_run_samples_the_grid_once_per_step(name, t_end, mode):
+    # one sample at the start, then one at each step's new time, which the
+    # predictor, criterion, correction, gauges (hammack) and next step share
+    spec, init = build_scenario(name, t_end=t_end)
+    model, evaluated = counting(spec.bathymetry)
+    spec = replace(spec, bathymetry=model)
+    simulate(spec, init, mode, Criterion("eta_over_d") if mode == "adaptive" else None)
+    assert len(evaluated) == spec.n_steps + 1
+    assert {shape for shape, _ in evaluated} == {spec.grid.sample_nodes.shape}
+    times = [t for _, t in evaluated]
+    assert times == sorted(set(times))
+
+
+def test_a_step_samples_its_own_model_and_time():
+    spec, init = build_scenario("hammack_up")
+    dt, grid = spec.dt, spec.grid
+    plate = spec.bathymetry
+    lowered = replace(plate, zeta0=-plate.zeta0)
+    up, seen_up = counting(plate)
+    down, seen_down = counting(lowered)
+    first = adaptive_step(init, dt, up, spec.bcs, mode="hydrostatic")
+    other = adaptive_step(init, dt, down, spec.bcs, mode="hydrostatic")
+    assert [t for _, t in seen_up] == [t for _, t in seen_down] == [0.0, dt]
+    assert not np.array_equal(first.state.h.values, other.state.h.values)
+    assert np.array_equal(first.bottom.d, plate.sample(grid.sample_nodes, dt).d)
+    assert np.array_equal(other.bottom.d, lowered.sample(grid.sample_nodes, dt).d)
+
+    # at another time the model is sampled again, both ends of the step
+    # unless the caller hands on the sample it holds for the start
+    adaptive_step(first.state, dt, up, spec.bcs, mode="hydrostatic")
+    assert [t for _, t in seen_up] == [0.0, dt, dt, 2 * dt]
+    adaptive_step(first.state, dt, up, spec.bcs, mode="hydrostatic", bottom=first.bottom)
+    assert [t for _, t in seen_up] == [0.0, dt, dt, 2 * dt, 2 * dt]
+
+
+# ------------------------------------------------------- declared jumps
+
+SHIPPED_GRIDS = [("solitary", {}), ("hammack_up", {}), ("hammack_down", {}),
+                 ("whittaker", {}), ("whittaker", {"froude": 0.125}),
+                 ("whittaker", {"froude": 0.375}), ("whittaker", {"dx": 0.0075})]
+
+
+@pytest.mark.parametrize("name, overrides", SHIPPED_GRIDS)
+def test_the_bottom_is_continuous_across_every_undeclared_interface(name, overrides):
+    # the predictor reconstructs only at the declared jumps, so a jump
+    # anywhere else would go unseen
+    spec, _ = build_scenario(name, **overrides)
+    grid, model = spec.grid, spec.bathymetry
+    for t in [*np.linspace(0.0, spec.t_end, 9), spec.dt, 3.0 * spec.dt]:
+        d = model.sample(grid.sample_nodes, t).d
+        # interface k lies between elements k - 1 and k
+        step = np.abs(d[:-1, -1] - d[1:, 0])
+        step[[k - 1 for k in grid.interfaces_near(model.jumps(t))]] = 0.0
+        assert step.max() <= 1e-9 * model.h0, (t, int(step.argmax()) + 1)
+
+
+def test_hammack_plate_declares_its_edge_once_it_moves():
+    spec, _ = build_scenario("hammack_up")
+    model, grid = spec.bathymetry, spec.grid
+    assert model.jumps(0.0) == ()
+    for t in (spec.dt, 1.0, spec.t_end):
+        assert model.b in model.jumps(t)
+        # -b lies left of the domain, b on an interface
+        [k] = grid.interfaces_near(model.jumps(t))
+        d = model.sample(grid.sample_nodes, t).d
+        assert d[k - 1, -1] < d[k, 0]        # the raised plate ends there

@@ -27,6 +27,11 @@ def still_state(grid, bathy, t=0.0):
                      NodalField(grid, zero), t)
 
 
+def bottom_at(state, bathy):
+    """The bottom at the grid's sample nodes at the state's time."""
+    return bathy.sample(state.grid.sample_nodes, state.time)
+
+
 def smooth_state(grid, d0=10.0, amp=0.5, u0=0.2):
     x = grid.nodes
     h = d0 + amp * np.exp(-((x - x.mean()) / 5.0) ** 2)
@@ -41,7 +46,7 @@ def smooth_state(grid, d0=10.0, amp=0.5, u0=0.2):
 def test_phi_vanishes_on_flat_static_bottom():
     grid = GridSpec(0.0, 100.0, 20, 1)
     state = smooth_state(grid)
-    assert assemble_coefficients(state, FlatBottom(10.0), 0.1).phi is None
+    assert assemble_coefficients(state, bottom_at(state, FlatBottom(10.0)), 0.1).phi is None
 
 
 def test_phi_hand_value_inside_plate():
@@ -51,7 +56,7 @@ def test_phi_hand_value_inside_plate():
     bathy = HammackPlate(0.05, 0.005, 0.6, 0.13)
     t = 0.2
     state = still_state(grid, bathy, t)
-    phi = assemble_coefficients(state, bathy, 0.01).phi
+    phi = assemble_coefficients(state, bottom_at(state, bathy), 0.01).phi
     s = bathy.sample(grid.sample_nodes, t)
     expected = -RHO_WATER * state.h.values * s.d_tt / 4.0
     assert np.allclose(phi, expected, atol=1e-12)
@@ -71,7 +76,7 @@ def test_phi_matches_bruteforce_formula_on_moving_slope():
     eta_x = derivative_values(grid, h - s.d)
     brute = (RHO_WATER * h / (4.0 + s.d_x ** 2)) * (
         GRAVITY * s.d_x * eta_x - s.d_tt - 2.0 * u * s.d_xt - u * u * s.d_xx)
-    phi = assemble_coefficients(state, bathy, 0.01).phi
+    phi = assemble_coefficients(state, bottom_at(state, bathy), 0.01).phi
     assert np.allclose(phi, brute, rtol=1e-12, atol=1e-12)
 
 
@@ -81,7 +86,7 @@ def test_structural_conditions_and_hand_coefficient():
     grid = GridSpec(0.0, 100.0, 40, 1)
     state = smooth_state(grid)
     dt = 0.1
-    co = assemble_coefficients(state, FlatBottom(10.0), dt)
+    co = assemble_coefficients(state, bottom_at(state, FlatBottom(10.0)), dt)
     assert np.all(co.s11 + co.s21 == 0.0)
     assert np.all(co.s12 > 0.0)
     # flat bottom: s12 = rho / (dt h), s22 = 3 dt / (rho h)
@@ -96,7 +101,7 @@ def test_first_step_forcing_sign_for_uplift():
     bathy = HammackPlate(0.05, 0.005, 0.6, 0.1289)
     t = 0.005
     state = still_state(grid, bathy, t)
-    co = assemble_coefficients(state, bathy, 0.01)
+    co = assemble_coefficients(state, bottom_at(state, bathy), 0.01)
     inside = grid.sample_nodes < 0.6
     assert np.all(co.f2[inside] > 0.0)
 
@@ -159,10 +164,11 @@ def test_manufactured_solution_convergence():
 
 
 def assert_batch_matches_separate_solves(state, bathy, ranges):
-    sol = solve_on_ranges(state, assemble_coefficients(state, bathy, 0.1, ranges=ranges),
+    bottom = bottom_at(state, bathy)
+    sol = solve_on_ranges(state, assemble_coefficients(state, bottom, 0.1, ranges=ranges),
                           ranges, WALLS)
     for e0, e1 in ranges:
-        co = assemble_coefficients(state, bathy, 0.1, ranges=[(e0, e1)])
+        co = assemble_coefficients(state, bottom, 0.1, ranges=[(e0, e1)])
         p_one, hu_one = ldg_solve(co, (e0, e1),
                                   outer_hu=(0.0, _right_outer_hu(state, WALLS, e1)))
         assert np.allclose(sol.p_nh.values[e0:e1 + 1], p_one, atol=1e-9)
@@ -181,8 +187,8 @@ def test_batched_ranges_match_separate_solves():
     from nhswe.corrector import _ldg_template
     ranges = ((0, 6), (9, 9), (14, 26), (40, 43), (51, 59))
     misses = _ldg_template.cache_info().misses
-    solve_on_ranges(state, assemble_coefficients(state, bathy, 0.1, ranges=ranges),
-                    ranges, WALLS)
+    co = assemble_coefficients(state, bottom_at(state, bathy), 0.1, ranges=ranges)
+    solve_on_ranges(state, co, ranges, WALLS)
     assert _ldg_template.cache_info().misses == misses + 1
     assert_batch_matches_separate_solves(state, bathy, ranges)
 
@@ -276,7 +282,7 @@ def test_pressure_only_solve_satisfies_the_full_ldg_system(order, bottom, ranges
     else:
         grid = GridSpec(0.0, 10.0, 40, order)
         (state, bathy), dt = sloped_state(grid), 0.01
-    co = assemble_coefficients(state, bathy, dt, ranges=ranges)
+    co = assemble_coefficients(state, bottom_at(state, bathy), dt, ranges=ranges)
     if bottom == "sloped":
         assert co.phi is not None and np.all(co.bottom.d_x != 0.0)
     outer = [_right_outer_hu(state, WALLS, e1) for _, e1 in ranges]
@@ -308,20 +314,21 @@ def test_global_solve_factors_the_pressure_system_only(monkeypatch):
     for order in (1, 2):
         m, n = order + 1, 30
         grid = GridSpec(0.0, 100.0, n, order)
-        apply_correction(smooth_state(grid), FlatBottom(10.0), 0.1, [(0, n - 1)], WALLS)
+        state = smooth_state(grid)
+        apply_correction(state, bottom_at(state, FlatBottom(10.0)), 0.1, [(0, n - 1)], WALLS)
         assert seen[-1] == (m, m, (3 * m + 1, m * n), (m * n,))
 
 
 def test_coefficients_must_hold_one_row_per_element_of_their_ranges():
     grid = GridSpec(0.0, 100.0, 60, 1)
     state = smooth_state(grid)
-    whole = assemble_coefficients(state, FlatBottom(10.0), 0.1)
+    whole = assemble_coefficients(state, bottom_at(state, FlatBottom(10.0)), 0.1)
     fields = [whole.s11, whole.s12, whole.s21, whole.s22, whole.f1, whole.f2, whole.phi]
     with pytest.raises(ValueError, match=r"s11 has 60 rows, but the ranges "
                                          r"\(\(3, 12\),\) hold 10 elements"):
         EllipticCoefficients(grid, *fields, whole.bottom, 0.1, RHO_WATER, ranges=[(3, 12)])
     # the rows of those elements are accepted, and solve as assembled
-    part = assemble_coefficients(state, FlatBottom(10.0), 0.1, ranges=[(3, 12)])
+    part = assemble_coefficients(state, bottom_at(state, FlatBottom(10.0)), 0.1, ranges=[(3, 12)])
     rows = [f[3:13] for f in fields[:-1]]
     checked = EllipticCoefficients(grid, *rows, None, whole.bottom, 0.1, RHO_WATER,
                                    ranges=[(3, 12)])
@@ -337,7 +344,7 @@ def test_zero_pivot_names_the_grid_element(monkeypatch):
     grid = GridSpec(0.0, 100.0, 60, 1)
     state = smooth_state(grid)
     ranges = ((3, 4), (10, 12))
-    co = assemble_coefficients(state, FlatBottom(10.0), 0.1, ranges=ranges)
+    co = assemble_coefficients(state, bottom_at(state, FlatBottom(10.0)), 0.1, ranges=ranges)
     solve = corrector._GBSV
 
     def singular(*args, **kwargs):
@@ -353,8 +360,8 @@ def test_zero_pivot_names_the_grid_element(monkeypatch):
 def test_solves_refuse_coefficients_of_other_ranges():
     grid = GridSpec(0.0, 100.0, 60, 1)
     state = smooth_state(grid)
-    whole = assemble_coefficients(state, FlatBottom(10.0), 0.1)
-    part = assemble_coefficients(state, FlatBottom(10.0), 0.1, ranges=[(3, 12)])
+    whole = assemble_coefficients(state, bottom_at(state, FlatBottom(10.0)), 0.1)
+    part = assemble_coefficients(state, bottom_at(state, FlatBottom(10.0)), 0.1, ranges=[(3, 12)])
     with pytest.raises(ValueError, match=r"assembled on \(\(0, 59\),\), not on \(\(3, 12\),\)"):
         solve_on_ranges(state, whole, [(3, 12)], WALLS)
     with pytest.raises(ValueError, match=r"assembled on \(\(3, 12\),\), not on \(\(0, 59\),\)"):
@@ -374,14 +381,14 @@ def test_left_outer_momentum_does_not_enter():
     state = smooth_state(grid)
     bathy = FlatBottom(10.0)
     ranges = [(0, 17), (25, 39)]
-    runs = [apply_correction(state, bathy, 0.1, ranges, BoundaryPair(left, WALL))
+    runs = [apply_correction(state, bottom_at(state, bathy), 0.1, ranges, BoundaryPair(left, WALL))
             for left in (WALL, ABSORBING)]
     (a, sol_a), (b, sol_b) = runs
     assert sol_a.p.tobytes() == sol_b.p.tobytes()
     for fa, fb in ((a.hu, b.hu), (a.hw, b.hw)):
         assert fa.values.tobytes() == fb.values.tobytes()
 
-    co = assemble_coefficients(state, bathy, 0.1, ranges=[(5, 30)])
+    co = assemble_coefficients(state, bottom_at(state, bathy), 0.1, ranges=[(5, 30)])
     base = ldg_solve(co, (5, 30), outer_hu=(0.0, 1.5))
     for left in (-7.0, 3.25, 1e6):
         other = ldg_solve(co, (5, 30), outer_hu=(left, 1.5))
@@ -395,9 +402,10 @@ def test_subrange_covering_forcing_support_matches_global():
     from nhswe.hydrostatic import heun_step
     spec, init = build_solitary()
     pred = heun_step(init, spec.dt, spec.bathymetry, spec.bcs)
-    full = solve_on_ranges(pred, assemble_coefficients(pred, spec.bathymetry, spec.dt),
+    bottom = bottom_at(pred, spec.bathymetry)
+    full = solve_on_ranges(pred, assemble_coefficients(pred, bottom, spec.dt),
                            ((0, 199),), spec.bcs)
-    co = assemble_coefficients(pred, spec.bathymetry, spec.dt, ranges=((10, 90),))
+    co = assemble_coefficients(pred, bottom, spec.dt, ranges=((10, 90),))
     sub = solve_on_ranges(pred, co, ((10, 90),), spec.bcs)
     # the zero-Dirichlet endpoints perturb the solution with an influence
     # decaying like exp(-sqrt(s12 s22) * distance), so compare well inside
@@ -411,8 +419,8 @@ def test_momentum_update_round_trip():
     state = smooth_state(grid)
     bathy = FlatBottom(10.0)
     dt = 0.1
-    corrected, sol = apply_correction(state, bathy, dt, [(5, 44)], WALLS)
-    co = assemble_coefficients(state, bathy, dt)
+    corrected, sol = apply_correction(state, bottom_at(state, bathy), dt, [(5, 44)], WALLS)
+    co = assemble_coefficients(state, bottom_at(state, bathy), dt)
     # recompute the vertical update independently from its definition
     lo, hi = 4, 45
     win = slice(lo, hi + 1)
@@ -453,10 +461,10 @@ def test_momentum_update_on_a_sloped_bottom(ranges):
     h = bathy.sample(grid.sample_nodes, t).d + 0.02 * np.sin(0.7 * x)
     state = FlowState(NodalField(grid, h), NodalField(grid, 0.1 * h * np.cos(0.4 * x)),
                       NodalField(grid, 0.01 * h * np.sin(0.9 * x)), t)
-    corrected, sol = apply_correction(state, bathy, dt, ranges, WALLS)
+    corrected, sol = apply_correction(state, bottom_at(state, bathy), dt, ranges, WALLS)
     # the vertical update from its definition, on the whole grid with the
     # pressure zero off the ranges
-    co = assemble_coefficients(state, bathy, dt)
+    co = assemble_coefficients(state, bottom_at(state, bathy), dt)
     d_x = co.bottom.d_x
     assert np.all(d_x != 0.0)
     p = sol.p_nh.values
@@ -473,8 +481,8 @@ def test_density_invariance_of_corrected_flow():
     grid = GridSpec(0.0, 100.0, 50, 1)
     state = smooth_state(grid)
     bathy = FlatBottom(10.0)
-    a, _ = apply_correction(state, bathy, 0.1, [(5, 44)], WALLS, rho=1000.0)
-    b, sol_b = apply_correction(state, bathy, 0.1, [(5, 44)], WALLS, rho=500.0)
+    a, _ = apply_correction(state, bottom_at(state, bathy), 0.1, [(5, 44)], WALLS, rho=1000.0)
+    b, sol_b = apply_correction(state, bottom_at(state, bathy), 0.1, [(5, 44)], WALLS, rho=500.0)
     for fa, fb in ((a.hu, b.hu), (a.hw, b.hw)):
         scale = np.abs(fa.values).max()
         assert np.abs(fa.values - fb.values).max() < 1e-10 * scale
@@ -484,7 +492,7 @@ def test_still_water_receives_no_correction():
     grid = GridSpec(0.0, 10.0, 40, 1)
     bathy = FlatBottom(1.0)
     state = still_state(grid, bathy)
-    corrected, sol = apply_correction(state, bathy, 0.01, [(0, 39)], WALLS)
+    corrected, sol = apply_correction(state, bottom_at(state, bathy), 0.01, [(0, 39)], WALLS)
     assert np.abs(sol.p_nh.values).max() < 1e-12
     assert np.abs(corrected.hu.values).max() < 1e-12
 
@@ -507,14 +515,14 @@ def test_banded_matvec_against_dense():
 def test_invalid_range_rejected():
     grid = GridSpec(0.0, 10.0, 10, 1)
     state = smooth_state(grid, d0=1.0, amp=0.01, u0=0.01)
-    co = assemble_coefficients(state, FlatBottom(1.0), 0.01)
+    co = assemble_coefficients(state, bottom_at(state, FlatBottom(1.0)), 0.01)
     with pytest.raises(ValueError):
         ldg_solve(co, (5, 3))
     with pytest.raises(ValueError):
         ldg_solve(co, (0, 10))
     for bad in ([(5, 3)], [(0, 10)], [(-1, 4)], [(4, 6), (1, 2)], [(1, 4), (4, 6)]):
         with pytest.raises(ValueError, match="invalid element range"):
-            assemble_coefficients(state, FlatBottom(1.0), 0.01, ranges=bad)
+            assemble_coefficients(state, bottom_at(state, FlatBottom(1.0)), 0.01, ranges=bad)
 
 
 GLOBAL_STEP_FAULTS = """

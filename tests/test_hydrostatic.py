@@ -85,12 +85,18 @@ class Staircase(BathymetryModel):
         zero = np.zeros_like(x)
         return BottomSample(d, zero, zero, zero, zero, zero)
 
+    def jumps(self, t):
+        return (2.0, 4.0, 6.0, 8.0)
+
 
 def test_several_bottom_jumps_keep_still_water_and_mass():
     # four jumps, up and down, in one reconstructed-flux pass
     grid = GridSpec(0.0, 10.0, 50, 1)
     bathy = Staircase()
-    assert bathy.sample(grid.sample_nodes, 0.0).jumps[0].shape == (2, 4)
+    # the sampled bottom jumps at four interfaces, the declared ones
+    d = bathy.sample(grid.sample_nodes, 0.0).d
+    jumped = (np.flatnonzero(d[:-1, -1] != d[1:, 0]) + 1).tolist()
+    assert jumped == grid.interfaces_near(bathy.jumps(0.0)) == [10, 20, 30, 40]
     state = still_state(grid, bathy)
     for _ in range(50):
         state = heun_step(state, 0.005, bathy, WALLS)
@@ -154,6 +160,27 @@ def test_positivity_error_names_the_dried_element(k):
     assert (err.value.element, err.value.stage) == (k, 1)
     assert err.value.time == pytest.approx(0.2)
     assert f"element {k} " in str(err.value) and "stage 1" in str(err.value)
+
+
+def nan_state(field, element):
+    """Still water on a flat bottom with a NaN in one node of `field`, as a
+    trusted constructor on a hot path would let it through."""
+    grid = GridSpec(0.0, 10.0, 10, 1)
+    values = {"h": np.ones((10, 2)), "hu": np.zeros((10, 2)), "hw": np.zeros((10, 2))}
+    values[field][element, 1] = np.nan
+    return FlowState._wrap(*(NodalField._wrap(grid, values[f]) for f in ("h", "hu", "hw")),
+                           0.0)
+
+
+@pytest.mark.parametrize("field", ["hu", "hw"])
+def test_non_finite_momentum_stops_the_step_and_is_named(field):
+    # a NaN in hu reaches h within the stage, and one in hw reaches neither
+    # h nor hu, yet the failure names the momentum it started in
+    with pytest.raises(PositivityError) as err, np.errstate(all="ignore"):
+        heun_step(nan_state(field, 6), 0.01, FlatBottom(1.0), WALLS)
+    assert (err.value.field, err.value.element, err.value.stage) == (field, 6, 1)
+    assert err.value.time == pytest.approx(0.01)
+    assert str(err.value) == f"non-finite {field} in element 6 at t=0.01 in Heun stage 1"
 
 
 def test_cfl_warning():
