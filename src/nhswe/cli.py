@@ -253,7 +253,6 @@ def cmd_run(args) -> int:
         return EXIT_NUMERICAL
 
     config = result.config_echo()
-    config.update(echo)
     report = make_report(result, config, cfg.get("reference"))
 
     if _parse_bool(cfg.get("with_global", False)) and mode == "adaptive":

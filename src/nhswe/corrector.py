@@ -28,14 +28,16 @@ constant coupling tensor of the reference element, plus one product for the
 coupling to the right neighbour and fix-ups at the range ends.
 
 Coefficients are assembled, and the banded system is filled and solved, on
-the flagged elements only, and a correction solves on exactly the ranges its
-coefficients were assembled on; the pressure stays on those elements until a
-caller asks for it on the whole grid.  The banded work storage is allocated
-once per grid and reused by every solve, so a step allocates nothing of the
-size of the banded system.  A correction's cost is therefore the work on the
-flagged elements, plus two parts that do not shrink with them: copying the
-two corrected momentum fields, which the corrected state must own, and a
-fixed count of array operations, which dominates on small masks.
+the flagged elements only.  assemble_coefficients fixes that element set
+once, in EllipticCoefficients.ranges and .rows, and the solve and the
+momentum update read it from there; p and hu stay on those elements until
+the momentum update or a caller needs them on the whole grid.  The banded
+work storage is allocated once per grid and reused by every solve, so a
+step allocates nothing of the size of the banded system.  A correction's
+cost is therefore the work on the flagged elements, plus two parts that do
+not shrink with them: copying the two corrected momentum fields, which the
+corrected state must own, and a fixed count of array operations, which
+dominates on small masks.
 """
 
 from __future__ import annotations
@@ -163,24 +165,23 @@ class EllipticCoefficients:
 
 @dataclass(frozen=True)
 class PressureSolution:
-    """Solved pressure and corrected momentum.
+    """Solved pressure and corrected momentum on the assembled elements.
 
-    `p` holds the pressure on the elements of `ranges` only, in range order,
-    `rows` being their grid rows; `p_nh` is the same pressure on the whole
-    grid, zero off the ranges, built on first use.
+    `p` and `hu` hold one row per element of `coeffs.ranges`, in range
+    order, `coeffs.rows` being their grid rows; `p_nh` is the pressure on
+    the whole grid, zero off the ranges, built on first use.
     """
 
-    grid: GridSpec
-    ranges: tuple[tuple[int, int], ...]
-    rows: slice | np.ndarray
+    coeffs: EllipticCoefficients
     p: np.ndarray
-    hu_corrected: NodalField
+    hu: np.ndarray
 
     @cached_property
     def p_nh(self) -> NodalField:
-        p_full = np.zeros((self.grid.n_elements, self.grid.poly_order + 1))
-        p_full[self.rows] = self.p
-        return NodalField._wrap(self.grid, p_full)
+        grid = self.coeffs.grid
+        p_full = np.zeros((grid.n_elements, grid.poly_order + 1))
+        p_full[self.coeffs.rows] = self.p
+        return NodalField._wrap(grid, p_full)
 
 
 def _active_rows(bottom: BottomSample, channel: str, rows) -> np.ndarray | None:
@@ -231,9 +232,11 @@ def assemble_coefficients(predictor: FlowState, bottom: BottomSample, dt: float,
 
     With `ranges` (sorted, disjoint (first, last) pairs) the fields are
     computed on the elements of those ranges only; otherwise on the whole
-    grid.  The work runs node by node, (nodes, elements), and yields the
-    features of EllipticCoefficients.stack; the fields are derived from them
-    when asked for.
+    grid.  The coefficients keep the ranges and their grid rows, the element
+    set every later stage of the correction reads.  The work runs node by
+    node, (nodes, elements), and yields the features of
+    EllipticCoefficients.stack; the fields are derived from them when asked
+    for.
 
     With q = 4 + d_x^2 (4 on a flat stretch), s12 = rho q / (4 dt h),
     s11 = (h_x - 1.5 d_x) / h, s22 = 3 dt / (rho h), f1 = q (phi d_x +
@@ -243,7 +246,7 @@ def assemble_coefficients(predictor: FlowState, bottom: BottomSample, dt: float,
     the features at no extra cost.
     """
     grid = predictor.grid
-    ranges = ((0, grid.n_elements - 1),) if ranges is None else tuple(ranges)
+    ranges = ((0, grid.n_elements - 1),) if ranges is None else tuple(map(tuple, ranges))
     rows = _range_rows(ranges, grid.n_elements)
     h, hu, hw = predictor.node_rows(rows)
     h_x = derivative_values(grid, h.T).T
@@ -498,23 +501,14 @@ def _banded_matvec(ab: np.ndarray, band: int, x: np.ndarray,
     return scratch[:rows * width].reshape(rows, width).sum(axis=0)[band:band + size]
 
 
-def _element_of(ranges, k: int) -> int:
-    """Grid element of the k-th element of a batch of ranges."""
-    for e0, e1 in ranges:
-        if k <= e1 - e0:
-            return e0 + k
-        k -= e1 - e0 + 1
-    raise IndexError(k)
-
-
-def _solve_batched(coeffs: EllipticCoefficients, ranges,
+def _solve_batched(coeffs: EllipticCoefficients,
                    outer_hu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Solve the elliptic system on several disjoint ranges in one banded solve.
+    """Solve the elliptic system on the disjoint ranges the coefficients were
+    assembled on, in one banded solve.
 
-    `ranges` is the sorted sequence of (first, last) inclusive element pairs
-    the coefficients were assembled on, and `outer_hu` the outer momentum
-    trace just right of each range.  Returns nodal (p, hu) arrays of shape
-    (total flagged elements, nodes).
+    `outer_hu` holds the outer momentum trace just right of each range.
+    Returns nodal (p, hu) arrays of shape (total flagged elements, nodes),
+    one row per element of coeffs.ranges, in range order.
 
     Internally the system is solved for the density-scaled pressure p/rho,
     which makes every coefficient, the forcing, and the interface penalty
@@ -522,10 +516,7 @@ def _solve_batched(coeffs: EllipticCoefficients, ranges,
     under a change of density.  The physical pressure is recovered by one
     multiplication at the end.
     """
-    ranges = tuple(ranges)
-    if ranges != coeffs.ranges:
-        raise ValueError(f"coefficients assembled on {coeffs.ranges}, "
-                         f"not on {ranges}")
+    ranges = coeffs.ranges
     grid = coeffs.grid
     m = grid.poly_order + 1
     lengths = tuple(e1 - e0 + 1 for e0, e1 in ranges)
@@ -557,8 +548,8 @@ def _solve_batched(coeffs: EllipticCoefficients, ranges,
     if info > 0:
         raise EllipticSolveError(
             f"singular elliptic system on {ranges}: zero pivot at element "
-            f"{_element_of(ranges, (info - 1) // m)}, node {(info - 1) % m} "
-            f"(lapack info {info})")
+            f"{np.arange(grid.n_elements)[coeffs.rows][(info - 1) // m]}, "
+            f"node {(info - 1) % m} (lapack info {info})")
     if info != 0:
         raise EllipticSolveError(f"elliptic solve on {ranges} failed (lapack info {info})")
 
@@ -595,7 +586,10 @@ def ldg_solve(coeffs: EllipticCoefficients, elements: tuple[int, int],
     the left one does not enter, as the flux takes the momentum right of
     each face, which at the left end is the range's own trace.
     """
-    return _solve_batched(coeffs, (tuple(elements),), np.array([outer_hu[1]], dtype=float))
+    if (tuple(elements),) != coeffs.ranges:
+        raise ValueError(f"coefficients assembled on {coeffs.ranges}, "
+                         f"not on {(tuple(elements),)}")
+    return _solve_batched(coeffs, np.array([outer_hu[1]], dtype=float))
 
 
 def _right_outer_hu(predictor: FlowState, bcs: BoundaryPair, e1: int) -> float:
@@ -608,16 +602,12 @@ def _right_outer_hu(predictor: FlowState, bcs: BoundaryPair, e1: int) -> float:
 
 
 def solve_on_ranges(predictor: FlowState, coeffs: EllipticCoefficients,
-                    ranges, bcs: BoundaryPair) -> PressureSolution:
+                    bcs: BoundaryPair) -> PressureSolution:
     """Independent per-range elliptic solves, batched into one banded system,
-    on the ranges the coefficients were assembled on."""
-    grid = predictor.grid
-    ranges = tuple(sorted(map(tuple, ranges)))
-    outer = np.array([_right_outer_hu(predictor, bcs, e1) for _, e1 in ranges])
-    p, hu = _solve_batched(coeffs, ranges, outer)
-    hu_full = predictor.hu.values.copy(order="K")
-    hu_full[coeffs.rows] = hu
-    return PressureSolution(grid, ranges, coeffs.rows, p, NodalField._wrap(grid, hu_full))
+    on the ranges the coefficients were assembled on; p and hu stay on
+    those elements."""
+    outer = np.array([_right_outer_hu(predictor, bcs, e1) for _, e1 in coeffs.ranges])
+    return PressureSolution(coeffs, *_solve_batched(coeffs, outer))
 
 
 def central_derivative_values(grid: GridSpec, values: np.ndarray) -> np.ndarray:
@@ -635,63 +625,37 @@ def central_derivative_values(grid: GridSpec, values: np.ndarray) -> np.ndarray:
 
 
 def _central_derivative_on_ranges(grid: GridSpec, values: np.ndarray,
-                                  ranges) -> np.ndarray:
+                                  rows) -> np.ndarray:
     """central_derivative_values over the grid, of a field that is zero on
-    every element outside the ranges, evaluated on the ranges' elements.
+    every element off `rows`, evaluated on `rows`.
 
-    `values` holds the elements of the ranges in order.  One-sided at the
-    domain ends.
+    `rows` are sorted grid rows, as EllipticCoefficients.rows, and `values`
+    holds the field on them in order.  The field is laid into a zeroed
+    window one element wider than the rows on each side, clipped at the
+    domain ends, where the derivative is one-sided.
     """
-    n = len(values)
-    # batch positions of the range ends that face an element outside the
-    # ranges; two ranges may also meet without a gap
-    last, first = [], []
-    k = 0
-    for i, (e0, e1) in enumerate(ranges):
-        k += e1 - e0 + 1
-        if i + 1 == len(ranges) or ranges[i + 1][0] != e1 + 1:
-            last.append(k - 1)
-            if i + 1 < len(ranges):
-                first.append(k)
-    d = derivative_values(grid, values)
-    left_tr = values[:, 0]
-    right_tr = values[:, -1]
-    # the trace across each element face: the neighbor's inside the ranges,
-    # zero outside them
-    across_right = np.empty(n)
-    across_right[:-1] = left_tr[1:]
-    across_right[last] = 0.0
-    across_left = np.empty(n)
-    across_left[1:] = right_tr[:-1]
-    across_left[[0] + first] = 0.0
-    right = slice(None, n - 1 if ranges[-1][1] == grid.n_elements - 1 else n)
-    left = slice(1 if ranges[0][0] == 0 else 0, None)
-    avg = 0.5 * (right_tr[right] + across_right[right])
-    d[right] += (avg - right_tr[right])[:, None] * grid.lift_right
-    avg = 0.5 * (across_left[left] + left_tr[left])
-    d[left] -= (avg - left_tr[left])[:, None] * grid.lift_left
-    return d
+    rows = np.arange(grid.n_elements)[rows]
+    lo = max(rows[0] - 1, 0)
+    window = np.zeros((min(rows[-1] + 2, grid.n_elements) - lo, values.shape[1]))
+    window[rows - lo] = values
+    return central_derivative_values(grid, window)[rows - lo]
 
 
-def correct_momentum(predictor: FlowState, sol: PressureSolution,
-                     coeffs: EllipticCoefficients) -> FlowState:
+def correct_momentum(predictor: FlowState, sol: PressureSolution) -> FlowState:
     """Apply the pressure correction to the momenta; mass is untouched.
 
-    Only elements inside the solved ranges receive new momenta; everywhere
-    else the predictor values pass through unchanged.
+    The solution's coefficients name the solved elements: only they receive
+    new momenta, copies of the predictor's everywhere else.
     """
     grid = predictor.grid
-    if sol.ranges != coeffs.ranges:
-        raise ValueError(f"coefficients assembled on {coeffs.ranges}, "
-                         f"solution on {sol.ranges}")
-    rows = sol.rows
+    coeffs = sol.coeffs
+    rows = coeffs.rows
     p = sol.p
     d_x = _active_rows(coeffs.bottom, "d_x", rows)
     if d_x is not None:
         d_x = d_x.T
         quad = 4.0 + d_x * d_x
-        hp_x = _central_derivative_on_ranges(grid, predictor.h.values[rows] * p,
-                                             sol.ranges)
+        hp_x = _central_derivative_on_ranges(grid, predictor.h.values[rows] * p, rows)
         bottom_pressure = 6.0 / quad * p + d_x / quad * hp_x
     else:
         # flat stretch: the slope-weighted (h p)_x term drops out exactly
@@ -699,12 +663,14 @@ def correct_momentum(predictor: FlowState, sol: PressureSolution,
     if coeffs.phi is not None:
         bottom_pressure += coeffs.phi
 
+    hu = predictor.hu.values.copy(order="K")
+    hu[rows] = sol.hu
     hw = predictor.hw.values.copy(order="K")
     hw[rows] += (coeffs.dt / coeffs.rho) * bottom_pressure
 
     return FlowState._wrap(
         predictor.h,
-        sol.hu_corrected,
+        NodalField._wrap(grid, hu),
         NodalField._wrap(grid, hw),
         predictor.time,
     )
@@ -716,7 +682,6 @@ def apply_correction(predictor: FlowState, bottom: BottomSample, dt: float,
                      ) -> tuple[FlowState, PressureSolution]:
     """Full correction pipeline on the elements of the flagged ranges, over
     the bottom sampled at the grid's sample nodes at the predictor's time."""
-    ranges = tuple(sorted(map(tuple, ranges)))
-    coeffs = assemble_coefficients(predictor, bottom, dt, g, rho, ranges=ranges)
-    sol = solve_on_ranges(predictor, coeffs, ranges, bcs)
-    return correct_momentum(predictor, sol, coeffs), sol
+    coeffs = assemble_coefficients(predictor, bottom, dt, g, rho, ranges=sorted(ranges))
+    sol = solve_on_ranges(predictor, coeffs, bcs)
+    return correct_momentum(predictor, sol), sol

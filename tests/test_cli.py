@@ -39,6 +39,9 @@ def test_run_writes_all_outputs(tmp_path):
     assert len(t) == 21
     report = json.loads((out / "report.json").read_text())
     assert report["config"]["mode"] == "adaptive"
+    assert report["config"]["criterion"] == "eta_over_d"
+    assert report["config"]["k_nh"] == 0.001
+    assert report["config"]["enlarge"] is False
     assert "rmse_vs_exact" in report
 
 

@@ -1,0 +1,62 @@
+"""The benchmark's trace contract, checked in the solver's own suite.
+
+`perfbench/` traces the solver by replacing module and class attributes
+with timing wrappers, and clears the corrector's template caches before
+every run.  Its self-tests run only under `python3 -m pytest perfbench`, so
+these tests guard, on every suite run, that each attribute it wraps exists,
+that the caches it clears are still `lru_cache` functions, and that a
+traced run reaches every layer it reports.
+"""
+
+import importlib
+import sys
+from pathlib import Path
+
+import pytest
+
+from nhswe import corrector
+from nhswe.adaptivity import Criterion
+from nhswe.driver import simulate
+from nhswe.scenarios import build_scenario
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.fixture(scope="module")
+def tracer():
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        return importlib.import_module("tracer")
+    finally:
+        sys.path.remove(str(PERFBENCH))
+
+
+@pytest.mark.parametrize("scenario", ["solitary", "hammack_up", "whittaker"])
+def test_every_traced_attribute_exists(tracer, scenario):
+    spec, _ = build_scenario(scenario)
+    for owner, attr, name, _ in tracer.layer_targets(spec.bathymetry):
+        # classes are read through their own dict, as the tracer reads them
+        present = attr in vars(owner) if isinstance(owner, type) else hasattr(owner, attr)
+        assert present, f"{name}: {getattr(owner, '__name__', owner)}.{attr} is gone"
+
+
+def test_cleared_caches_are_lru_caches():
+    for cache in (corrector._ldg_template, corrector._block_template):
+        assert callable(cache.cache_clear) and callable(cache.cache_info)
+
+
+def test_a_traced_run_reaches_every_layer(tracer):
+    # the plate moves from the first step, so an adaptive run of a few steps
+    # flags elements and runs the whole correction
+    spec, init = build_scenario("hammack_up", t_end=0.05)
+    targets = tracer.layer_targets(spec.bathymetry)
+    before = tracer.originals(targets)
+    names = {name for _, _, name, _ in targets}
+    for mode, crit in (("global", None), ("adaptive", Criterion("eta_over_d", 1e-3))):
+        with tracer.traced(tracer.Tracer(), targets) as trace:
+            simulate(spec, init, mode, crit)
+        seen = {name for name, stats in trace.layers.items() if stats.calls}
+        # a global step flags every element without evaluating the criterion
+        expected = names - {"adaptivity.evaluate_criterion"} if mode == "global" else names
+        assert expected <= seen, f"{mode}: no call recorded for {sorted(expected - seen)}"
+        assert tracer.unrestored(targets, before) == []
