@@ -207,6 +207,13 @@ def _solitary_field_metrics(result: RunResult) -> tuple[float, float]:
     return rmse(pair), pearson(pair)
 
 
+def _final_surface(result: RunResult) -> np.ndarray:
+    """Final elevation eta = h - d at every node, over the bottom at the final time."""
+    state, spec = result.final_state, result.spec
+    d = spec.bathymetry.depth(spec.grid.sample_nodes, state.time)
+    return (state.h.values - d).ravel()
+
+
 def make_report(result: RunResult, config: dict,
                 reference: str | None = None) -> RunReport:
     report = RunReport(config=config, loop_time=result.loop_time,
@@ -349,10 +356,8 @@ def cmd_sweep(args) -> int:
                     row["rmse"] = e
                     row["r"] = r
                 else:
-                    # accuracy vs the matched global run
-                    eta_g = gresult.final_state.h.values.ravel()
-                    eta_a = result.final_state.h.values.ravel()
-                    pair = SeriesPair(eta_g, eta_a)
+                    # surface accuracy vs the matched global run
+                    pair = SeriesPair(_final_surface(gresult), _final_surface(result))
                     row["rmse"] = rmse(pair)
                     row["r"] = pearson(pair)
                 for k, x in enumerate(spec.gauges):

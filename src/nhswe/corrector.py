@@ -681,7 +681,9 @@ def apply_correction(predictor: FlowState, bottom: BottomSample, dt: float,
                      g: float = GRAVITY, rho: float = RHO_WATER,
                      ) -> tuple[FlowState, PressureSolution]:
     """Full correction pipeline on the elements of the flagged ranges, over
-    the bottom sampled at the grid's sample nodes at the predictor's time."""
-    coeffs = assemble_coefficients(predictor, bottom, dt, g, rho, ranges=sorted(ranges))
+    the bottom sampled at the grid's sample nodes at the predictor's time.
+    The ranges must be sorted and disjoint, as assemble_coefficients takes
+    them."""
+    coeffs = assemble_coefficients(predictor, bottom, dt, g, rho, ranges=ranges)
     sol = solve_on_ranges(predictor, coeffs, bcs)
     return correct_momentum(predictor, sol), sol

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from nhswe.adaptivity import Criterion, adaptive_step
-from nhswe.bathymetry import (FlatBottom, HammackPlate, SlideMotion,
-                              WhittakerSlide, hammack_time_constant)
+from nhswe.bathymetry import (CHANNELS, BathymetryModel, FlatBottom, HammackPlate,
+                              SlideMotion, WhittakerSlide, hammack_time_constant)
 from nhswe.driver import simulate
+from nhswe.grid import GridSpec
 from nhswe.scenarios import build_scenario
 
 # independent finite-difference oracles for the analytic channels
@@ -132,13 +133,13 @@ def test_hammack_depth_bounds(t, x0):
 # ------------------------------------------------ one sample per step
 
 def counting(model):
-    """A copy of `model` that records the shape and time of every one of its
+    """A copy of `model` that records the points and time of every one of its
     evaluations, with the list it records them in."""
     evaluated = []
 
     class Counting(type(model)):
         def _sample(self, x, t):
-            evaluated.append((x.shape, t))
+            evaluated.append((x.copy(), t))
             return super()._sample(x, t)
 
     return Counting(**{f.name: getattr(model, f.name) for f in fields(model)}), evaluated
@@ -155,7 +156,16 @@ def test_a_run_samples_the_grid_once_per_step(name, t_end, mode):
     spec = replace(spec, bathymetry=model)
     simulate(spec, init, mode, Criterion("eta_over_d") if mode == "adaptive" else None)
     assert len(evaluated) == spec.n_steps + 1
-    assert {shape for shape, _ in evaluated} == {spec.grid.sample_nodes.shape}
+    # each evaluation sees a run of sample nodes that covers the support
+    nodes = spec.grid.sample_nodes.ravel()
+    for points, t in evaluated:
+        start = np.searchsorted(nodes, points[0]) if points.size else 0
+        window = np.arange(start, start + points.size)
+        assert points.tobytes() == nodes[window].tobytes()
+        lo, hi = model.support(t)
+        assert np.isin(np.flatnonzero((nodes >= lo) & (nodes <= hi)), window).all()
+        if name == "solitary":      # the flat bottom's support is empty
+            assert points.size == 0
     times = [t for _, t in evaluated]
     assert times == sorted(set(times))
 
@@ -213,3 +223,71 @@ def test_hammack_plate_declares_its_edge_once_it_moves():
         [k] = grid.interfaces_near(model.jumps(t))
         d = model.sample(grid.sample_nodes, t).d
         assert d[k - 1, -1] < d[k, 0]        # the raised plate ends there
+
+
+# ------------------------------------------------- the sampled window
+
+def assert_same_sample(sample, full):
+    for name in CHANNELS:
+        a, b = getattr(sample, name), getattr(full, name)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+    # the active set of a full evaluation, from a scan of its channels
+    assert sample.active == {name for name in CHANNELS[1:]
+                             if np.count_nonzero(getattr(full, name))}
+
+
+@pytest.mark.parametrize("name, overrides", SHIPPED_GRIDS)
+def test_the_windowed_sample_is_the_full_evaluation(name, overrides):
+    spec, _ = build_scenario(name, **overrides)
+    model, nodes = spec.bathymetry, spec.grid.sample_nodes
+    times = [0.0, spec.dt, 3.0 * spec.dt, *np.linspace(spec.t_end / 8, spec.t_end, 8)]
+    if name == "whittaker":
+        times.append(3.0)      # the slide has stopped
+    for t in times:
+        assert_same_sample(model.sample(nodes, t), model._sample(nodes, t))
+
+
+class Undeclared(WhittakerSlide):
+    """The bump with no declared support: evaluated on the whole line."""
+
+    support = BathymetryModel.support
+
+
+@pytest.mark.parametrize("kind", [WhittakerSlide, Undeclared])
+def test_a_support_wider_than_the_domain_samples_everything(kind):
+    motion = SlideMotion(1.5, 0.327, 0.218, 2.218, 2.436)
+    model = kind(1.0, 0.3, 14.0, motion, x_start=5.0)
+    grid = GridSpec(0.0, 10.0, 50, 1)
+    for t in (0.0, 0.3, 3.0):
+        assert_same_sample(model.sample(grid.sample_nodes, t),
+                           model._sample(grid.sample_nodes, t))
+
+
+@pytest.mark.parametrize("name", ["solitary", "hammack_up", "whittaker"])
+def test_any_points_give_the_full_evaluation(name):
+    spec, _ = build_scenario(name)
+    model = spec.bathymetry
+    lo, hi = model.support(0.5)
+    center = 0.5 * (lo + hi) if lo <= hi else 1.0
+    spread = center + np.linspace(-1.0, 1.0, 12).reshape(6, 2)
+    # a point on the bump ahead of sorted points off it
+    unsorted = center + np.array([0.0, -1.0, -0.9, 0.9, 1.0])
+    points = (spread, spread.ravel()[::2], spread[::-1], unsorted,
+              np.array([center]), np.array(center))
+    for x in points:
+        assert_same_sample(model.sample(x, 0.5), model._sample(x, 0.5))
+
+
+@given(t=st.floats(0.0, 4.0), offset=st.integers(-40, 40), side=st.sampled_from([0, 1]))
+def test_the_bump_is_still_bottom_outside_its_support(t, offset, side):
+    # a float just outside a rounded end of the support is off the bump
+    motion = SlideMotion(1.5, 0.327, 0.218, 2.218, 2.436)
+    model = WhittakerSlide(0.175, 0.026, 0.5, motion, x_start=5.0)
+    lo, hi = model.support(t)
+    x = (lo, hi)[side]
+    for _ in range(abs(offset)):
+        x = np.nextafter(x, np.sign(offset) * np.inf)
+    full = model._sample(np.array([x]), t)
+    if not lo <= x <= hi:
+        assert full.d[0] == model.h0 and full.active == frozenset()
+    assert_same_sample(model.sample(np.array([x]), t), full)

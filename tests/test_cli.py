@@ -2,10 +2,14 @@
 
 import json
 
+import numpy as np
 import pytest
 
+from nhswe.adaptivity import Criterion
 from nhswe.cli import (EXIT_CONFIG, EXIT_NUMERICAL, main, read_config_file,
                        read_gauges_csv)
+from nhswe.driver import simulate
+from nhswe.scenarios import build_scenario
 
 
 def run_cli(*argv):
@@ -108,6 +112,23 @@ def test_sweep_table_shape(tmp_path):
     lines = (tmp_path / "sweep.csv").read_text().splitlines()
     assert len(lines) == 2 + 2 * 2   # echo, header, 2 criteria x 2 options
     assert lines[1].startswith("criterion,enlarge,time_ratio")
+
+
+def test_sweep_correlates_the_surfaces_of_a_moving_bottom(tmp_path):
+    # eta = h - d over the bottom at the final time, not h, whose bump
+    # shape both runs share: here r reads 0.99981 on eta, 0.99999 on h
+    code = run_cli("sweep", "--scenario", "whittaker", "--t-end", "0.2",
+                   "--criteria", "eta_over_d", "--outdir", str(tmp_path))
+    assert code == 0
+    _, header, row = (tmp_path / "sweep.csv").read_text().splitlines()
+    r = float(dict(zip(header.split(","), row.split(",")))["r"])
+
+    spec, init = build_scenario("whittaker", t_end=0.2)
+    runs = [simulate(spec, init, "global"),
+            simulate(spec, init, "adaptive", Criterion("eta_over_d", 0.001))]
+    d = spec.bathymetry.depth(spec.grid.sample_nodes, runs[0].final_state.time)
+    eta_g, eta_a = ((run.final_state.h.values - d).ravel() for run in runs)
+    assert r == pytest.approx(np.corrcoef(eta_g, eta_a)[0, 1], rel=1e-9)
 
 
 def test_config_error_exit_codes(tmp_path):

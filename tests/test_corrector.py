@@ -532,6 +532,14 @@ def test_invalid_range_rejected():
             assemble_coefficients(state, bottom_at(state, FlatBottom(1.0)), 0.01, ranges=bad)
 
 
+def test_correction_rejects_unsorted_ranges():
+    # the assembly is the one place that checks the ranges' order
+    grid = GridSpec(0.0, 10.0, 10, 1)
+    state = smooth_state(grid, d0=1.0, amp=0.01, u0=0.01)
+    with pytest.raises(ValueError, match="invalid element range"):
+        apply_correction(state, bottom_at(state, FlatBottom(1.0)), 0.01, [(4, 6), (1, 2)], WALLS)
+
+
 GLOBAL_STEP_FAULTS = """
 import resource
 from nhswe.adaptivity import adaptive_step

@@ -10,6 +10,7 @@ traced run reaches every layer it reports.
 
 import importlib
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -60,3 +61,16 @@ def test_a_traced_run_reaches_every_layer(tracer):
         expected = names - {"adaptivity.evaluate_criterion"} if mode == "global" else names
         assert expected <= seen, f"{mode}: no call recorded for {sorted(expected - seen)}"
         assert tracer.unrestored(targets, before) == []
+
+
+@pytest.mark.parametrize("scenario", ["solitary", "whittaker"])
+def test_a_traced_run_samples_the_bottom_once_per_step(tracer, scenario):
+    # the flat bottom's evaluation is reached too, on its empty window, so
+    # the benchmark measures it on every workload
+    spec, init = build_scenario(scenario)
+    spec = replace(spec, t_end=5 * spec.dt)
+    targets = tracer.layer_targets(spec.bathymetry)
+    with tracer.traced(tracer.Tracer(), targets) as trace:
+        simulate(spec, init, "hydrostatic")
+    for name in ("bathymetry.sample", "bathymetry._sample"):
+        assert trace.layers[name].calls == spec.n_steps + 1, name
