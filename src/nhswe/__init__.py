@@ -6,9 +6,9 @@ from .bathymetry import (FlatBottom, HammackPlate, SlideMotion, WhittakerSlide,
 from .corrector import (EllipticSolveError, PressureSolution, assemble_coefficients,
                         correct_momentum, ldg_solve)
 from .driver import RunResult, simulate
-from .grid import FlowState, GridSpec, NodalField, derivative, project
+from .grid import FlowState, GridSpec, NodalField, project
 from .hydrostatic import (ABSORBING, WALL, BoundaryCondition, BoundaryPair,
-                          PositivityError, heun_step, physical_flux, rusanov_flux)
+                          PositivityError, heun_step)
 from .metrics import RunReport, SeriesPair, pearson, rmse, time_ratio
 from .scenarios import (ScenarioSpec, build_hammack, build_scenario, build_solitary,
                         build_whittaker, solitary_exact)

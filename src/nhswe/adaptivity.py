@@ -14,7 +14,7 @@ from functools import reduce
 
 import numpy as np
 
-from .bathymetry import GRAVITY, BathymetryModel, BottomSample
+from .bathymetry import BathymetryModel, BottomSample
 from .corrector import PressureSolution, apply_correction
 from .grid import FlowState, NodalField, derivative_values
 from .hydrostatic import BoundaryPair, heun_step
@@ -148,7 +148,6 @@ class StepResult:
 def adaptive_step(state: FlowState, dt: float, bathy: BathymetryModel,
                   bcs: BoundaryPair, mode: str = "adaptive",
                   crit: Criterion | None = None,
-                  g: float = GRAVITY, cfl_warn: bool = True,
                   bottom: BottomSample | None = None) -> StepResult:
     """One full time step: hydrostatic predictor, then optional correction.
 
@@ -170,8 +169,7 @@ def adaptive_step(state: FlowState, dt: float, bathy: BathymetryModel,
     if bottom is None:
         bottom = bathy.sample(grid.sample_nodes, state.time)
     new_bottom = bathy.sample(grid.sample_nodes, state.time + dt)
-    predictor = heun_step(state, dt, bathy, bcs, g, cfl_warn=cfl_warn,
-                          bottoms=(bottom, new_bottom))
+    predictor = heun_step(state, dt, bathy, bcs, bottoms=(bottom, new_bottom))
 
     if mode == "hydrostatic":
         return StepResult(predictor, NonHydroMask(np.zeros(n, dtype=bool), ()), None,
@@ -190,5 +188,5 @@ def adaptive_step(state: FlowState, dt: float, bathy: BathymetryModel,
     if mask.empty:
         return StepResult(predictor, mask, None, new_bottom)
 
-    corrected, sol = apply_correction(predictor, new_bottom, dt, mask.ranges, bcs, g)
+    corrected, sol = apply_correction(predictor, new_bottom, dt, mask.ranges, bcs)
     return StepResult(corrected, mask, sol, new_bottom)

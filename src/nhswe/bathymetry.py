@@ -271,10 +271,9 @@ class WhittakerSlide(BathymetryModel):
         return self._still_bottom_with(x.shape, inside.reshape(-1), values)
 
 
-def hammack_time_constant(h0: float, b: float, direction: str,
-                          g: float = GRAVITY) -> float:
+def hammack_time_constant(h0: float, b: float, direction: str) -> float:
     """Characteristic plate time from the nondimensional constants 0.148 / 0.093."""
     const = {"up": 0.148, "down": 0.093}.get(direction)
     if const is None:
         raise ValueError(f"direction must be 'up' or 'down', got {direction!r}")
-    return const * b / np.sqrt(g * h0)
+    return const * b / np.sqrt(GRAVITY * h0)

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .adaptivity import CRITERION_KINDS, Criterion
+from .adaptivity import CRITERION_KINDS, DEFAULT_THRESHOLD, Criterion
 from .corrector import EllipticSolveError
 from .driver import RunResult, simulate
 from .hydrostatic import PositivityError
@@ -129,7 +129,7 @@ def build_run(cfg: dict) -> tuple[ScenarioSpec, object, str, Criterion | None]:
             raise ConfigError(f"criterion must be one of {CRITERION_KINDS}, "
                               f"got {kind!r}")
         try:
-            criterion = Criterion(kind, float(cfg.get("k_nh", 0.001)),
+            criterion = Criterion(kind, float(cfg.get("k_nh", DEFAULT_THRESHOLD)),
                                   _parse_bool(cfg.get("enlarge", False)))
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
@@ -183,13 +183,19 @@ def write_mask_csv(path: Path, result: RunResult, config: dict) -> None:
 
 def read_gauges_csv(path: str) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """Read a gauge CSV (ours or lab data in the same layout)."""
-    with open(path, newline="") as fh:
-        rows = [r for r in csv.reader(line for line in fh
-                                      if not line.startswith("#")) if r]
+    try:
+        with open(path, newline="") as fh:
+            rows = [r for r in csv.reader(line for line in fh
+                                          if not line.startswith("#")) if r]
+    except OSError as exc:
+        raise ConfigError(f"cannot read gauge CSV {path}: {exc}") from exc
     if not rows or rows[0][0] != "t":
         raise ConfigError(f"{path}: expected a 't,eta@...' gauge CSV header")
     header = rows[0][1:]
-    data = np.array([[float(v) for v in r] for r in rows[1:]])
+    try:
+        data = np.array([[float(v) for v in r] for r in rows[1:]])
+    except ValueError as exc:
+        raise ConfigError(f"{path}: ragged or non-numeric gauge CSV: {exc}") from exc
     if data.ndim != 2 or data.shape[1] != len(header) + 1:
         raise ConfigError(f"{path}: ragged or empty gauge CSV")
     return data[:, 0], {name: data[:, k + 1] for k, name in enumerate(header)}
@@ -335,6 +341,7 @@ def cmd_sweep(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
 
     spec, initial, _, _ = build_run(cfg)
+    k_nh = float(cfg.get("k_nh", DEFAULT_THRESHOLD))
     rows = []
     if criteria:
         gresult = simulate(spec, initial, "global")
@@ -343,7 +350,7 @@ def cmd_sweep(args) -> int:
                             mask_fraction_mean=0.0)
         for kind in criteria:
             for enlarge in enlarges:
-                crit = Criterion(kind, float(cfg.get("k_nh", 0.001)), enlarge)
+                crit = Criterion(kind, k_nh, enlarge)
                 result = simulate(spec, initial, "adaptive", crit)
                 config = result.config_echo()
                 report = RunReport(config=config, loop_time=result.loop_time,
@@ -375,7 +382,7 @@ def cmd_sweep(args) -> int:
     path = outdir / "sweep.csv"
     with path.open("w", newline="") as fh:
         fh.write(_echo_line({"scenario": cfg.get("scenario"),
-                             "k_nh": float(cfg.get("k_nh", 0.001)),
+                             "k_nh": k_nh,
                              "criteria": criteria,
                              "enlarge_options": [int(e) for e in enlarges]}) + "\n")
         writer = csv.DictWriter(fh, fieldnames=header)

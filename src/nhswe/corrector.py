@@ -195,7 +195,7 @@ def _active_rows(bottom: BottomSample, channel: str, rows) -> np.ndarray | None:
 
 
 def _phi_values(grid: GridSpec, h: np.ndarray, hu: np.ndarray,
-                bottom: BottomSample, rows, g: float, rho: float,
+                bottom: BottomSample, rows, rho: float,
                 d_x: np.ndarray | None) -> np.ndarray | None:
     """Moving-bottom forcing on the given rows, or None where it vanishes.
 
@@ -216,7 +216,7 @@ def _phi_values(grid: GridSpec, h: np.ndarray, hu: np.ndarray,
         inner = drag if inner is None else inner + drag
     if d_x is not None:
         eta_x = derivative_values(grid, (h - bottom.d.T[:, rows]).T).T
-        slope = (g * d_x) * eta_x
+        slope = (GRAVITY * d_x) * eta_x
         inner = slope if inner is None else inner + slope
         return (rho * h / (4.0 + d_x * d_x)) * inner
     if inner is None:
@@ -225,8 +225,7 @@ def _phi_values(grid: GridSpec, h: np.ndarray, hu: np.ndarray,
 
 
 def assemble_coefficients(predictor: FlowState, bottom: BottomSample, dt: float,
-                          g: float = GRAVITY, rho: float = RHO_WATER,
-                          ranges=None) -> EllipticCoefficients:
+                          rho: float = RHO_WATER, ranges=None) -> EllipticCoefficients:
     """Nodal s- and f-fields of the elliptic system from the predictor state
     and the bottom sampled at the grid's sample nodes at its time.
 
@@ -251,7 +250,7 @@ def assemble_coefficients(predictor: FlowState, bottom: BottomSample, dt: float,
     h, hu, hw = predictor.node_rows(rows)
     h_x = derivative_values(grid, h.T).T
     d_x = _active_rows(bottom, "d_x", rows)
-    phi = _phi_values(grid, h, hu, bottom, rows, g, rho, d_x)
+    phi = _phi_values(grid, h, hu, bottom, rows, rho, d_x)
     c = 0.5 * grid.dx
     c_h = c / h
     stack = np.empty((7,) + h.shape)
@@ -399,15 +398,6 @@ def _block_template(n: int, m: int):
     return (0, n - 1), (_FIRST, _LAST), n * m - 1
 
 
-@lru_cache(maxsize=128)
-def _end_couplings(kinds: tuple[int, ...], m: int) -> np.ndarray:
-    """The own tensors (see _couplings) of range-end elements of the given
-    kinds, shared by every batch whose range ends have these kinds."""
-    own = _couplings(m)[0][list(kinds)]
-    own.flags.writeable = False
-    return own
-
-
 @lru_cache(maxsize=512)
 def _ldg_template(lengths: tuple[int, ...], m: int):
     """Range-end structure of a batch of independent ranges.
@@ -415,11 +405,12 @@ def _ldg_template(lengths: tuple[int, ...], m: int):
     The ranges are stacked into one block-diagonal system whose bandwidth
     equals that of a single range, so the whole batch is factorized in one
     banded solve.  Returns the batch positions of the range-end elements
-    and their own tensors, the positions of the last elements of all ranges
-    but the final one, across whose right face nothing couples, and the
+    and their kinds, the positions of the last elements of all ranges but
+    the final one, across whose right face nothing couples, and the
     unknowns of the ranges' last nodes.  The per-length parts come from
-    _block_template and the tensors from _end_couplings, so an entry here
-    is as small as the number of ranges.
+    _block_template, and the end elements' tensors are indexed from
+    _couplings by their kinds, so an entry here is as small as the number
+    of ranges.
     """
     ends, kinds, row_ends = [], [], []
     start = 0
@@ -429,11 +420,11 @@ def _ldg_template(lengths: tuple[int, ...], m: int):
         kinds.extend(kind)
         row_ends.append(m * start + last_row)
         start += nb
-    ends, row_ends = np.array(ends), np.array(row_ends)
+    ends, kinds, row_ends = np.array(ends), np.array(kinds), np.array(row_ends)
     boundaries = row_ends[:-1] // m
-    for a in (ends, boundaries, row_ends):
+    for a in (ends, kinds, boundaries, row_ends):
         a.flags.writeable = False
-    return ends, _end_couplings(tuple(kinds), m), boundaries, row_ends
+    return ends, kinds, boundaries, row_ends
 
 
 class _BandedWorkspace:
@@ -481,20 +472,17 @@ class _BandedWorkspace:
 
 
 def _banded_matvec(ab: np.ndarray, band: int, x: np.ndarray,
-                   scratch: np.ndarray | None = None) -> np.ndarray:
+                   scratch: np.ndarray) -> np.ndarray:
     """y = A x for A in banded storage: A[r, c] = ab[band + r - c, c].
 
     Each stored diagonal's products are written one column further right
     than the diagonal above, which lines up all products of row r in column
     r + band of a (2*band + 1, size + 2*band) array; y is its column sum.
     The entries between the products are zeroed, the rest is not read.
-    `scratch` holds at least (2*band + 1) * (size + 2*band + 1) entries, or
-    is None.
+    `scratch` holds at least (2*band + 1) * (size + 2*band + 1) entries.
     """
     rows, size = ab.shape
     width = size + 2 * band
-    if scratch is None:
-        scratch = np.empty(rows * (width + 1))
     sheared = scratch[:rows * (width + 1)].reshape(rows, width + 1)
     sheared[:, size:] = 0.0
     np.multiply(ab, x, out=sheared[:, :size])
@@ -524,12 +512,13 @@ def _solve_batched(coeffs: EllipticCoefficients,
     stack = coeffs.stack
     features = stack.reshape(7 * m, n)
     own, next_column = _couplings(m)
-    ends, own_ends, boundaries, row_ends = _ldg_template(lengths, m)
+    ends, kinds, boundaries, row_ends = _ldg_template(lengths, m)
 
     ab, slabs, padded, windows, scratch = _BandedWorkspace.of(grid).arrays(n)
     # every slab as an inner element's, then the range ends as what they are
     np.matmul(features.T, own[_INNER], out=slabs)
-    slabs[ends] = np.matmul(features.take(ends, axis=1).T[:, None, :], own_ends)[:, 0]
+    slabs[ends] = np.matmul(features.take(ends, axis=1).T[:, None, :],
+                            own.take(kinds, axis=0))[:, 0]
     nodes = slabs.reshape(n, m, -1)
     # the entries of each element in its left neighbour's last column, but
     # for the first element of a range
@@ -677,13 +666,12 @@ def correct_momentum(predictor: FlowState, sol: PressureSolution) -> FlowState:
 
 
 def apply_correction(predictor: FlowState, bottom: BottomSample, dt: float,
-                     ranges, bcs: BoundaryPair,
-                     g: float = GRAVITY, rho: float = RHO_WATER,
+                     ranges, bcs: BoundaryPair, rho: float = RHO_WATER,
                      ) -> tuple[FlowState, PressureSolution]:
     """Full correction pipeline on the elements of the flagged ranges, over
     the bottom sampled at the grid's sample nodes at the predictor's time.
     The ranges must be sorted and disjoint, as assemble_coefficients takes
     them."""
-    coeffs = assemble_coefficients(predictor, bottom, dt, g, rho, ranges=ranges)
+    coeffs = assemble_coefficients(predictor, bottom, dt, rho, ranges=ranges)
     sol = solve_on_ranges(predictor, coeffs, bcs)
     return correct_momentum(predictor, sol), sol

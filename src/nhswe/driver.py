@@ -79,7 +79,7 @@ def simulate(spec: ScenarioSpec, initial: FlowState, mode: str,
     for step in range(n_steps):
         t0 = _time.perf_counter()
         result = adaptive_step(state, spec.dt, spec.bathymetry, spec.bcs,
-                               mode=mode, crit=criterion, g=spec.g, bottom=bottom)
+                               mode=mode, crit=criterion, bottom=bottom)
         loop_time += _time.perf_counter() - t0
         state, bottom = result.state, result.bottom
         fractions[step] = result.mask.fraction

@@ -221,12 +221,9 @@ def project(f: Callable[[np.ndarray], np.ndarray], grid: GridSpec) -> NodalField
     return NodalField(grid, vals)
 
 
-def derivative(field: NodalField) -> NodalField:
-    """Element-local polynomial derivative; no inter-element coupling."""
-    return NodalField(field.grid, derivative_values(field.grid, field.values))
-
-
 def derivative_values(grid: GridSpec, values: np.ndarray) -> np.ndarray:
+    """Element-local polynomial derivative of nodal values, (elements, nodes);
+    no inter-element coupling."""
     return (values @ grid.deriv_ref.T) * (2.0 / grid.dx)
 
 

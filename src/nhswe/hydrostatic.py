@@ -62,12 +62,12 @@ WALL = BoundaryCondition("wall")
 ABSORBING = BoundaryCondition("absorbing")
 
 
-def _flux(q, u, g: float):
+def _flux(q, u):
     """Physical flux (hu, hu u + g h^2 / 2, u hw) of states q = (h, hu, hw),
     stacked along the first axis, with velocity u."""
     f = q * u
     f[0] = q[1]
-    f[1] += (0.5 * g) * q[0] * q[0]
+    f[1] += (0.5 * GRAVITY) * q[0] * q[0]
     return f
 
 
@@ -77,32 +77,12 @@ def _rusanov(qL, qR, fL, fR, speed):
     return 0.5 * ((fL + fR) - speed * (qR - qL))
 
 
-def _speed(u, h, g: float):
+def _speed(u, h):
     """Largest characteristic speed |u| + sqrt(g h)."""
-    return np.abs(u) + np.sqrt(g * h)
+    return np.abs(u) + np.sqrt(GRAVITY * h)
 
 
-def physical_flux(h: np.ndarray, hu: np.ndarray, hw: np.ndarray,
-                  g: float = GRAVITY) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(hu, hu^2/h + g h^2/2, hu*hw/h) for h > 0: the flux rhs_operator uses."""
-    return tuple(_flux(np.stack((h, hu, hw)), hu / h, g))
-
-
-def rusanov_flux(qL: np.ndarray, qR: np.ndarray,
-                 g: float = GRAVITY) -> np.ndarray:
-    """Central flux plus maximal-wavespeed dissipation, as in rhs_operator.
-
-    qL, qR have shape (..., 3); returns the flux triple with matching shape.
-    """
-    qL, qR = np.moveaxis(qL, -1, 0), np.moveaxis(qR, -1, 0)
-    uL, uR = qL[1] / qL[0], qR[1] / qR[0]
-    speed = np.maximum(_speed(uL, qL[0], g), _speed(uR, qR[0], g))
-    flux = _rusanov(qL, qR, _flux(qL, uL, g), _flux(qR, uR, g), speed)
-    return np.moveaxis(flux, 0, -1)
-
-
-def _step_faces(q: np.ndarray, faces: np.ndarray, d: np.ndarray, interfaces,
-                g: float) -> None:
+def _step_faces(q: np.ndarray, faces: np.ndarray, d: np.ndarray, interfaces) -> None:
     """Write into `faces` the hydrostatic-reconstruction fluxes received on
     either side of each of the element `interfaces` where the bottom depth
     `d`, sampled at the element nodes, jumps.
@@ -117,7 +97,7 @@ def _step_faces(q: np.ndarray, faces: np.ndarray, d: np.ndarray, interfaces,
     a jump, where one numpy pass over all of them costs ~50 us in its
     thirty-odd calls.
     """
-    half_g = 0.5 * g
+    g, half_g = GRAVITY, 0.5 * GRAVITY
     for k in interfaces:
         dL, dR = float(d[k - 1, -1]), float(d[k, 0])
         if dL == dR:
@@ -142,8 +122,7 @@ def _step_faces(q: np.ndarray, faces: np.ndarray, d: np.ndarray, interfaces,
 
 
 def rhs_operator(q: np.ndarray, t: float, grid: GridSpec, bottom: BottomSample,
-                 jumps, bcs: BoundaryPair,
-                 g: float = GRAVITY) -> tuple[np.ndarray, np.ndarray]:
+                 jumps, bcs: BoundaryPair) -> tuple[np.ndarray, np.ndarray]:
     """Semi-discrete tendency of the packed state at time t, over the bottom
     `bottom` sampled at the grid's sample nodes at that time.
 
@@ -171,8 +150,8 @@ def rhs_operator(q: np.ndarray, t: float, grid: GridSpec, bottom: BottomSample,
     np.multiply(q[:, -1, -2:-1], bcs.right.signs, out=q[:, :, -1])
 
     u = q[1] / q[0]
-    f = _flux(q, u, g)
-    speed = _speed(u, q[0], g)
+    f = _flux(q, u)
+    speed = _speed(u, q[0])
     # interface i lies between padded elements i and i + 1; the bottom is
     # continuous across the two domain ends
     face = _rusanov(q[:, -1, :-1], q[:, 0, 1:], f[:, -1, :-1], f[:, 0, 1:],
@@ -183,23 +162,24 @@ def rhs_operator(q: np.ndarray, t: float, grid: GridSpec, bottom: BottomSample,
     faces = np.empty((3, 2, n))
     faces[:, 0] = face[:, :-1]
     faces[:, 1] = face[:, 1:]
-    _step_faces(q, faces, bottom.d, grid.interfaces_near(jumps), g)
+    _step_faces(q, faces, bottom.d, grid.interfaces_near(jumps))
 
     tend = grid.weak_div @ f[:, :, 1:-1]
     tend += grid.lift @ faces
     if "d_x" in bottom.active:
-        tend[1] += (g * h) * bottom.d_x.T
+        tend[1] += (GRAVITY * h) * bottom.d_x.T
     return tend, speed
 
 
 def heun_step(state: FlowState, dt: float, bathy: BathymetryModel,
-              bcs: BoundaryPair, g: float = GRAVITY, cfl_warn: bool = True,
+              bcs: BoundaryPair,
               bottoms: tuple[BottomSample, BottomSample] | None = None) -> FlowState:
     """One predictor step: forward Euler stage then trapezoidal average.
 
     `bottoms` are the bottom samples at the grid's sample nodes at the
     step's start and end, when the caller holds them; otherwise both are
-    taken here.
+    taken here.  Warns when the advisory CFL number of the step's first
+    stage exceeds 1.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -213,15 +193,14 @@ def heun_step(state: FlowState, dt: float, bathy: BathymetryModel,
     q[1, :, 1:-1] = state.hu.values.T
     q[2, :, 1:-1] = state.hw.values.T
     k1, speed = rhs_operator(q, state.time, grid, bottoms[0], bathy.jumps(state.time),
-                             bcs, g)
-    if cfl_warn:
-        cfl = float(speed[:, 1:-1].max()) * dt / grid.dx
-        if cfl > 1.0:
-            warnings.warn(f"advisory CFL number {cfl:.3f} exceeds 1 at t={state.time:.6g}",
-                          RuntimeWarning, stacklevel=2)
+                             bcs)
+    cfl = float(speed[:, 1:-1].max()) * dt / grid.dx
+    if cfl > 1.0:
+        warnings.warn(f"advisory CFL number {cfl:.3f} exceeds 1 at t={state.time:.6g}",
+                      RuntimeWarning, stacklevel=2)
     star = np.empty_like(q)
     _advance(q, k1, dt, new_time, 1, out=star[:, :, 1:-1])
-    k2, _ = rhs_operator(star, new_time, grid, bottoms[1], bathy.jumps(new_time), bcs, g)
+    k2, _ = rhs_operator(star, new_time, grid, bottoms[1], bathy.jumps(new_time), bcs)
     k1 += k2
     _advance(q, k1, 0.5 * dt, new_time, 2, out=k1)
     # the fields are (element, node) views of the node-by-node result

@@ -82,7 +82,7 @@ class RunReport:
     time_ratio: float | None = None
     extra: dict = field(default_factory=dict)
 
-    def to_json(self, indent: int = 2) -> str:
+    def to_json(self) -> str:
         doc = {
             "config": self.config,
             "loop_time_s": self.loop_time,
@@ -93,7 +93,7 @@ class RunReport:
         if self.time_ratio is not None:
             doc["time_ratio_local_over_global"] = self.time_ratio
         doc.update(self.extra)
-        return json.dumps(doc, indent=indent, sort_keys=True)
+        return json.dumps(doc, indent=2, sort_keys=True)
 
 
 _MATCH_KEYS = ("scenario", "dt", "n_elements", "poly_order", "t_end")

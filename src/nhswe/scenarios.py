@@ -35,7 +35,6 @@ class ScenarioSpec:
     bathymetry: BathymetryModel
     bcs: BoundaryPair
     gauges: tuple[float, ...] = ()
-    g: float = GRAVITY
 
     def __post_init__(self):
         if self.dt <= 0 or self.t_end <= 0:
@@ -49,24 +48,24 @@ class ScenarioSpec:
         return int(round(self.t_end / self.dt))
 
 
-def solitary_exact(x, t, a: float = 2.0, d: float = 10.0, x0: float = 200.0,
-                   g: float = GRAVITY):
+def solitary_exact(x, t, a: float = 2.0, d: float = 10.0, x0: float = 200.0):
     """Closed-form solitary wave profile: surface elevation and velocity."""
     if d <= 0 or a <= 0:
         raise ValueError("require a > 0 and d > 0")
     x = np.asarray(x, dtype=float)
-    c = np.sqrt(g * (d + a))
+    c = np.sqrt(GRAVITY * (d + a))
     K = np.sqrt(3.0 * a / (4.0 * d * d * (d + a)))
     eta = a / np.cosh(K * (x - c * t - x0)) ** 2
     u = c * eta / (d + eta)
     return eta, u
 
 
-def still_water_state(grid: GridSpec, bathy: BathymetryModel, t: float = 0.0) -> FlowState:
-    d = bathy.sample(grid.sample_nodes, t).d
+def still_water_state(grid: GridSpec, bathy: BathymetryModel) -> FlowState:
+    """Water at rest over the bottom at t = 0."""
+    d = bathy.sample(grid.sample_nodes, 0.0).d
     zero = np.zeros_like(d)
     return FlowState(NodalField(grid, d), NodalField(grid, zero),
-                     NodalField(grid, zero), t)
+                     NodalField(grid, zero), 0.0)
 
 
 def vertical_momentum_from_constraint(grid: GridSpec, h: np.ndarray, hu: np.ndarray,
@@ -97,14 +96,19 @@ def build_solitary(a: float = 2.0, d: float = 10.0, length: float = 800.0,
 
 def build_hammack(direction: str = "up", h0: float = 0.05, zeta0_mag: float = 0.005,
                   b: float = 0.61, length: float = 25.0, dx: float = 0.025,
-                  dt: float = 0.01, t_end: float = 40.0,
+                  dt: float | None = None, t_end: float = 40.0,
                   poly_order: int = 1) -> tuple[ScenarioSpec, FlowState]:
     """Vertical plate thrust next to a wall; the plate occupies 0 <= x < b.
+
+    `dt` defaults to 0.01 s at the default dx and scales with dx, so that a
+    refined grid keeps the default's CFL number.
 
     The plate edge is snapped to the nearest element boundary so the bottom
     jump sits exactly at an interface, where the reconstructed flux handles
     it; a mid-element jump would be smeared into a spurious in-element ramp.
     """
+    if dt is None:
+        dt = 0.01 * (dx / 0.025)
     zeta0 = zeta0_mag if direction == "up" else -zeta0_mag
     n_elements = int(round(length / dx))
     grid = GridSpec(0.0, length, n_elements, poly_order)
@@ -119,14 +123,20 @@ def build_hammack(direction: str = "up", h0: float = 0.05, zeta0_mag: float = 0.
 
 def build_whittaker(froude: float = 0.25, h0: float = 0.175, Hs: float = 0.026,
                     Ls: float = 0.5, length: float = 15.0, x_start: float = 5.0,
-                    dx: float = 0.075, dt: float = 0.005,
+                    dx: float = 0.075, dt: float | None = None,
                     t_end: float | None = None,
                     poly_order: int = 1) -> tuple[ScenarioSpec, FlowState]:
-    """Sliding bump; comparison snapshot defaults to t* = 8 / sqrt(g / Ls)."""
+    """Sliding bump; comparison snapshot defaults to t* = 8 / sqrt(g / Ls).
+
+    `dt` defaults to 0.005 s at the default dx and scales with dx, so that a
+    refined grid keeps the default's CFL number.
+    """
     motion = SLIDE_MOTIONS.get(froude)
     if motion is None:
         raise ValueError(f"unknown Froude number {froude}; "
                          f"choose from {sorted(SLIDE_MOTIONS)}")
+    if dt is None:
+        dt = 0.005 * (dx / 0.075)
     if t_end is None:
         t_end = 8.0 / np.sqrt(GRAVITY / Ls)
     bathy = WhittakerSlide(h0, Hs, Ls, motion, x_start)

@@ -10,7 +10,7 @@ from nhswe.adaptivity import (Criterion, NonHydroMask, adaptive_step,
 from nhswe.bathymetry import FlatBottom
 from nhswe.grid import FlowState, GridSpec, NodalField
 from nhswe.hydrostatic import WALL, BoundaryPair, PositivityError, heun_step
-from nhswe.scenarios import build_solitary, still_water_state
+from nhswe.scenarios import build_scenario, build_solitary, still_water_state
 
 WALLS = BoundaryPair(WALL, WALL)
 
@@ -84,8 +84,11 @@ def test_threshold_monotonicity():
     assert tight.flags.sum() < loose.flags.sum()
 
 
-def test_full_mask_step_matches_global_mode():
-    spec, state = build_solitary()
+@pytest.mark.parametrize("scenario", ["solitary", "whittaker", "hammack_up"])
+def test_full_mask_step_matches_global_mode(scenario):
+    # a flat bottom, the sloped moving bump and the moving plate with its
+    # bottom jump: a full mask runs the very correction a global step does
+    spec, state = build_scenario(scenario)
     # a tiny uniform surface offset makes |eta/d| > 0 everywhere, so the
     # threshold below flags the whole domain
     h = NodalField(spec.grid, state.h.values + 1e-8)
@@ -99,9 +102,10 @@ def test_full_mask_step_matches_global_mode():
                            mode="global")
         s_adaptive, s_global = ra.state, rg.state
         assert ra.mask.fraction == 1.0
-    assert np.abs(s_adaptive.h.values - s_global.h.values).max() < 1e-12
-    assert np.abs(s_adaptive.hu.values - s_global.hu.values).max() < 1e-12
-    assert np.abs(s_adaptive.hw.values - s_global.hw.values).max() < 1e-12
+        for field in ("h", "hu", "hw"):
+            assert np.array_equal(getattr(s_adaptive, field).values,
+                                  getattr(s_global, field).values), field
+        assert np.array_equal(ra.p_nh.values, rg.p_nh.values)
 
 
 def test_vertical_criterion_falls_back_to_global_on_zero_hw():

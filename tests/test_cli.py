@@ -152,6 +152,26 @@ def test_seed_is_not_an_option(tmp_path, capsys):
     assert "unknown key 'seed'" in capsys.readouterr().err
 
 
+def test_unreadable_gauge_csv_is_a_config_error(tmp_path, capsys):
+    missing = tmp_path / "missing"
+    assert run_cli("compare", str(missing), str(missing)) == EXIT_CONFIG
+    # a failed run leaves its report but no gauge series
+    failed = tmp_path / "failed"
+    failed.mkdir()
+    (failed / "report.json").write_text('{"status": "failed"}\n')
+    assert run_cli("compare", str(failed), str(failed)) == EXIT_CONFIG
+    assert run_cli("run", "--scenario", "solitary", "--mode", "hydrostatic",
+                   "--t-end", "0.2", "--outdir", str(tmp_path / "run"),
+                   "--reference", str(tmp_path / "missing.csv")) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"cannot read gauge CSV {missing}" in err
+    assert f"cannot read gauge CSV {failed / 'gauges.csv'}" in err
+    for body in ("t,eta@1\n0.0,0.1\n0.1\n", "t,eta@1\n0.0,high\n"):
+        malformed = tmp_path / "malformed.csv"
+        malformed.write_text(body)
+        assert run_cli("compare", str(malformed), str(malformed)) == EXIT_CONFIG
+
+
 def test_numerical_failure_exit_code(tmp_path):
     # a grossly unstable time step blows up into a positivity failure
     import warnings

@@ -516,7 +516,8 @@ def test_banded_matvec_against_dense():
         for c in range(max(0, r - band), min(n, r + band + 1)):
             ab[band + r - c, c] = dense[r, c]
     x = rng.normal(size=n)
-    assert np.allclose(_banded_matvec(ab, band, x), dense @ x, atol=1e-12)
+    scratch = np.empty((2 * band + 1) * (n + 2 * band + 1))
+    assert np.allclose(_banded_matvec(ab, band, x, scratch), dense @ x, atol=1e-12)
 
 
 def test_invalid_range_rejected():

@@ -4,8 +4,9 @@
 with timing wrappers, and clears the corrector's template caches before
 every run.  Its self-tests run only under `python3 -m pytest perfbench`, so
 these tests guard, on every suite run, that each attribute it wraps exists,
-that the caches it clears are still `lru_cache` functions, and that a
-traced run reaches every layer it reports.
+that a step still takes the arguments it passes, that the caches it clears
+are still `lru_cache` functions, and that a traced run reaches every layer
+it reports.
 """
 
 import importlib
@@ -16,20 +17,29 @@ from pathlib import Path
 import pytest
 
 from nhswe import corrector
-from nhswe.adaptivity import Criterion
+from nhswe.adaptivity import Criterion, adaptive_step
 from nhswe.driver import simulate
 from nhswe.scenarios import build_scenario
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-@pytest.fixture(scope="module")
-def tracer():
+def _import_perfbench(name):
     sys.path.insert(0, str(PERFBENCH))
     try:
-        return importlib.import_module("tracer")
+        return importlib.import_module(name)
     finally:
         sys.path.remove(str(PERFBENCH))
+
+
+@pytest.fixture(scope="module")
+def tracer():
+    return _import_perfbench("tracer")
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    return _import_perfbench("workloads")
 
 
 @pytest.mark.parametrize("scenario", ["solitary", "hammack_up", "whittaker"])
@@ -39,6 +49,17 @@ def test_every_traced_attribute_exists(tracer, scenario):
         # classes are read through their own dict, as the tracer reads them
         present = attr in vars(owner) if isinstance(owner, type) else hasattr(owner, attr)
         assert present, f"{name}: {getattr(owner, '__name__', owner)}.{attr} is gone"
+
+
+@pytest.mark.parametrize("mode", ["hydrostatic", "global", "adaptive"])
+def test_a_step_takes_the_arguments_the_harness_passes(workloads, mode):
+    # the harness's set-up probe and warm-up take one step of every workload
+    # so: the workload's criterion in every mode, and no bottom sample
+    for workload in workloads.WORKLOADS.values():
+        spec, init = workload.build()
+        result = adaptive_step(init, spec.dt, spec.bathymetry, spec.bcs, mode=mode,
+                               crit=workload.criterion)
+        assert result.state.time == pytest.approx(spec.dt)
 
 
 def test_cleared_caches_are_lru_caches():

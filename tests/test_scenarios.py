@@ -1,9 +1,13 @@
 """Benchmark construction: exact profiles, snapping rules, initial states."""
 
+import warnings
+
 import numpy as np
 import pytest
 
+from nhswe.adaptivity import Criterion
 from nhswe.bathymetry import GRAVITY
+from nhswe.driver import simulate
 from nhswe.grid import derivative_values
 from nhswe.scenarios import (build_hammack, build_scenario, build_solitary,
                              build_whittaker, snap_to_node, solitary_exact)
@@ -76,6 +80,26 @@ def test_whittaker_defaults():
     assert np.allclose(state.h.values, d0)
     with pytest.raises(ValueError, match="Froude"):
         build_whittaker(froude=0.5)
+
+
+def test_default_dt_scales_with_dx():
+    assert build_whittaker()[0].dt == 0.005
+    assert build_hammack()[0].dt == 0.01
+    assert build_whittaker(dx=0.0075)[0].dt == pytest.approx(0.0005, rel=1e-12)
+    assert build_hammack(dx=0.0125)[0].dt == pytest.approx(0.005, rel=1e-12)
+    assert build_whittaker(dx=0.0075, dt=0.001)[0].dt == 0.001
+
+
+@pytest.mark.parametrize("mode", ["hydrostatic", "global", "adaptive"])
+def test_refined_whittaker_runs_at_its_default_dt(mode):
+    # at dx = 0.0075 the unscaled dt = 0.005 lost positivity at t = 0.02 s;
+    # the scaled one runs past it without even a CFL advisory
+    spec, init = build_whittaker(dx=0.0075, t_end=0.025)
+    crit = Criterion("eta_over_d") if mode == "adaptive" else None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = simulate(spec, init, mode, crit)
+    assert result.final_state.time == pytest.approx(0.025)
 
 
 def test_scenario_factory():
