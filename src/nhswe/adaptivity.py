@@ -40,8 +40,8 @@ class Criterion:
     def __post_init__(self):
         if self.kind not in CRITERION_KINDS:
             raise ValueError(f"unknown criterion kind {self.kind!r}")
-        if self.k_nh <= 0:
-            raise ValueError("threshold k_nh must be positive")
+        if not 0 < self.k_nh < np.inf:
+            raise ValueError("threshold k_nh must be positive and finite")
 
 
 @dataclass(frozen=True)

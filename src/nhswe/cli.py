@@ -2,7 +2,8 @@
 
 Outputs are plain CSV/JSON files; every file starts with a one-line config
 echo so any artifact can be traced back to the exact run settings.  Exit
-codes: 0 success, 2 configuration error, 3 numerical failure.
+codes: 0 success, 2 configuration error, 3 numerical failure.  Every input
+is checked before the output directory is made and before the first step.
 """
 
 from __future__ import annotations
@@ -59,128 +60,6 @@ def read_config_file(path: str) -> dict:
     return out
 
 
-def _parse_bool(value) -> bool:
-    if isinstance(value, bool):
-        return value
-    v = str(value).strip().lower()
-    if v in ("1", "true", "yes", "on"):
-        return True
-    if v in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"expected a boolean, got {value!r}")
-
-
-def _parse_gauges(value) -> tuple[float, ...]:
-    if value in (None, ""):
-        return ()
-    if isinstance(value, tuple):
-        return value
-    try:
-        return tuple(float(tok) for tok in str(value).split(",") if tok.strip())
-    except ValueError as exc:
-        raise ConfigError(f"bad gauge list {value!r}") from exc
-
-
-def merge_config(file_cfg: dict, cli_cfg: dict) -> dict:
-    """Command-line flags override config-file values; None means unset."""
-    merged = dict(file_cfg)
-    merged.update({k: v for k, v in cli_cfg.items() if v is not None})
-    return merged
-
-
-def build_run(cfg: dict) -> tuple[ScenarioSpec, object, str, Criterion | None]:
-    """Scenario + initial state + mode + criterion from a merged config."""
-    name = cfg.get("scenario")
-    if name not in SCENARIOS:
-        raise ConfigError(f"scenario must be one of {SCENARIOS}, got {name!r}")
-    mode = cfg.get("mode", "adaptive")
-    if mode not in ("hydrostatic", "global", "adaptive"):
-        raise ConfigError(f"unknown mode {mode!r}")
-
-    overrides = {}
-    for key, cast in (("dt", float), ("t_end", float), ("poly_order", int)):
-        if cfg.get(key) is not None:
-            overrides[key] = cast(cfg[key])
-    if cfg.get("dx") is not None:
-        if name == "solitary":
-            raise ConfigError("solitary takes n_elements, not dx")
-        overrides["dx"] = float(cfg["dx"])
-    if cfg.get("n_elements") is not None:
-        if name != "solitary":
-            raise ConfigError("dx sets the resolution for this scenario")
-        overrides["n_elements"] = int(cfg["n_elements"])
-    if cfg.get("froude") is not None:
-        if name != "whittaker":
-            raise ConfigError("froude applies to the whittaker scenario only")
-        overrides["froude"] = float(cfg["froude"])
-
-    try:
-        spec, initial = build_scenario(name, **overrides)
-        gauges = _parse_gauges(cfg.get("gauges"))
-        if gauges:
-            spec = replace(spec, gauges=gauges)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-    criterion = None
-    if mode == "adaptive":
-        kind = cfg.get("criterion", "eta_over_d")
-        if kind not in CRITERION_KINDS:
-            raise ConfigError(f"criterion must be one of {CRITERION_KINDS}, "
-                              f"got {kind!r}")
-        try:
-            criterion = Criterion(kind, float(cfg.get("k_nh", DEFAULT_THRESHOLD)),
-                                  _parse_bool(cfg.get("enlarge", False)))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-    return spec, initial, mode, criterion
-
-
-def _echo_line(config: dict) -> str:
-    return "# config " + json.dumps(config, sort_keys=True)
-
-
-def write_gauges_csv(path: Path, result: RunResult, config: dict) -> None:
-    with path.open("w", newline="") as fh:
-        fh.write(_echo_line(config) + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(["t"] + [f"eta@{x:g}" for x in result.spec.gauges])
-        for row in range(result.gauge_times.shape[0]):
-            writer.writerow([repr(float(result.gauge_times[row]))]
-                            + [repr(float(v)) for v in result.gauge_eta[row]])
-
-
-def write_snapshot_csv(path: Path, result: RunResult, config: dict) -> None:
-    state = result.final_state
-    grid = result.spec.grid
-    p = (result.final_p.values if result.final_p is not None
-         else np.zeros_like(state.h.values))
-    flags = (result.final_mask.flags if result.final_mask is not None
-             else np.zeros(grid.n_elements, dtype=bool))
-    with path.open("w", newline="") as fh:
-        fh.write(_echo_line(config) + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(["x", "h", "hu", "hw", "p_nh", "flagged"])
-        for e in range(grid.n_elements):
-            for j in range(grid.poly_order + 1):
-                writer.writerow([repr(float(grid.nodes[e, j])),
-                                 repr(float(state.h.values[e, j])),
-                                 repr(float(state.hu.values[e, j])),
-                                 repr(float(state.hw.values[e, j])),
-                                 repr(float(p[e, j])),
-                                 int(flags[e])])
-
-
-def write_mask_csv(path: Path, result: RunResult, config: dict) -> None:
-    with path.open("w", newline="") as fh:
-        fh.write(_echo_line(config) + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(["step", "t", "range_start", "range_end"])
-        for step, t, ranges in result.mask_history:
-            for e0, e1 in ranges:
-                writer.writerow([step, repr(float(t)), e0, e1])
-
-
 def read_gauges_csv(path: str) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """Read a gauge CSV (ours or lab data in the same layout)."""
     try:
@@ -201,16 +80,162 @@ def read_gauges_csv(path: str) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     return data[:, 0], {name: data[:, k + 1] for k, name in enumerate(header)}
 
 
-def _solitary_field_metrics(result: RunResult) -> tuple[float, float]:
-    """Final-snapshot accuracy against the closed-form solitary profile."""
-    spec = result.spec
-    d0 = spec.bathymetry.h0
-    x0 = (spec.grid.x_right - spec.grid.x_left) / 4.0
-    eta_ref, _ = solitary_exact(spec.grid.nodes, result.final_state.time,
-                                d=d0, x0=x0)
-    eta = result.final_state.h.values - d0
-    pair = SeriesPair(eta_ref.ravel(), eta.ravel())
-    return rmse(pair), pearson(pair)
+def _parse_bool(value) -> bool:
+    v = value.strip().lower()
+    if v in ("1", "true", "yes", "on"):
+        return True
+    if v in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(f"expected a boolean, got {value!r}")
+
+
+def _parse_gauges(value) -> tuple[float, ...]:
+    return tuple(float(tok) for tok in value.split(",") if tok.strip())
+
+
+def _parse_kind(value) -> str:
+    if value not in CRITERION_KINDS:
+        raise ValueError(f"expected one of {CRITERION_KINDS}, got {value!r}")
+    return value
+
+
+# the conversion of every typed config key, whether its value comes from a
+# config file (a string) or a flag; scenario, mode and outdir stay strings,
+# and a reference gauge CSV is read here, so a bad one stops before the run
+_PARSERS = {"dt": float, "t_end": float, "dx": float, "n_elements": int,
+            "poly_order": int, "froude": float, "k_nh": float,
+            "enlarge": _parse_bool, "with_global": _parse_bool,
+            "gauges": _parse_gauges, "criterion": _parse_kind,
+            "reference": read_gauges_csv}
+
+
+def parse_value(key: str, value):
+    """One typed config value; a bad one is a ConfigError naming its key."""
+    try:
+        return _PARSERS[key](value)
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
+
+
+def load_config(args) -> dict:
+    """Config-file values overridden by the flags given, each parsed once."""
+    cfg = read_config_file(args.config) if args.config else {}
+    # a flag left unset is None and keeps the file's value
+    cfg.update({k: v for k, v in vars(args).items()
+                if k in CONFIG_KEYS and v is not None})
+    return {k: parse_value(k, v) if k in _PARSERS else v
+            for k, v in cfg.items()}
+
+
+def make_criterion(kind: str, k_nh: float, enlarge: bool) -> Criterion:
+    """A flag criterion; settings it rejects are a ConfigError."""
+    try:
+        return Criterion(kind, k_nh, enlarge)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def build_run(cfg: dict) -> tuple[ScenarioSpec, object, str, Criterion | None]:
+    """Scenario + initial state + mode + criterion from a parsed config."""
+    name = cfg.get("scenario")
+    if name not in SCENARIOS:
+        raise ConfigError(f"scenario must be one of {SCENARIOS}, got {name!r}")
+    mode = cfg.get("mode", "adaptive")
+    if mode not in ("hydrostatic", "global", "adaptive"):
+        raise ConfigError(f"unknown mode {mode!r}")
+
+    overrides = {key: cfg[key] for key in ("dt", "t_end", "poly_order")
+                 if key in cfg}
+    if "dx" in cfg:
+        if name == "solitary":
+            raise ConfigError("solitary takes n_elements, not dx")
+        overrides["dx"] = cfg["dx"]
+    if "n_elements" in cfg:
+        if name != "solitary":
+            raise ConfigError("dx sets the resolution for this scenario")
+        overrides["n_elements"] = cfg["n_elements"]
+    if "froude" in cfg:
+        if name != "whittaker":
+            raise ConfigError("froude applies to the whittaker scenario only")
+        overrides["froude"] = cfg["froude"]
+
+    try:
+        spec, initial = build_scenario(name, **overrides)
+        if cfg.get("gauges"):
+            spec = replace(spec, gauges=cfg["gauges"])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+    criterion = None
+    if mode == "adaptive":
+        criterion = make_criterion(cfg.get("criterion", "eta_over_d"),
+                                   cfg.get("k_nh", DEFAULT_THRESHOLD),
+                                   cfg.get("enlarge", False))
+    return spec, initial, mode, criterion
+
+
+def config_echo(spec: ScenarioSpec, mode: str,
+                criterion: Criterion | None) -> dict:
+    """The settings every output of a run is traced back to."""
+    grid = spec.grid
+    return {
+        "scenario": spec.name,
+        "mode": mode,
+        "criterion": criterion.kind if criterion else None,
+        "k_nh": criterion.k_nh if criterion else None,
+        "enlarge": criterion.enlarge if criterion else None,
+        "dt": spec.dt,
+        "t_end": spec.t_end,
+        "n_elements": grid.n_elements,
+        "poly_order": grid.poly_order,
+        "x_left": grid.x_left,
+        "x_right": grid.x_right,
+        "gauges": list(spec.gauges),
+    }
+
+
+def write_csv(path: Path, config: dict, header: list, rows) -> None:
+    """An output table: the one-line config echo, the header, then the rows."""
+    with path.open("w", newline="") as fh:
+        fh.write("# config " + json.dumps(config, sort_keys=True) + "\n")
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_gauges_csv(path: Path, result: RunResult, config: dict) -> None:
+    header = ["t"] + [f"eta@{x:g}" for x in result.spec.gauges]
+    rows = ([repr(float(t))] + [repr(float(v)) for v in eta]
+            for t, eta in zip(result.gauge_times, result.gauge_eta))
+    write_csv(path, config, header, rows)
+
+
+def write_snapshot_csv(path: Path, result: RunResult, config: dict) -> None:
+    state = result.final_state
+    grid = result.spec.grid
+    p = (result.final_p.values if result.final_p is not None
+         else np.zeros_like(state.h.values))
+    flags = (result.final_mask.flags if result.final_mask is not None
+             else np.zeros(grid.n_elements, dtype=bool))
+    fields = (grid.nodes, state.h.values, state.hu.values, state.hw.values, p)
+    rows = ([repr(float(f[e, j])) for f in fields] + [int(flags[e])]
+            for e in range(grid.n_elements) for j in range(grid.poly_order + 1))
+    write_csv(path, config, ["x", "h", "hu", "hw", "p_nh", "flagged"], rows)
+
+
+def write_mask_csv(path: Path, result: RunResult, config: dict) -> None:
+    rows = ([step, repr(float(t)), e0, e1]
+            for step, t, ranges in result.mask_history for e0, e1 in ranges)
+    write_csv(path, config, ["step", "t", "range_start", "range_end"], rows)
+
+
+def series_metrics(pair: SeriesPair) -> tuple[float, float | None]:
+    """RMSE and Pearson r of a pair; r is None where a series has no variance."""
+    try:
+        r = pearson(pair)
+    except DegenerateSeriesError:
+        r = None
+    return rmse(pair), r
 
 
 def _final_surface(result: RunResult) -> np.ndarray:
@@ -220,59 +245,52 @@ def _final_surface(result: RunResult) -> np.ndarray:
     return (state.h.values - d).ravel()
 
 
-def make_report(result: RunResult, config: dict,
-                reference: str | None = None) -> RunReport:
+def make_report(result: RunResult, config: dict, reference=None) -> RunReport:
+    """The report of a run; reference is a parsed gauge CSV (read_gauges_csv)."""
     report = RunReport(config=config, loop_time=result.loop_time,
                        mask_fraction_mean=result.mask_fraction_mean)
-    if result.spec.name == "solitary":
-        e, r = _solitary_field_metrics(result)
-        report.extra["rmse_vs_exact"] = e
-        report.extra["r_vs_exact"] = r
+    spec = result.spec
+    if spec.name == "solitary":
+        # final-snapshot accuracy against the closed-form solitary profile
+        d0 = spec.bathymetry.h0
+        x0 = (spec.grid.x_right - spec.grid.x_left) / 4.0
+        eta_ref, _ = solitary_exact(spec.grid.nodes, result.final_state.time,
+                                    d=d0, x0=x0)
+        eta = result.final_state.h.values - d0
+        e, r = series_metrics(SeriesPair(eta_ref.ravel(), eta.ravel()))
+        report.extra.update(rmse_vs_exact=e, r_vs_exact=r)
     if reference:
-        ref_t, ref_cols = read_gauges_csv(reference)
+        ref_t, ref_cols = reference
         ours = {f"eta@{x:g}": result.gauge_eta[:, k]
-                for k, x in enumerate(result.spec.gauges)}
+                for k, x in enumerate(spec.gauges)}
         for name, ref_v in ref_cols.items():
             if name not in ours:
                 continue
             pair = aligned_pair(ref_t, ref_v, result.gauge_times, ours[name])
-            report.gauge_rmse[name] = rmse(pair)
-            try:
-                report.gauge_r[name] = pearson(pair)
-            except DegenerateSeriesError:
-                report.gauge_r[name] = None
+            report.gauge_rmse[name], report.gauge_r[name] = series_metrics(pair)
     return report
 
 
 def cmd_run(args) -> int:
-    cfg = merge_config(read_config_file(args.config) if args.config else {},
-                       {k: getattr(args, k, None) for k in CONFIG_KEYS})
+    cfg = load_config(args)
     spec, initial, mode, criterion = build_run(cfg)
+    config = config_echo(spec, mode, criterion)
     outdir = Path(cfg.get("outdir") or ".")
     outdir.mkdir(parents=True, exist_ok=True)
-
-    echo = {"mode": mode,
-            "criterion": criterion.kind if criterion else None,
-            "k_nh": criterion.k_nh if criterion else None,
-            "enlarge": criterion.enlarge if criterion else None}
 
     try:
         result = simulate(spec, initial, mode, criterion)
     except (PositivityError, EllipticSolveError) as exc:
         (outdir / "report.json").write_text(json.dumps(
-            {"config": {**echo, "scenario": spec.name}, "status": "failed",
-             "error": str(exc)}, indent=2) + "\n")
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+            {"config": config, "status": "failed", "error": str(exc)},
+            indent=2) + "\n")
+        raise
 
-    config = result.config_echo()
     report = make_report(result, config, cfg.get("reference"))
-
-    if _parse_bool(cfg.get("with_global", False)) and mode == "adaptive":
+    if cfg.get("with_global") and mode == "adaptive":
         gresult = simulate(spec, initial, "global")
-        gconfig = gresult.config_echo()
-        greport = RunReport(config=gconfig, loop_time=gresult.loop_time,
-                            mask_fraction_mean=gresult.mask_fraction_mean)
+        gconfig = config_echo(spec, "global", None)
+        greport = make_report(gresult, gconfig)
         report.time_ratio = time_ratio(report, greport)
         (outdir / "report_global.json").write_text(greport.to_json() + "\n")
         write_gauges_csv(outdir / "gauges_global.csv", gresult, gconfig)
@@ -286,16 +304,17 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _load_run(path_str: str) -> tuple[np.ndarray, dict, dict | None]:
-    """Gauge series plus the report config (if present) of a finished run."""
+def _load_run(path_str: str) -> tuple[np.ndarray, dict, RunReport | None]:
+    """Gauge series plus the report (if present) of a finished run."""
     path = Path(path_str)
     csv_path = path / "gauges.csv" if path.is_dir() else path
     t, cols = read_gauges_csv(str(csv_path))
-    report = None
     rp = (path if path.is_dir() else path.parent) / "report.json"
-    if rp.exists():
-        report = json.loads(rp.read_text())
-    return t, cols, report
+    doc = json.loads(rp.read_text()) if rp.exists() else {}
+    if "loop_time_s" not in doc:  # no report, or a failed run's
+        return t, cols, None
+    return t, cols, RunReport(config=doc["config"], loop_time=doc["loop_time_s"],
+                              mask_fraction_mean=doc.get("mask_fraction_mean", 0.0))
 
 
 def cmd_compare(args) -> int:
@@ -307,18 +326,10 @@ def cmd_compare(args) -> int:
     doc = {"gauge_rmse": {}, "gauge_r": {}}
     for name in shared:
         pair = aligned_pair(t_a, cols_a[name], t_b, cols_b[name])
-        doc["gauge_rmse"][name] = rmse(pair)
-        try:
-            doc["gauge_r"][name] = pearson(pair)
-        except DegenerateSeriesError:
-            doc["gauge_r"][name] = None
+        doc["gauge_rmse"][name], doc["gauge_r"][name] = series_metrics(pair)
     if rep_a and rep_b:
-        ra = RunReport(config=rep_a["config"], loop_time=rep_a["loop_time_s"],
-                       mask_fraction_mean=rep_a.get("mask_fraction_mean", 0.0))
-        rb = RunReport(config=rep_b["config"], loop_time=rep_b["loop_time_s"],
-                       mask_fraction_mean=rep_b.get("mask_fraction_mean", 0.0))
         try:
-            doc["time_ratio_a_over_b"] = time_ratio(ra, rb)
+            doc["time_ratio_a_over_b"] = time_ratio(rep_a, rep_b)
         except ValueError:
             pass  # unmatched configs: ratio omitted, comparison still valid
     text = json.dumps(doc, indent=2, sort_keys=True)
@@ -329,65 +340,49 @@ def cmd_compare(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = merge_config(read_config_file(args.config) if args.config else {},
-                       {k: getattr(args, k, None) for k in CONFIG_KEYS})
+    cfg = load_config(args)
     cfg["mode"] = "global"
-    criteria = [c.strip() for c in args.criteria.split(",") if c.strip()]
-    for kind in criteria:
-        if kind not in CRITERION_KINDS:
-            raise ConfigError(f"unknown criterion {kind!r}")
-    enlarges = [_parse_bool(tok) for tok in args.enlarge_options.split(",")]
+    spec, initial, _, _ = build_run(cfg)
+    k_nh = cfg.get("k_nh", DEFAULT_THRESHOLD)
+    kinds = [parse_value("criterion", tok) for tok in args.criteria.split(",")
+             if tok.strip()]
+    enlarges = [parse_value("enlarge", tok)
+                for tok in args.enlarge_options.split(",")]
+    criteria = [make_criterion(kind, k_nh, enlarge)
+                for kind in kinds for enlarge in enlarges]
     outdir = Path(cfg.get("outdir") or ".")
     outdir.mkdir(parents=True, exist_ok=True)
 
-    spec, initial, _, _ = build_run(cfg)
-    k_nh = float(cfg.get("k_nh", DEFAULT_THRESHOLD))
     rows = []
     if criteria:
         gresult = simulate(spec, initial, "global")
-        gconfig = gresult.config_echo()
-        greport = RunReport(config=gconfig, loop_time=gresult.loop_time,
-                            mask_fraction_mean=0.0)
-        for kind in criteria:
-            for enlarge in enlarges:
-                crit = Criterion(kind, k_nh, enlarge)
-                result = simulate(spec, initial, "adaptive", crit)
-                config = result.config_echo()
-                report = RunReport(config=config, loop_time=result.loop_time,
-                                   mask_fraction_mean=result.mask_fraction_mean)
-                row = {"criterion": kind, "enlarge": int(enlarge),
-                       "time_ratio": time_ratio(report, greport),
-                       "mask_fraction": result.mask_fraction_mean}
-                if spec.name == "solitary":
-                    e, r = _solitary_field_metrics(result)
-                    row["rmse"] = e
-                    row["r"] = r
-                else:
-                    # surface accuracy vs the matched global run
-                    pair = SeriesPair(_final_surface(gresult), _final_surface(result))
-                    row["rmse"] = rmse(pair)
-                    row["r"] = pearson(pair)
-                for k, x in enumerate(spec.gauges):
-                    pair = SeriesPair(gresult.gauge_eta[:, k],
-                                      result.gauge_eta[:, k])
-                    row[f"rmse@{x:g}"] = rmse(pair)
-                    try:
-                        row[f"r@{x:g}"] = pearson(pair)
-                    except DegenerateSeriesError:
-                        row[f"r@{x:g}"] = ""
-                rows.append(row)
+        greport = make_report(gresult, config_echo(spec, "global", None))
+        gsurface = _final_surface(gresult)
+        for crit in criteria:
+            result = simulate(spec, initial, "adaptive", crit)
+            report = make_report(result, config_echo(spec, "adaptive", crit))
+            row = {"criterion": crit.kind, "enlarge": int(crit.enlarge),
+                   "time_ratio": time_ratio(report, greport),
+                   "mask_fraction": report.mask_fraction_mean}
+            if spec.name == "solitary":
+                row["rmse"] = report.extra["rmse_vs_exact"]
+                row["r"] = report.extra["r_vs_exact"]
+            else:
+                # surface accuracy vs the matched global run
+                pair = SeriesPair(gsurface, _final_surface(result))
+                row["rmse"], row["r"] = series_metrics(pair)
+            for k, x in enumerate(spec.gauges):
+                pair = SeriesPair(gresult.gauge_eta[:, k], result.gauge_eta[:, k])
+                # a None r (flat series) is written as an empty cell
+                row[f"rmse@{x:g}"], row[f"r@{x:g}"] = series_metrics(pair)
+            rows.append(row)
 
     header = list(rows[0]) if rows else ["criterion", "enlarge", "time_ratio",
                                          "mask_fraction", "rmse", "r"]
     path = outdir / "sweep.csv"
-    with path.open("w", newline="") as fh:
-        fh.write(_echo_line({"scenario": cfg.get("scenario"),
-                             "k_nh": k_nh,
-                             "criteria": criteria,
-                             "enlarge_options": [int(e) for e in enlarges]}) + "\n")
-        writer = csv.DictWriter(fh, fieldnames=header)
-        writer.writeheader()
-        writer.writerows(rows)
+    echo = {"scenario": cfg.get("scenario"), "k_nh": k_nh, "criteria": kinds,
+            "enlarge_options": [int(e) for e in enlarges]}
+    write_csv(path, echo, header, ([row[h] for h in header] for row in rows))
     print(path)
     return 0
 
@@ -395,15 +390,15 @@ def cmd_sweep(args) -> int:
 def _add_run_flags(sub) -> None:
     sub.add_argument("--config", help="flat key = value config file")
     sub.add_argument("--scenario", choices=SCENARIOS)
-    sub.add_argument("--dt", type=float)
-    sub.add_argument("--t-end", dest="t_end", type=float)
-    sub.add_argument("--dx", type=float, help="element width (hammack/whittaker)")
-    sub.add_argument("--n-elements", dest="n_elements", type=int,
+    sub.add_argument("--dt")
+    sub.add_argument("--t-end", dest="t_end")
+    sub.add_argument("--dx", help="element width (hammack/whittaker)")
+    sub.add_argument("--n-elements", dest="n_elements",
                      help="element count (solitary)")
-    sub.add_argument("--poly-order", dest="poly_order", type=int)
-    sub.add_argument("--froude", type=float, help="whittaker slide Froude number")
+    sub.add_argument("--poly-order", dest="poly_order")
+    sub.add_argument("--froude", help="whittaker slide Froude number")
     sub.add_argument("--gauges", help="comma-separated gauge positions (m)")
-    sub.add_argument("--k-nh", dest="k_nh", type=float, help="flag threshold")
+    sub.add_argument("--k-nh", dest="k_nh", help="flag threshold")
     sub.add_argument("--outdir")
 
 

@@ -16,8 +16,6 @@ from .scenarios import ScenarioSpec
 @dataclass
 class RunResult:
     spec: ScenarioSpec
-    mode: str
-    criterion: Criterion | None
     final_state: FlowState
     final_p: NodalField | None
     final_mask: NonHydroMask | None
@@ -26,24 +24,6 @@ class RunResult:
     mask_history: list               # (step, t, ranges) per step
     mask_fraction_mean: float
     loop_time: float
-
-    def config_echo(self) -> dict:
-        grid = self.spec.grid
-        crit = self.criterion
-        return {
-            "scenario": self.spec.name,
-            "mode": self.mode,
-            "criterion": crit.kind if crit else None,
-            "k_nh": crit.k_nh if crit else None,
-            "enlarge": crit.enlarge if crit else None,
-            "dt": self.spec.dt,
-            "t_end": self.spec.t_end,
-            "n_elements": grid.n_elements,
-            "poly_order": grid.poly_order,
-            "x_left": grid.x_left,
-            "x_right": grid.x_right,
-            "gauges": list(self.spec.gauges),
-        }
 
 
 def simulate(spec: ScenarioSpec, initial: FlowState, mode: str,
@@ -88,7 +68,7 @@ def simulate(spec: ScenarioSpec, initial: FlowState, mode: str,
         record_gauges(step + 1, state, bottom)
 
     return RunResult(
-        spec=spec, mode=mode, criterion=criterion,
+        spec=spec,
         final_state=state,
         final_p=None if result is None else result.p_nh,
         final_mask=None if result is None else result.mask,

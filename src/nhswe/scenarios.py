@@ -37,8 +37,8 @@ class ScenarioSpec:
     gauges: tuple[float, ...] = ()
 
     def __post_init__(self):
-        if self.dt <= 0 or self.t_end <= 0:
-            raise ValueError("dt and t_end must be positive")
+        if not (0 < self.dt < np.inf and 0 < self.t_end < np.inf):
+            raise ValueError("dt and t_end must be positive and finite")
         for x in self.gauges:
             if not self.grid.x_left <= x <= self.grid.x_right:
                 raise ValueError(f"gauge at x={x} outside the domain")

@@ -18,8 +18,9 @@ WALLS = BoundaryPair(WALL, WALL)
 def test_criterion_validation():
     with pytest.raises(ValueError):
         Criterion("vorticity")
-    with pytest.raises(ValueError):
-        Criterion("u", k_nh=0.0)
+    for bad in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            Criterion("u", k_nh=bad)
 
 
 def test_contiguous_ranges_hand_cases():

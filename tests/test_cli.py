@@ -16,6 +16,10 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+def no_simulate(*args, **kwargs):
+    raise AssertionError("a bad input must stop the command before any step")
+
+
 def test_config_file_parsing(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("scenario = solitary\n# a comment\nmode = global  # inline\n"
@@ -69,6 +73,12 @@ def test_compare_run_with_itself(tmp_path):
     doc = json.loads((tmp_path / "cmp.json").read_text())
     assert all(v == 0.0 for v in doc["gauge_rmse"].values())
     assert doc["time_ratio_a_over_b"] == pytest.approx(1.0)
+    # a later failed run into the same directory leaves a report without
+    # timing beside the old gauges: the gauges still compare, the ratio drops
+    (out / "report.json").write_text('{"status": "failed"}\n')
+    assert run_cli("compare", str(out), str(out),
+                   "--out", str(tmp_path / "cmp.json")) == 0
+    assert "time_ratio_a_over_b" not in json.loads((tmp_path / "cmp.json").read_text())
 
 
 def test_run_with_reference_csv(tmp_path):
@@ -139,6 +149,37 @@ def test_config_error_exit_codes(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("scenario = atlantis\n")
     assert run_cli("run", "--config", str(cfg)) == EXIT_CONFIG
+    for flags in (("--criteria", "u,bogus"), ("--enlarge-options", "off,maybe")):
+        assert run_cli("sweep", "--scenario", "solitary", *flags,
+                       "--outdir", str(tmp_path / "sweep")) == EXIT_CONFIG
+    assert not (tmp_path / "sweep").exists()
+
+
+def test_sweep_rejects_a_bad_threshold_before_any_run(tmp_path, monkeypatch):
+    monkeypatch.setattr("nhswe.cli.simulate", no_simulate)
+    out = tmp_path / "sweep"
+    assert run_cli("sweep", "--scenario", "solitary", "--k-nh", "-1",
+                   "--outdir", str(out)) == EXIT_CONFIG
+    assert not out.exists()
+
+
+# each numeric config key, with a scenario that takes it
+NUMERIC_KEYS = {"dt": "whittaker", "t_end": "whittaker", "dx": "whittaker",
+                "n_elements": "solitary", "poly_order": "whittaker",
+                "froude": "whittaker", "k_nh": "whittaker"}
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("key", list(NUMERIC_KEYS))
+def test_non_numeric_config_value_is_a_config_error(tmp_path, monkeypatch, capsys,
+                                                    command, key):
+    monkeypatch.setattr("nhswe.cli.simulate", no_simulate)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"scenario = {NUMERIC_KEYS[key]}\n{key} = fast\n")
+    out = tmp_path / "out"
+    assert run_cli(command, "--config", str(cfg), "--outdir", str(out)) == EXIT_CONFIG
+    assert f"config error: {key}: " in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_seed_is_not_an_option(tmp_path, capsys):
@@ -152,7 +193,17 @@ def test_seed_is_not_an_option(tmp_path, capsys):
     assert "unknown key 'seed'" in capsys.readouterr().err
 
 
-def test_unreadable_gauge_csv_is_a_config_error(tmp_path, capsys):
+@pytest.mark.parametrize("flag", ["--dt", "--t-end", "--k-nh"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_number_is_a_config_error(tmp_path, monkeypatch, flag, value):
+    monkeypatch.setattr("nhswe.cli.simulate", no_simulate)
+    out = tmp_path / "out"
+    assert run_cli("run", "--scenario", "solitary", "--mode", "adaptive",
+                   flag, value, "--outdir", str(out)) == EXIT_CONFIG
+    assert not out.exists()
+
+
+def test_unreadable_gauge_csv_is_a_config_error(tmp_path, monkeypatch, capsys):
     missing = tmp_path / "missing"
     assert run_cli("compare", str(missing), str(missing)) == EXIT_CONFIG
     # a failed run leaves its report but no gauge series
@@ -160,9 +211,12 @@ def test_unreadable_gauge_csv_is_a_config_error(tmp_path, capsys):
     failed.mkdir()
     (failed / "report.json").write_text('{"status": "failed"}\n')
     assert run_cli("compare", str(failed), str(failed)) == EXIT_CONFIG
+    # the reference is read before the output directory and the first step
+    monkeypatch.setattr("nhswe.cli.simulate", no_simulate)
     assert run_cli("run", "--scenario", "solitary", "--mode", "hydrostatic",
                    "--t-end", "0.2", "--outdir", str(tmp_path / "run"),
                    "--reference", str(tmp_path / "missing.csv")) == EXIT_CONFIG
+    assert not (tmp_path / "run").exists()
     err = capsys.readouterr().err
     assert f"cannot read gauge CSV {missing}" in err
     assert f"cannot read gauge CSV {failed / 'gauges.csv'}" in err
@@ -184,3 +238,7 @@ def test_numerical_failure_exit_code(tmp_path):
     assert code == EXIT_NUMERICAL
     report = json.loads((tmp_path / "boom" / "report.json").read_text())
     assert report["status"] == "failed"
+    # the same config echo as a finished run's outputs
+    config = report["config"]
+    assert (config["dt"], config["t_end"], config["n_elements"],
+            config["poly_order"]) == (5.0, 100.0, 200, 1)

@@ -123,3 +123,6 @@ def test_scenario_spec_validation():
         dataclasses.replace(spec, gauges=(900.0,))
     with pytest.raises(ValueError):
         dataclasses.replace(spec, dt=-1.0)
+    for bad in ({"dt": float("nan")}, {"t_end": float("nan")}, {"t_end": float("inf")}):
+        with pytest.raises(ValueError, match="positive and finite"):
+            dataclasses.replace(spec, **bad)
