@@ -1,6 +1,6 @@
 """Locally adaptive non-hydrostatic shallow water solver (1D)."""
 
-from .adaptivity import Criterion, NonHydroMask, adaptive_step, evaluate_criterion
+from .adaptivity import Criterion, NonHydroMask, Stepper, adaptive_step, evaluate_criterion
 from .bathymetry import (FlatBottom, HammackPlate, SlideMotion, WhittakerSlide,
                          GRAVITY, RHO_WATER)
 from .corrector import (EllipticSolveError, PressureSolution, assemble_coefficients,

@@ -15,9 +15,11 @@ from functools import reduce
 import numpy as np
 
 from .bathymetry import BathymetryModel, BottomSample
-from .corrector import PressureSolution, apply_correction
-from .grid import FlowState, NodalField, derivative_values
-from .hydrostatic import BoundaryPair, heun_step
+from .corrector import BandedWorkspace, PressureSolution, apply_correction
+from .grid import FlowState, GridSpec, NodalField, derivative_values
+from .hydrostatic import BoundaryPair, StageBuffers, heun_step
+
+MODES = ("hydrostatic", "global", "adaptive")
 
 CRITERION_KINDS = ("eta_over_d", "eta_x", "u", "u_x", "w", "w_x")
 
@@ -129,6 +131,33 @@ def full_mask(n_elements: int) -> NonHydroMask:
     return NonHydroMask(np.ones(n_elements, dtype=bool), ((0, n_elements - 1),))
 
 
+class Stepper:
+    """Everything the steps of one run write and no caller keeps.
+
+    Built once per run from the grid, the mode and the criterion: the
+    predictor's stage buffers, the corrector's banded workspace (none in
+    hydrostatic mode), and the masks that flag no element and every element,
+    which every step of a mode that uses them returns.  Everything else a
+    step returns is its own, and no later step writes it: the new state,
+    the bottom sample, a criterion's mask and the solution.  The one
+    exception holds no value of the state: the next step fills the ghost
+    elements of the state's padded array (`FlowState.packed`).
+    """
+
+    def __init__(self, grid: GridSpec, mode: str, crit: Criterion | None = None):
+        if mode not in MODES:
+            raise ValueError(f"unknown mode {mode!r}")
+        if mode == "adaptive" and crit is None:
+            raise ValueError("adaptive mode requires a criterion")
+        n = grid.n_elements
+        self.grid, self.mode, self.crit = grid, mode, crit
+        self.stages = StageBuffers(grid)
+        self.banded = (None if mode == "hydrostatic"
+                       else BandedWorkspace(grid.poly_order + 1, n))
+        self.flag_none = NonHydroMask(np.zeros(n, dtype=bool), ())
+        self.flag_all = full_mask(n)
+
+
 @dataclass(frozen=True)
 class StepResult:
     """A step's new state, its mask and pressure, and the bottom sampled at
@@ -148,7 +177,8 @@ class StepResult:
 def adaptive_step(state: FlowState, dt: float, bathy: BathymetryModel,
                   bcs: BoundaryPair, mode: str = "adaptive",
                   crit: Criterion | None = None,
-                  bottom: BottomSample | None = None) -> StepResult:
+                  bottom: BottomSample | None = None,
+                  stepper: Stepper | None = None) -> StepResult:
     """One full time step: hydrostatic predictor, then optional correction.
 
     Modes: "hydrostatic" (predictor only), "global" (correct everywhere) and
@@ -160,33 +190,31 @@ def adaptive_step(state: FlowState, dt: float, bathy: BathymetryModel,
     as the previous step's result carries it; without it the step samples
     it.  The step samples the bottom once at its new time; the predictor's
     second stage, the criterion and the correction all read that sample,
-    and the result carries it on.
+    and the result carries it on.  `stepper` is the run's, built for the
+    state's grid, `mode` and `crit`; without it the step builds its own.
     """
-    if mode not in ("hydrostatic", "global", "adaptive"):
-        raise ValueError(f"unknown mode {mode!r}")
+    if stepper is None:
+        stepper = Stepper(state.grid, mode, crit)
+    elif (stepper.grid, stepper.mode, stepper.crit) != (state.grid, mode, crit):
+        raise ValueError("the stepper was built for another grid, mode or criterion")
     grid = state.grid
-    n = grid.n_elements
     if bottom is None:
         bottom = bathy.sample(grid.sample_nodes, state.time)
     new_bottom = bathy.sample(grid.sample_nodes, state.time + dt)
-    predictor = heun_step(state, dt, bathy, bcs, bottoms=(bottom, new_bottom))
+    predictor = heun_step(state, dt, bathy, bcs, bottoms=(bottom, new_bottom),
+                          buffers=stepper.stages)
 
     if mode == "hydrostatic":
-        return StepResult(predictor, NonHydroMask(np.zeros(n, dtype=bool), ()), None,
-                          new_bottom)
+        return StepResult(predictor, stepper.flag_none, None, new_bottom)
 
-    if mode == "global":
-        mask = full_mask(n)
+    if mode == "global" or (crit.kind in ("w", "w_x") and not np.any(state.hw.values)):
+        mask = stepper.flag_all
     else:
-        if crit is None:
-            raise ValueError("adaptive mode requires a criterion")
-        if crit.kind in ("w", "w_x") and not np.any(state.hw.values):
-            mask = full_mask(n)
-        else:
-            mask = evaluate_criterion(predictor, new_bottom, crit)
+        mask = evaluate_criterion(predictor, new_bottom, crit)
 
     if mask.empty:
         return StepResult(predictor, mask, None, new_bottom)
 
-    corrected, sol = apply_correction(predictor, new_bottom, dt, mask.ranges, bcs)
+    corrected, sol = apply_correction(predictor, new_bottom, dt, mask.ranges, bcs,
+                                      workspace=stepper.banded)
     return StepResult(corrected, mask, sol, new_bottom)

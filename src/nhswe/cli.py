@@ -17,12 +17,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .adaptivity import CRITERION_KINDS, DEFAULT_THRESHOLD, Criterion
+from .adaptivity import CRITERION_KINDS, DEFAULT_THRESHOLD, MODES, Criterion
 from .corrector import EllipticSolveError
-from .driver import RunResult, simulate
+from .driver import RunResult, simulate, step_times
 from .hydrostatic import PositivityError
-from .metrics import (DegenerateSeriesError, RunReport, SeriesPair,
-                      aligned_pair, pearson, rmse, time_ratio)
+from .metrics import (DegenerateSeriesError, DisjointSeriesError, RunReport,
+                      SeriesPair, aligned_pair, overlap, pearson, rmse, time_ratio)
 from .scenarios import ScenarioSpec, build_scenario, solitary_exact
 
 EXIT_CONFIG = 2
@@ -60,8 +60,24 @@ def read_config_file(path: str) -> dict:
     return out
 
 
+def gauge_name(x: float) -> str:
+    """The column name of the gauge at position x, as gauge CSVs are written."""
+    return f"eta@{x:g}"
+
+
+def _column_name(header: str) -> str:
+    """The gauge_name of the position an `eta@<x>` header names, so that
+    `eta@200.0` and `eta@200` are one gauge; other headers stand as read."""
+    prefix, at, position = header.partition("@")
+    try:
+        return gauge_name(float(position)) if (prefix, at) == ("eta", "@") else header
+    except ValueError:
+        return header
+
+
 def read_gauges_csv(path: str) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """Read a gauge CSV (ours or lab data in the same layout)."""
+    """Read a gauge CSV (ours or lab data in the same layout); gauge columns
+    are keyed by the gauge_name of their position."""
     try:
         with open(path, newline="") as fh:
             rows = [r for r in csv.reader(line for line in fh
@@ -77,7 +93,10 @@ def read_gauges_csv(path: str) -> tuple[np.ndarray, dict[str, np.ndarray]]:
         raise ConfigError(f"{path}: ragged or non-numeric gauge CSV: {exc}") from exc
     if data.ndim != 2 or data.shape[1] != len(header) + 1:
         raise ConfigError(f"{path}: ragged or empty gauge CSV")
-    return data[:, 0], {name: data[:, k + 1] for k, name in enumerate(header)}
+    names = [_column_name(h) for h in header]
+    if len(set(names)) < len(names):
+        raise ConfigError(f"{path}: two columns name one gauge: {header}")
+    return data[:, 0], {name: data[:, k + 1] for k, name in enumerate(names)}
 
 
 def _parse_bool(value) -> bool:
@@ -141,7 +160,7 @@ def build_run(cfg: dict) -> tuple[ScenarioSpec, object, str, Criterion | None]:
     if name not in SCENARIOS:
         raise ConfigError(f"scenario must be one of {SCENARIOS}, got {name!r}")
     mode = cfg.get("mode", "adaptive")
-    if mode not in ("hydrostatic", "global", "adaptive"):
+    if mode not in MODES:
         raise ConfigError(f"unknown mode {mode!r}")
 
     overrides = {key: cfg[key] for key in ("dt", "t_end", "poly_order")
@@ -204,7 +223,7 @@ def write_csv(path: Path, config: dict, header: list, rows) -> None:
 
 
 def write_gauges_csv(path: Path, result: RunResult, config: dict) -> None:
-    header = ["t"] + [f"eta@{x:g}" for x in result.spec.gauges]
+    header = ["t"] + [gauge_name(x) for x in result.spec.gauges]
     rows = ([repr(float(t))] + [repr(float(v)) for v in eta]
             for t, eta in zip(result.gauge_times, result.gauge_eta))
     write_csv(path, config, header, rows)
@@ -261,7 +280,7 @@ def make_report(result: RunResult, config: dict, reference=None) -> RunReport:
         report.extra.update(rmse_vs_exact=e, r_vs_exact=r)
     if reference:
         ref_t, ref_cols = reference
-        ours = {f"eta@{x:g}": result.gauge_eta[:, k]
+        ours = {gauge_name(x): result.gauge_eta[:, k]
                 for k, x in enumerate(spec.gauges)}
         for name, ref_v in ref_cols.items():
             if name not in ours:
@@ -271,9 +290,25 @@ def make_report(result: RunResult, config: dict, reference=None) -> RunReport:
     return report
 
 
+def check_reference(reference, spec: ScenarioSpec, initial) -> None:
+    """A reference gauge CSV (read_gauges_csv) must share a gauge and two
+    sample times with the run, which is known before the run."""
+    ref_t, ref_cols = reference
+    ours = [gauge_name(x) for x in spec.gauges]
+    if not set(ours) & set(ref_cols):
+        raise ConfigError(f"reference: its columns {list(ref_cols)} share no gauge "
+                          f"with the run's {ours}")
+    try:
+        overlap(ref_t, step_times(spec, initial))
+    except DisjointSeriesError as exc:
+        raise ConfigError(f"reference: {exc}") from exc
+
+
 def cmd_run(args) -> int:
     cfg = load_config(args)
     spec, initial, mode, criterion = build_run(cfg)
+    if cfg.get("reference"):
+        check_reference(cfg["reference"], spec, initial)
     config = config_echo(spec, mode, criterion)
     outdir = Path(cfg.get("outdir") or ".")
     outdir.mkdir(parents=True, exist_ok=True)
@@ -323,6 +358,10 @@ def cmd_compare(args) -> int:
     shared = [name for name in cols_a if name in cols_b]
     if not shared:
         raise ConfigError("the two runs share no gauge columns")
+    try:
+        overlap(t_a, t_b)
+    except DisjointSeriesError as exc:
+        raise ConfigError(f"{args.run_a} and {args.run_b}: {exc}") from exc
     doc = {"gauge_rmse": {}, "gauge_r": {}}
     for name in shared:
         pair = aligned_pair(t_a, cols_a[name], t_b, cols_b[name])
@@ -410,7 +449,7 @@ def main(argv=None) -> int:
 
     p_run = subs.add_parser("run", help="run one scenario and write outputs")
     _add_run_flags(p_run)
-    p_run.add_argument("--mode", choices=("hydrostatic", "global", "adaptive"))
+    p_run.add_argument("--mode", choices=MODES)
     p_run.add_argument("--criterion", choices=CRITERION_KINDS)
     p_run.add_argument("--enlarge", nargs="?", const="true")
     p_run.add_argument("--reference", help="lab gauge CSV to compare against")

@@ -32,12 +32,12 @@ the flagged elements only.  assemble_coefficients fixes that element set
 once, in EllipticCoefficients.ranges and .rows, and the solve and the
 momentum update read it from there; p and hu stay on those elements until
 the momentum update or a caller needs them on the whole grid.  The banded
-work storage is allocated once per grid and reused by every solve, so a
-step allocates nothing of the size of the banded system.  A correction's
-cost is therefore the work on the flagged elements, plus two parts that do
-not shrink with them: copying the two corrected momentum fields, which the
-corrected state must own, and a fixed count of array operations, which
-dominates on small masks.
+work storage is allocated once per run, in the run's Stepper
+(BandedWorkspace), and reused by every solve, so a step allocates nothing
+of the size of the banded system.  A correction's cost is therefore the
+work on the flagged elements, plus two parts that do not shrink with them:
+copying the state into the padded array the corrected state must own, and
+a fixed count of array operations, which dominates on small masks.
 """
 
 from __future__ import annotations
@@ -427,24 +427,24 @@ def _ldg_template(lengths: tuple[int, ...], m: int):
     return ends, kinds, boundaries, row_ends
 
 
-class _BandedWorkspace:
-    """Banded storage reused by every solve on one grid.
+class BandedWorkspace:
+    """Banded storage reused by every solve of one run.
 
-    It is sized for a system on the whole grid, and a solve on fewer
-    elements uses a prefix of each array, so the pages no solve has reached
-    are never touched.  `ab` is the dgbsv work array, factorized in place;
-    once the solve is done its storage serves as `scratch`, the work space
-    of the residual check's banded product.  `slabs` holds the assembled
-    matrix rows, the right-hand side and the back-substitution rows, which
-    the residual check and the back-substitution read after the
-    factorization.  `padded` is the solution with one leading zero, so that
-    `windows` row k views (P_k-1,m, P_k), what the back-substitution of
-    element k reads.
+    It is sized for a system on `n_elements` elements of `m` nodes, and a
+    solve on fewer elements uses a prefix of each array, so the pages no
+    solve has reached are never touched.  `ab` is the dgbsv work array,
+    factorized in place; once the solve is done its storage serves as
+    `scratch`, the work space of the residual check's banded product.
+    `slabs` holds the assembled matrix rows, the right-hand side and the
+    back-substitution rows, which the residual check and the
+    back-substitution read after the factorization.  `padded` is the
+    solution with one leading zero, so that `windows` row k views
+    (P_k-1,m, P_k), what the back-substitution of element k reads.
     """
 
-    def __init__(self, grid: GridSpec):
-        self.m = m = grid.poly_order + 1
-        n = grid.n_elements
+    def __init__(self, m: int, n_elements: int):
+        self.m = m
+        n = n_elements
         height = 3 * m + 1
         size = m * n
         storage = np.empty(max(height * size, (2 * m + 1) * (size + 2 * m + 1)))
@@ -454,15 +454,6 @@ class _BandedWorkspace:
         self._windows = np.lib.stride_tricks.as_strided(
             padded, (n, m + 1), (m * padded.itemsize, padded.itemsize))
         self._scratch = storage
-
-    @classmethod
-    def of(cls, grid: GridSpec) -> "_BandedWorkspace":
-        """The workspace of a grid, kept on the grid object."""
-        workspace = grid.__dict__.get("_banded_workspace")
-        if workspace is None:
-            workspace = cls(grid)
-            object.__setattr__(grid, "_banded_workspace", workspace)
-        return workspace
 
     def arrays(self, n: int):
         """(ab, slabs, padded, windows, scratch) for a system of n elements."""
@@ -489,14 +480,17 @@ def _banded_matvec(ab: np.ndarray, band: int, x: np.ndarray,
     return scratch[:rows * width].reshape(rows, width).sum(axis=0)[band:band + size]
 
 
-def _solve_batched(coeffs: EllipticCoefficients,
-                   outer_hu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _solve_batched(coeffs: EllipticCoefficients, outer_hu: np.ndarray,
+                   workspace: BandedWorkspace | None = None,
+                   ) -> tuple[np.ndarray, np.ndarray]:
     """Solve the elliptic system on the disjoint ranges the coefficients were
     assembled on, in one banded solve.
 
     `outer_hu` holds the outer momentum trace just right of each range.
-    Returns nodal (p, hu) arrays of shape (total flagged elements, nodes),
-    one row per element of coeffs.ranges, in range order.
+    The system is built in `workspace`, the run's banded storage; without
+    it the solve builds storage of its own size.  Returns nodal (p, hu)
+    arrays of shape (total flagged elements, nodes), one row per element of
+    coeffs.ranges, in range order.
 
     Internally the system is solved for the density-scaled pressure p/rho,
     which makes every coefficient, the forcing, and the interface penalty
@@ -514,7 +508,9 @@ def _solve_batched(coeffs: EllipticCoefficients,
     own, next_column = _couplings(m)
     ends, kinds, boundaries, row_ends = _ldg_template(lengths, m)
 
-    ab, slabs, padded, windows, scratch = _BandedWorkspace.of(grid).arrays(n)
+    if workspace is None:
+        workspace = BandedWorkspace(m, n)
+    ab, slabs, padded, windows, scratch = workspace.arrays(n)
     # every slab as an inner element's, then the range ends as what they are
     np.matmul(features.T, own[_INNER], out=slabs)
     slabs[ends] = np.matmul(features.take(ends, axis=1).T[:, None, :],
@@ -591,12 +587,13 @@ def _right_outer_hu(predictor: FlowState, bcs: BoundaryPair, e1: int) -> float:
 
 
 def solve_on_ranges(predictor: FlowState, coeffs: EllipticCoefficients,
-                    bcs: BoundaryPair) -> PressureSolution:
-    """Independent per-range elliptic solves, batched into one banded system,
-    on the ranges the coefficients were assembled on; p and hu stay on
-    those elements."""
+                    bcs: BoundaryPair,
+                    workspace: BandedWorkspace | None = None) -> PressureSolution:
+    """Independent per-range elliptic solves, batched into one banded system
+    in `workspace` (see _solve_batched), on the ranges the coefficients were
+    assembled on; p and hu stay on those elements."""
     outer = np.array([_right_outer_hu(predictor, bcs, e1) for _, e1 in coeffs.ranges])
-    return PressureSolution(coeffs, *_solve_batched(coeffs, outer))
+    return PressureSolution(coeffs, *_solve_batched(coeffs, outer, workspace))
 
 
 def central_derivative_values(grid: GridSpec, values: np.ndarray) -> np.ndarray:
@@ -634,7 +631,8 @@ def correct_momentum(predictor: FlowState, sol: PressureSolution) -> FlowState:
     """Apply the pressure correction to the momenta; mass is untouched.
 
     The solution's coefficients name the solved elements: only they receive
-    new momenta, copies of the predictor's everywhere else.
+    new momenta, copies of the predictor's everywhere else.  The corrected
+    state owns a fresh padded array (see `FlowState.packed`).
     """
     grid = predictor.grid
     coeffs = sol.coeffs
@@ -652,26 +650,25 @@ def correct_momentum(predictor: FlowState, sol: PressureSolution) -> FlowState:
     if coeffs.phi is not None:
         bottom_pressure += coeffs.phi
 
-    hu = predictor.hu.values.copy(order="K")
+    packed = predictor.pack_into(np.empty((3, grid.poly_order + 1, grid.n_elements + 2)))
+    hu, hw = packed[1, :, 1:-1].T, packed[2, :, 1:-1].T
     hu[rows] = sol.hu
-    hw = predictor.hw.values.copy(order="K")
     hw[rows] += (coeffs.dt / coeffs.rho) * bottom_pressure
-
-    return FlowState._wrap(
-        predictor.h,
-        NodalField._wrap(grid, hu),
-        NodalField._wrap(grid, hw),
-        predictor.time,
-    )
+    # the corrected state keeps the predictor's depth field, whose values
+    # its own padded array holds as well, for the next step to read in place
+    return FlowState._wrap(predictor.h, NodalField._wrap(grid, hu), NodalField._wrap(grid, hw),
+                           predictor.time, packed=packed)
 
 
 def apply_correction(predictor: FlowState, bottom: BottomSample, dt: float,
                      ranges, bcs: BoundaryPair, rho: float = RHO_WATER,
+                     workspace: BandedWorkspace | None = None,
                      ) -> tuple[FlowState, PressureSolution]:
     """Full correction pipeline on the elements of the flagged ranges, over
-    the bottom sampled at the grid's sample nodes at the predictor's time.
-    The ranges must be sorted and disjoint, as assemble_coefficients takes
+    the bottom sampled at the grid's sample nodes at the predictor's time,
+    the banded system built in `workspace` (see _solve_batched).  The
+    ranges must be sorted and disjoint, as assemble_coefficients takes
     them."""
     coeffs = assemble_coefficients(predictor, bottom, dt, rho, ranges=ranges)
-    sol = solve_on_ranges(predictor, coeffs, bcs)
+    sol = solve_on_ranges(predictor, coeffs, bcs, workspace)
     return correct_momentum(predictor, sol), sol

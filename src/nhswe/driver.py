@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adaptivity import Criterion, NonHydroMask, adaptive_step
+from .adaptivity import Criterion, NonHydroMask, Stepper, adaptive_step
 from .bathymetry import BottomSample
 from .grid import FlowState, NodalField
 from .scenarios import ScenarioSpec
@@ -24,6 +24,12 @@ class RunResult:
     mask_history: list               # (step, t, ranges) per step
     mask_fraction_mean: float
     loop_time: float
+
+
+def step_times(spec: ScenarioSpec, initial: FlowState) -> np.ndarray:
+    """The times of a run's states, the initial one first, as its steps
+    reach them: each step adds dt to the time of the state it starts from."""
+    return np.cumsum([initial.time] + [spec.dt] * spec.n_steps)
 
 
 def simulate(spec: ScenarioSpec, initial: FlowState, mode: str,
@@ -49,6 +55,7 @@ def simulate(spec: ScenarioSpec, initial: FlowState, mode: str,
     # one bottom sample per step: each step samples its new time and hands
     # the sample on to the gauges and the next step
     state = initial
+    stepper = Stepper(grid, mode, criterion)
     bottom = spec.bathymetry.sample(grid.sample_nodes, state.time)
     record_gauges(0, state, bottom)
     result = None
@@ -59,7 +66,8 @@ def simulate(spec: ScenarioSpec, initial: FlowState, mode: str,
     for step in range(n_steps):
         t0 = _time.perf_counter()
         result = adaptive_step(state, spec.dt, spec.bathymetry, spec.bcs,
-                               mode=mode, crit=criterion, bottom=bottom)
+                               mode=mode, crit=criterion, bottom=bottom,
+                               stepper=stepper)
         loop_time += _time.perf_counter() - t0
         state, bottom = result.state, result.bottom
         fractions[step] = result.mask.fraction

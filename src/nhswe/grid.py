@@ -190,24 +190,52 @@ class FlowState:
 
     @classmethod
     def _wrap(cls, h: NodalField, hu: NodalField, hw: NodalField,
-              time: float, nodes: np.ndarray | None = None) -> "FlowState":
+              time: float, packed: np.ndarray | None = None) -> "FlowState":
         """Trusted constructor for hot paths; skips the consistency checks.
 
-        `nodes` is the (3, nodes, n_elements) array whose rows the three
-        fields view transposed, when they share one; see `node_rows`.
+        `packed` is a padded array whose interior holds the values of the
+        three fields, when the state has one; see `packed`.
         """
         state = object.__new__(cls)
-        vars(state).update(h=h, hu=hu, hw=hw, time=time, _nodes=nodes)
+        vars(state).update(h=h, hu=hu, hw=hw, time=time, _packed=packed)
         return state
+
+    @classmethod
+    def _from_packed(cls, grid: GridSpec, packed: np.ndarray, time: float) -> "FlowState":
+        """The state whose fields view, as (element, node) arrays, the
+        interior of a padded array (see `packed`) the caller hands over."""
+        fields = packed[:, :, 1:-1].transpose(0, 2, 1)
+        return cls._wrap(NodalField._wrap(grid, fields[0]), NodalField._wrap(grid, fields[1]),
+                         NodalField._wrap(grid, fields[2]), time, packed=packed)
+
+    @property
+    def packed(self) -> np.ndarray | None:
+        """(h, hu, hw) node by node with one ghost element at each end,
+        shape (3, nodes, n_elements + 2), when the state has one; else None.
+        Its interior holds the fields' values: the fields view it, but for
+        a corrected state's depth, which is the predictor's field.  The ghost
+        elements hold no part of the state: a step fills them from its
+        boundary conditions."""
+        return self.__dict__.get("_packed")
+
+    def pack_into(self, out: np.ndarray) -> np.ndarray:
+        """Copy the fields into the interior of a padded array `out`, shaped
+        as `packed`, and return it; the ghost elements are left as they are."""
+        for k, field in enumerate((self.h, self.hu, self.hw)):
+            out[k, :, 1:-1] = field.values.T
+        return out
 
     def node_rows(self, rows) -> np.ndarray:
         """(h, hu, hw) on the given elements, node by node: shape
         (3, nodes, len(rows)); one gather when the fields share one array."""
-        nodes = self.__dict__.get("_nodes")
-        if nodes is None:
+        packed = self.packed
+        if packed is None:
             return np.stack([f.values.T[:, rows] for f in (self.h, self.hu, self.hw)])
-        # np.take gathers an index array several times faster than indexing
-        return nodes[:, :, rows] if isinstance(rows, slice) else nodes.take(rows, axis=2)
+        if isinstance(rows, slice):
+            return packed[:, :, 1:-1][:, :, rows]
+        # np.take gathers an index array several times faster than indexing,
+        # and copies a non-contiguous input first, so it reads the padded array
+        return packed.take(rows + 1, axis=2)
 
 
 def project(f: Callable[[np.ndarray], np.ndarray], grid: GridSpec) -> NodalField:

@@ -3,9 +3,13 @@
 The conserved triple (h, hu, hw) is advanced with Heun's two-stage scheme;
 element coupling goes through Rusanov interface fluxes and the bottom slope
 enters as the nodal source g*h*d_x.  The vertical momentum hw is advected
-passively (no vertical source in the hydrostatic step).  A step packs the
-triple into one node-by-node array, so each stage computes traces, wave
-speeds and the three flux components in one pass rather than once per field.
+passively (no vertical source in the hydrostatic step).  A step works on the
+triple packed into one node-by-node array, so each stage computes traces,
+wave speeds and the three flux components in one pass rather than once per
+field.  Each state the step returns owns a fresh such array, which the next
+step reads in place; every stage temporary is one of the run's StageBuffers,
+written with `out=`.  So a step allocates nothing else of the grid's size,
+but for packing a state that no step returned, such as a run's initial one.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from math import isfinite, sqrt
 import numpy as np
 
 from .bathymetry import GRAVITY, BathymetryModel, BottomSample
-from .grid import FlowState, GridSpec, NodalField
+from .grid import FlowState, GridSpec
 
 
 class PositivityError(RuntimeError):
@@ -62,24 +66,62 @@ WALL = BoundaryCondition("wall")
 ABSORBING = BoundaryCondition("absorbing")
 
 
-def _flux(q, u):
+def _flux(q, u, out=None, scratch=None):
     """Physical flux (hu, hu u + g h^2 / 2, u hw) of states q = (h, hu, hw),
-    stacked along the first axis, with velocity u."""
-    f = q * u
+    stacked along the first axis, with velocity u; written into `out`, with
+    `scratch` shaped as u for g h^2 / 2, where they are given."""
+    f = np.multiply(q, u, out=out)
     f[0] = q[1]
-    f[1] += (0.5 * GRAVITY) * q[0] * q[0]
+    pressure = np.multiply(q[0], 0.5 * GRAVITY, out=scratch)
+    pressure *= q[0]
+    f[1] += pressure
     return f
 
 
-def _rusanov(qL, qR, fL, fR, speed):
+def _rusanov(qL, qR, fL, fR, speed, out=None, scratch=None):
     """Rusanov interface flux from the states and physical fluxes on either
-    side and the largest wave speed at the interface."""
-    return 0.5 * ((fL + fR) - speed * (qR - qL))
+    side and the largest wave speed at the interface; written into `out`,
+    with `scratch` shaped as qL for the state jump, where they are given."""
+    face = np.add(fL, fR, out=out)
+    jump = np.subtract(qR, qL, out=scratch)
+    jump *= speed
+    face -= jump
+    face *= 0.5
+    return face
 
 
-def _speed(u, h):
-    """Largest characteristic speed |u| + sqrt(g h)."""
-    return np.abs(u) + np.sqrt(GRAVITY * h)
+def _speed(u, h, out=None, scratch=None):
+    """Largest characteristic speed |u| + sqrt(g h); written into `out`,
+    with `scratch` for |u|, where they are given.  `scratch` may be u
+    itself, which then holds |u|."""
+    speed = np.sqrt(np.multiply(h, GRAVITY, out=out), out=out)
+    speed += np.abs(u, out=scratch)
+    return speed
+
+
+class StageBuffers:
+    """The arrays a predictor step writes and no caller keeps, for one grid:
+    rhs_operator's stage temporaries, the two stage tendencies `k1` and
+    `k2`, and the first stage's padded state `star`.  A run reuses one set
+    for all its steps; `heun_step` builds a set of its own when it is given
+    none.
+    """
+
+    def __init__(self, grid: GridSpec):
+        m, n = grid.poly_order + 1, grid.n_elements
+        padded, interior = (m, n + 2), (3, m, n)
+        self.u = np.empty(padded)
+        self.speed = np.empty(padded)
+        # g h^2 / 2 of the flux, then g h d_x of the bottom source
+        self.scratch = np.empty(padded)
+        self.f = np.empty((3,) + padded)
+        self.face_speed = np.empty(n + 1)
+        self.face = np.empty((3, n + 1))
+        self.jump = np.empty((3, n + 1))
+        self.faces = np.empty((3, 2, n))
+        self.k1 = np.empty(interior)
+        self.k2 = np.empty(interior)
+        self.star = np.empty((3,) + padded)
 
 
 def _step_faces(q: np.ndarray, faces: np.ndarray, d: np.ndarray, interfaces) -> None:
@@ -122,16 +164,19 @@ def _step_faces(q: np.ndarray, faces: np.ndarray, d: np.ndarray, interfaces) -> 
 
 
 def rhs_operator(q: np.ndarray, t: float, grid: GridSpec, bottom: BottomSample,
-                 jumps, bcs: BoundaryPair) -> tuple[np.ndarray, np.ndarray]:
+                 jumps, bcs: BoundaryPair, buffers: StageBuffers,
+                 out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Semi-discrete tendency of the packed state at time t, over the bottom
     `bottom` sampled at the grid's sample nodes at that time.
 
     `q` holds (h, hu, hw) node by node, shape (3, nodes, n_elements + 2):
     the grid's elements plus one ghost element at each end, which is filled
     here from the boundary conditions.  Laid out this way, the traces on
-    either side of all interfaces are contiguous rows.  Returns the tendency
-    of the grid's elements, shape (3, nodes, n_elements), and the largest
-    characteristic speed |u| + sqrt(g h) at every node of q.
+    either side of all interfaces are contiguous rows.  The tendency of the
+    grid's elements, shape (3, nodes, n_elements), is written into `out`;
+    every temporary is one of `buffers`.  Returns the tendency and the
+    largest characteristic speed |u| + sqrt(g h) at every node of q, which
+    the next call overwrites.
 
     Interface fluxes are plain Rusanov fluxes, except at the interfaces
     nearest the positions `jumps` where the model declares that its bottom
@@ -149,69 +194,78 @@ def rhs_operator(q: np.ndarray, t: float, grid: GridSpec, bottom: BottomSample,
     np.multiply(q[:, 0, 1:2], bcs.left.signs, out=q[:, :, 0])
     np.multiply(q[:, -1, -2:-1], bcs.right.signs, out=q[:, :, -1])
 
-    u = q[1] / q[0]
-    f = _flux(q, u)
-    speed = _speed(u, q[0])
+    u = np.divide(q[1], q[0], out=buffers.u)
+    f = _flux(q, u, buffers.f, buffers.scratch)
+    speed = _speed(u, q[0], buffers.speed, scratch=u)
     # interface i lies between padded elements i and i + 1; the bottom is
     # continuous across the two domain ends
     face = _rusanov(q[:, -1, :-1], q[:, 0, 1:], f[:, -1, :-1], f[:, 0, 1:],
-                    np.maximum(speed[-1, :-1], speed[0, 1:]))
+                    np.maximum(speed[-1, :-1], speed[0, 1:], out=buffers.face_speed),
+                    buffers.face, buffers.jump)
 
-    n = h.shape[1]
     # the flux through the left and the right face of each element
-    faces = np.empty((3, 2, n))
+    faces = buffers.faces
     faces[:, 0] = face[:, :-1]
     faces[:, 1] = face[:, 1:]
     _step_faces(q, faces, bottom.d, grid.interfaces_near(jumps))
 
-    tend = grid.weak_div @ f[:, :, 1:-1]
-    tend += grid.lift @ faces
+    tend = np.matmul(grid.weak_div, f[:, :, 1:-1], out=out)
+    # the flux is read for the last time above, so its storage takes the
+    # lift product
+    tend += np.matmul(grid.lift, faces, out=f.reshape(-1)[:out.size].reshape(out.shape))
     if "d_x" in bottom.active:
-        tend[1] += (GRAVITY * h) * bottom.d_x.T
+        source = np.multiply(h, GRAVITY, out=buffers.scratch[:, 1:-1])
+        source *= bottom.d_x.T
+        tend[1] += source
     return tend, speed
 
 
 def heun_step(state: FlowState, dt: float, bathy: BathymetryModel,
               bcs: BoundaryPair,
-              bottoms: tuple[BottomSample, BottomSample] | None = None) -> FlowState:
+              bottoms: tuple[BottomSample, BottomSample] | None = None,
+              buffers: StageBuffers | None = None) -> FlowState:
     """One predictor step: forward Euler stage then trapezoidal average.
 
     `bottoms` are the bottom samples at the grid's sample nodes at the
     step's start and end, when the caller holds them; otherwise both are
-    taken here.  Warns when the advisory CFL number of the step's first
-    stage exceeds 1.
+    taken here.  `buffers` are the run's stage buffers; without them the
+    step builds its own.  The new state owns a fresh padded array, which
+    the next step reads in place.  Warns when the advisory CFL number of
+    the step's first stage exceeds 1.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     grid = state.grid
+    if buffers is None:
+        buffers = StageBuffers(grid)
     new_time = state.time + dt
     if bottoms is None:
         bottoms = (bathy.sample(grid.sample_nodes, state.time),
                    bathy.sample(grid.sample_nodes, new_time))
-    q = np.empty((3, grid.poly_order + 1, grid.n_elements + 2))
-    q[0, :, 1:-1] = state.h.values.T
-    q[1, :, 1:-1] = state.hu.values.T
-    q[2, :, 1:-1] = state.hw.values.T
+    q = state.packed
+    if q is None:
+        # a state no step returned, such as a run's initial one
+        q = state.pack_into(np.empty((3, grid.poly_order + 1, grid.n_elements + 2)))
     k1, speed = rhs_operator(q, state.time, grid, bottoms[0], bathy.jumps(state.time),
-                             bcs)
+                             bcs, buffers, buffers.k1)
     cfl = float(speed[:, 1:-1].max()) * dt / grid.dx
     if cfl > 1.0:
         warnings.warn(f"advisory CFL number {cfl:.3f} exceeds 1 at t={state.time:.6g}",
                       RuntimeWarning, stacklevel=2)
-    star = np.empty_like(q)
+    star = buffers.star
     _advance(q, k1, dt, new_time, 1, out=star[:, :, 1:-1])
-    k2, _ = rhs_operator(star, new_time, grid, bottoms[1], bathy.jumps(new_time), bcs)
+    k2, _ = rhs_operator(star, new_time, grid, bottoms[1], bathy.jumps(new_time), bcs,
+                         buffers, buffers.k2)
     k1 += k2
-    _advance(q, k1, 0.5 * dt, new_time, 2, out=k1)
-    # the fields are (element, node) views of the node-by-node result
-    return FlowState._wrap(NodalField._wrap(grid, k1[0].T), NodalField._wrap(grid, k1[1].T),
-                           NodalField._wrap(grid, k1[2].T), new_time, nodes=k1)
+    new = np.empty(q.shape)
+    _advance(q, k1, 0.5 * dt, new_time, 2, out=new[:, :, 1:-1])
+    return FlowState._from_packed(grid, new, new_time)
 
 
 def _advance(q: np.ndarray, tend: np.ndarray, dt: float, new_time: float,
              stage: int, out: np.ndarray) -> np.ndarray:
     """out = grid elements of q + dt * tend, checked for positive depth and
-    finite fields; `out` may be `tend` itself."""
+    finite fields."""
     np.multiply(tend, dt, out=out)
     out += q[:, :, 1:-1]
     # `not >` also trips on NaN, and a finite sum certifies every field finite

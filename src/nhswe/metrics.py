@@ -12,6 +12,10 @@ class DegenerateSeriesError(ValueError):
     """Correlation is undefined for a zero-variance series."""
 
 
+class DisjointSeriesError(ValueError):
+    """Two series' samplings share fewer than two sample times."""
+
+
 @dataclass(frozen=True)
 class SeriesPair:
     reference: np.ndarray
@@ -57,15 +61,26 @@ def pearson(pair: SeriesPair) -> float:
     return float(np.clip(np.sum(ref * cand) / denom, -1.0, 1.0))
 
 
-def aligned_pair(ref_t: np.ndarray, ref_v: np.ndarray,
-                 cand_t: np.ndarray, cand_v: np.ndarray) -> SeriesPair:
-    """Linearly interpolate the candidate onto the reference sampling."""
+def overlap(ref_t: np.ndarray, cand_t: np.ndarray) -> np.ndarray:
+    """Mask of the reference sample times within the candidate's time range;
+    fewer than two is a DisjointSeriesError naming both ranges."""
     ref_t = np.asarray(ref_t, dtype=float)
     cand_t = np.asarray(cand_t, dtype=float)
     lo, hi = cand_t.min(), cand_t.max()
     keep = (ref_t >= lo) & (ref_t <= hi)
     if keep.sum() < 2:
-        raise ValueError("series samplings do not overlap")
+        raise DisjointSeriesError(
+            f"series samplings do not overlap: times {ref_t.min():g} to "
+            f"{ref_t.max():g} s share fewer than two samples with {lo:g} to {hi:g} s")
+    return keep
+
+
+def aligned_pair(ref_t: np.ndarray, ref_v: np.ndarray,
+                 cand_t: np.ndarray, cand_v: np.ndarray) -> SeriesPair:
+    """Linearly interpolate the candidate onto the reference sampling."""
+    ref_t = np.asarray(ref_t, dtype=float)
+    cand_t = np.asarray(cand_t, dtype=float)
+    keep = overlap(ref_t, cand_t)
     cand_on_ref = np.interp(ref_t[keep], cand_t, np.asarray(cand_v, dtype=float))
     return SeriesPair(np.asarray(ref_v, dtype=float)[keep], cand_on_ref)
 

@@ -96,6 +96,55 @@ def test_run_with_reference_csv(tmp_path):
     assert report["gauge_rmse"]["eta@200"] == pytest.approx(0.0, abs=1e-15)
 
 
+def test_reference_outside_the_run_is_a_config_error(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "run"
+    assert run_cli("run", "--scenario", "solitary", "--mode", "global",
+                   "--t-end", "2", "--gauges", "200", "--outdir", str(out)) == 0
+    late = tmp_path / "late.csv"
+    # the second case shares one sample, t = 1 s, with the 2 s run
+    for body in ("t,eta@200\n50.0,0.1\n60.0,0.2\n", "t,eta@200\n1.0,0.1\n60.0,0.2\n"):
+        late.write_text(body)
+        assert run_cli("compare", str(late), str(out)) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"config error: {late} and {out}: series samplings do not overlap" in err
+        # the reference's times are checked before the outdir and any step
+        monkeypatch.setattr("nhswe.cli.simulate", no_simulate)
+        assert run_cli("run", "--scenario", "solitary", "--mode", "global",
+                       "--t-end", "2", "--gauges", "200", "--outdir",
+                       str(tmp_path / "again"), "--reference", str(late)) == EXIT_CONFIG
+        assert not (tmp_path / "again").exists()
+        assert "config error: reference: series samplings do not overlap" in \
+            capsys.readouterr().err
+        monkeypatch.undo()
+
+
+def test_reference_columns_match_the_gauges_by_position(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "run"
+    assert run_cli("run", "--scenario", "solitary", "--mode", "global",
+                   "--t-end", "2", "--gauges", "200", "--outdir", str(out)) == 0
+    named = tmp_path / "named.csv"
+    lines = (out / "gauges.csv").read_text().splitlines()
+    assert lines[1] == "t,eta@200"
+    named.write_text("\n".join(lines[:1] + ["t,eta@200.0"] + lines[2:]) + "\n")
+    assert run_cli("run", "--scenario", "solitary", "--mode", "global",
+                   "--t-end", "2", "--gauges", "200", "--outdir",
+                   str(tmp_path / "again"), "--reference", str(named)) == 0
+    report = json.loads((tmp_path / "again" / "report.json").read_text())
+    assert report["gauge_rmse"] == {"eta@200": 0.0}
+    # a reference that shares no gauge with the run stops before it
+    monkeypatch.setattr("nhswe.cli.simulate", no_simulate)
+    assert run_cli("run", "--scenario", "solitary", "--mode", "global",
+                   "--t-end", "2", "--gauges", "300", "--outdir",
+                   str(tmp_path / "other"), "--reference", str(named)) == EXIT_CONFIG
+    assert not (tmp_path / "other").exists()
+    assert "config error: reference: its columns ['eta@200'] share no gauge" in \
+        capsys.readouterr().err
+    # two columns that name one gauge are refused, not one of them dropped
+    named.write_text("t,eta@200,eta@200.0\n0.0,0.1,0.1\n0.1,0.2,0.2\n")
+    assert run_cli("compare", str(named), str(out)) == EXIT_CONFIG
+    assert "two columns name one gauge" in capsys.readouterr().err
+
+
 def test_with_global_reports_time_ratio(tmp_path):
     out = tmp_path / "run"
     assert run_cli("run", "--scenario", "solitary", "--mode", "adaptive",

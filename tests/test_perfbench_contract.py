@@ -95,3 +95,18 @@ def test_a_traced_run_samples_the_bottom_once_per_step(tracer, scenario):
         simulate(spec, init, "hydrostatic")
     for name in ("bathymetry.sample", "bathymetry._sample"):
         assert trace.layers[name].calls == spec.n_steps + 1, name
+
+
+@pytest.mark.parametrize("mode", ["hydrostatic", "global", "adaptive"])
+def test_a_traced_run_steps_through_the_traced_names(tracer, mode):
+    # the run's stepper must not reach the predictor another way: each step
+    # is one call of the step and of the predictor, two of the tendency
+    spec, init = build_scenario("hammack_up", t_end=0.05)
+    crit = Criterion("eta_over_d", 1e-3) if mode == "adaptive" else None
+    with tracer.traced(tracer.Tracer(), tracer.layer_targets(spec.bathymetry)) as trace:
+        simulate(spec, init, mode, crit)
+    k = spec.n_steps
+    calls = {name: trace.layers[name].calls for name in (
+        "adaptivity.adaptive_step", "hydrostatic.heun_step", "hydrostatic.rhs_operator")}
+    assert calls == {"adaptivity.adaptive_step": k, "hydrostatic.heun_step": k,
+                     "hydrostatic.rhs_operator": 2 * k}
