@@ -140,8 +140,9 @@ class Stepper:
     which every step of a mode that uses them returns.  Everything else a
     step returns is its own, and no later step writes it: the new state,
     the bottom sample, a criterion's mask and the solution.  The one
-    exception holds no value of the state: the next step fills the ghost
-    elements of the state's padded array (`FlowState.packed`).
+    exception holds no value of a state: every step fills the ghost elements
+    of its input state's padded array (`FlowState.packed`), a run's initial
+    state too.
     """
 
     def __init__(self, grid: GridSpec, mode: str, crit: Criterion | None = None):

@@ -101,7 +101,8 @@ class BathymetryModel:
         slice), which take the six channel values."""
         count = len(values[0])
         if count == math.prod(shape):
-            # no still bottom shows: the values are the sample
+            # no still bottom shows, as for a model that declares no support
+            # and so need not define h0: the values are the sample
             return BottomSample(*(v.reshape(shape) for v in values))
         if count == 0:
             # one zero array serves all five channels

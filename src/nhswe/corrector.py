@@ -36,7 +36,7 @@ work storage is allocated once per run, in the run's Stepper
 (BandedWorkspace), and reused by every solve, so a step allocates nothing
 of the size of the banded system.  A correction's cost is therefore the
 work on the flagged elements, plus two parts that do not shrink with them:
-copying the state into the padded array the corrected state must own, and
+the copy of the predictor's padded array that the corrected state owns, and
 a fixed count of array operations, which dominates on small masks.
 """
 
@@ -632,7 +632,7 @@ def correct_momentum(predictor: FlowState, sol: PressureSolution) -> FlowState:
 
     The solution's coefficients name the solved elements: only they receive
     new momenta, copies of the predictor's everywhere else.  The corrected
-    state owns a fresh padded array (see `FlowState.packed`).
+    state owns a copy of the predictor's padded array (`FlowState.packed`).
     """
     grid = predictor.grid
     coeffs = sol.coeffs
@@ -650,14 +650,10 @@ def correct_momentum(predictor: FlowState, sol: PressureSolution) -> FlowState:
     if coeffs.phi is not None:
         bottom_pressure += coeffs.phi
 
-    packed = predictor.pack_into(np.empty((3, grid.poly_order + 1, grid.n_elements + 2)))
-    hu, hw = packed[1, :, 1:-1].T, packed[2, :, 1:-1].T
-    hu[rows] = sol.hu
-    hw[rows] += (coeffs.dt / coeffs.rho) * bottom_pressure
-    # the corrected state keeps the predictor's depth field, whose values
-    # its own padded array holds as well, for the next step to read in place
-    return FlowState._wrap(predictor.h, NodalField._wrap(grid, hu), NodalField._wrap(grid, hw),
-                           predictor.time, packed=packed)
+    corrected = FlowState._from_packed(grid, predictor.packed.copy(), predictor.time)
+    corrected.hu.values[rows] = sol.hu
+    corrected.hw.values[rows] += (coeffs.dt / coeffs.rho) * bottom_pressure
+    return corrected
 
 
 def apply_correction(predictor: FlowState, bottom: BottomSample, dt: float,

@@ -5,6 +5,9 @@ endpoints are nodes and interface traces are direct nodal reads.  All element
 integrals (mass and stiffness matrices) are evaluated with Gauss-Legendre
 quadrature that is exact for the chosen polynomial degree; products of fields
 are interpolated nodally before integration.
+
+Every flow state has one layout: its fields view the interior of a padded
+array it owns (`FlowState.packed`), which a step reads in place.
 """
 
 from __future__ import annotations
@@ -120,10 +123,6 @@ class GridSpec:
     def n_nodes(self) -> int:
         return self.n_elements * (self.poly_order + 1)
 
-    def element_of(self, x: float) -> int:
-        i = int((x - self.x_left) / self.dx)
-        return min(max(i, 0), self.n_elements - 1)
-
     def interfaces_near(self, points) -> list[int]:
         """The interior element interfaces nearest the points x, interface k
         lying at x_left + k dx, between elements k - 1 and k; a point nearest
@@ -170,7 +169,15 @@ class NodalField:
 
 @dataclass(frozen=True)
 class FlowState:
-    """Conserved variables (h, hu, hw) on a common grid at a given time."""
+    """Conserved variables (h, hu, hw) on a common grid at a given time.
+
+    A state owns one padded array, `packed`: (h, hu, hw) node by node with
+    one ghost element at each end, shape (3, nodes, n_elements + 2).  Its
+    fields view the interior as (element, node) arrays.  The ghost elements
+    hold no part of the state: a step fills them from its boundary
+    conditions.  Both constructors copy the fields they are given into a
+    fresh padded array; `_from_packed` adopts the one it is handed.
+    """
 
     h: NodalField
     hu: NodalField
@@ -183,6 +190,8 @@ class FlowState:
         if self.h.values.min() <= 0.0:
             el = int(np.argwhere(np.any(self.h.values <= 0.0, axis=1))[0][0])
             raise ValueError(f"non-positive water column in element {el} at t={self.time}")
+        # checked, the state is the one the trusted constructor builds
+        vars(self).update(vars(self._wrap(self.h, self.hu, self.hw, self.time)))
 
     @property
     def grid(self) -> GridSpec:
@@ -190,52 +199,32 @@ class FlowState:
 
     @classmethod
     def _wrap(cls, h: NodalField, hu: NodalField, hw: NodalField,
-              time: float, packed: np.ndarray | None = None) -> "FlowState":
-        """Trusted constructor for hot paths; skips the consistency checks.
-
-        `packed` is a padded array whose interior holds the values of the
-        three fields, when the state has one; see `packed`.
-        """
-        state = object.__new__(cls)
-        vars(state).update(h=h, hu=hu, hw=hw, time=time, _packed=packed)
-        return state
+              time: float) -> "FlowState":
+        """Trusted constructor for hot paths; skips the consistency checks."""
+        grid = h.grid
+        packed = np.empty((3, grid.poly_order + 1, grid.n_elements + 2))
+        for k, field in enumerate((h, hu, hw)):
+            packed[k, :, 1:-1] = field.values.T
+        return cls._from_packed(grid, packed, time)
 
     @classmethod
     def _from_packed(cls, grid: GridSpec, packed: np.ndarray, time: float) -> "FlowState":
-        """The state whose fields view, as (element, node) arrays, the
-        interior of a padded array (see `packed`) the caller hands over."""
+        """The state that owns the padded array the caller hands over."""
         fields = packed[:, :, 1:-1].transpose(0, 2, 1)
-        return cls._wrap(NodalField._wrap(grid, fields[0]), NodalField._wrap(grid, fields[1]),
-                         NodalField._wrap(grid, fields[2]), time, packed=packed)
-
-    @property
-    def packed(self) -> np.ndarray | None:
-        """(h, hu, hw) node by node with one ghost element at each end,
-        shape (3, nodes, n_elements + 2), when the state has one; else None.
-        Its interior holds the fields' values: the fields view it, but for
-        a corrected state's depth, which is the predictor's field.  The ghost
-        elements hold no part of the state: a step fills them from its
-        boundary conditions."""
-        return self.__dict__.get("_packed")
-
-    def pack_into(self, out: np.ndarray) -> np.ndarray:
-        """Copy the fields into the interior of a padded array `out`, shaped
-        as `packed`, and return it; the ghost elements are left as they are."""
-        for k, field in enumerate((self.h, self.hu, self.hw)):
-            out[k, :, 1:-1] = field.values.T
-        return out
+        state = object.__new__(cls)
+        vars(state).update(h=NodalField._wrap(grid, fields[0]),
+                           hu=NodalField._wrap(grid, fields[1]),
+                           hw=NodalField._wrap(grid, fields[2]), time=time, packed=packed)
+        return state
 
     def node_rows(self, rows) -> np.ndarray:
         """(h, hu, hw) on the given elements, node by node: shape
-        (3, nodes, len(rows)); one gather when the fields share one array."""
-        packed = self.packed
-        if packed is None:
-            return np.stack([f.values.T[:, rows] for f in (self.h, self.hu, self.hw)])
+        (3, nodes, len(rows))."""
         if isinstance(rows, slice):
-            return packed[:, :, 1:-1][:, :, rows]
+            return self.packed[:, :, 1:-1][:, :, rows]
         # np.take gathers an index array several times faster than indexing,
         # and copies a non-contiguous input first, so it reads the padded array
-        return packed.take(rows + 1, axis=2)
+        return self.packed.take(rows + 1, axis=2)
 
 
 def project(f: Callable[[np.ndarray], np.ndarray], grid: GridSpec) -> NodalField:
@@ -254,14 +243,3 @@ def derivative_values(grid: GridSpec, values: np.ndarray) -> np.ndarray:
     no inter-element coupling."""
     return (values @ grid.deriv_ref.T) * (2.0 / grid.dx)
 
-
-def evaluate(field: NodalField, x: np.ndarray) -> np.ndarray:
-    """Evaluate the piecewise polynomial at arbitrary points (one-sided at interfaces)."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    grid = field.grid
-    out = np.empty_like(x)
-    for k, xi in enumerate(x):
-        e = grid.element_of(xi)
-        xi_ref = 2.0 * (xi - grid.x_left - e * grid.dx) / grid.dx - 1.0
-        out[k] = lagrange_eval_matrix(grid.ref_nodes, np.array([xi_ref]))[0] @ field.values[e]
-    return out

@@ -6,10 +6,10 @@ enters as the nodal source g*h*d_x.  The vertical momentum hw is advected
 passively (no vertical source in the hydrostatic step).  A step works on the
 triple packed into one node-by-node array, so each stage computes traces,
 wave speeds and the three flux components in one pass rather than once per
-field.  Each state the step returns owns a fresh such array, which the next
-step reads in place; every stage temporary is one of the run's StageBuffers,
-written with `out=`.  So a step allocates nothing else of the grid's size,
-but for packing a state that no step returned, such as a run's initial one.
+field.  Every state owns such an array (`FlowState.packed`), which the step
+reads in place, and the state it returns owns a fresh one; every stage
+temporary is one of the run's StageBuffers, written with `out=`.  So a step
+allocates nothing else of the grid's size.
 """
 
 from __future__ import annotations
@@ -70,8 +70,9 @@ def _flux(q, u, out=None, scratch=None):
     """Physical flux (hu, hu u + g h^2 / 2, u hw) of states q = (h, hu, hw),
     stacked along the first axis, with velocity u; written into `out`, with
     `scratch` shaped as u for g h^2 / 2, where they are given."""
-    f = np.multiply(q, u, out=out)
+    f = np.empty(np.shape(q)) if out is None else out
     f[0] = q[1]
+    np.multiply(q[1:], u, out=f[1:])
     pressure = np.multiply(q[0], 0.5 * GRAVITY, out=scratch)
     pressure *= q[0]
     f[1] += pressure
@@ -243,9 +244,6 @@ def heun_step(state: FlowState, dt: float, bathy: BathymetryModel,
         bottoms = (bathy.sample(grid.sample_nodes, state.time),
                    bathy.sample(grid.sample_nodes, new_time))
     q = state.packed
-    if q is None:
-        # a state no step returned, such as a run's initial one
-        q = state.pack_into(np.empty((3, grid.poly_order + 1, grid.n_elements + 2)))
     k1, speed = rhs_operator(q, state.time, grid, bottoms[0], bathy.jumps(state.time),
                              bcs, buffers, buffers.k1)
     cfl = float(speed[:, 1:-1].max()) * dt / grid.dx

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from nhswe.grid import (FlowState, GridSpec, NodalField, derivative_values, evaluate,
+from nhswe.grid import (FlowState, GridSpec, NodalField, derivative_values,
                         gauss_lobatto_nodes, project)
 
 
@@ -75,6 +75,23 @@ def test_flow_state_requires_positive_depth():
         FlowState(NodalField(grid, h), zero, zero, 0.0)
 
 
+@pytest.mark.parametrize("build", [FlowState, FlowState._wrap])
+def test_a_state_copies_the_arrays_it_is_built_from(build):
+    # both constructors copy the fields into the padded array the state
+    # owns, which its fields then view
+    grid = GridSpec(0.0, 1.0, 4, 1)
+    arrays = [np.full((4, 2), 2.0), np.full((4, 2), 0.5), np.zeros((4, 2))]
+    state = build(*(NodalField(grid, a) for a in arrays), 0.0)
+    for a in arrays:
+        a += 7.0
+    fields = (state.h, state.hu, state.hw)
+    assert [f.values.tolist() for f in fields] == [[[v, v]] * 4 for v in (2.0, 0.5, 0.0)]
+    assert state.packed.shape == (3, 2, 6)
+    for k, f in enumerate(fields):
+        assert np.shares_memory(f.values, state.packed)
+        assert f.values.tobytes() == state.packed[k, :, 1:-1].T.tobytes()
+
+
 def test_grid_spec_validation():
     with pytest.raises(ValueError):
         GridSpec(1.0, 0.0, 4, 1)
@@ -82,13 +99,6 @@ def test_grid_spec_validation():
         GridSpec(0.0, 1.0, 1, 1)
     with pytest.raises(ValueError):
         GridSpec(0.0, 1.0, 4, 0)
-
-
-def test_evaluate_matches_nodes_and_midpoints():
-    grid = GridSpec(0.0, 4.0, 4, 1)
-    field = project(lambda x: 2.0 * x + 1.0, grid)
-    xs = np.array([0.5, 1.5, 2.25, 3.9])
-    assert np.allclose(evaluate(field, xs), 2.0 * xs + 1.0, atol=1e-12)
 
 
 def test_nearest_node():
@@ -102,5 +112,4 @@ def test_nearest_node():
 def test_projection_reproduces_affine_functions(a, b, n):
     grid = GridSpec(0.0, 1.0, n, 1)
     field = project(lambda x: a * x + b, grid)
-    xs = np.linspace(0.01, 0.99, 7)
-    assert np.allclose(evaluate(field, xs), a * xs + b, atol=1e-9)
+    assert np.allclose(field.values, a * grid.nodes + b, atol=1e-9)

@@ -17,8 +17,9 @@ from pathlib import Path
 import pytest
 
 from nhswe import corrector
-from nhswe.adaptivity import Criterion, adaptive_step
+from nhswe.adaptivity import MODES, Criterion, adaptive_step
 from nhswe.driver import simulate
+from nhswe.grid import FlowState, NodalField
 from nhswe.scenarios import build_scenario
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -60,6 +61,22 @@ def test_a_step_takes_the_arguments_the_harness_passes(workloads, mode):
         result = adaptive_step(init, spec.dt, spec.bathymetry, spec.bcs, mode=mode,
                                crit=workload.criterion)
         assert result.state.time == pytest.approx(spec.dt)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_a_state_from_the_trusted_constructor_steps(workloads, mode):
+    # the harness's gate test builds a run's final state anew with the
+    # four-argument trusted constructor, from a fresh depth array and the
+    # momentum fields of another state; such a state must step as the
+    # workload's own initial state does
+    for workload in workloads.WORKLOADS.values():
+        spec, init = workload.build()
+        state = FlowState._wrap(NodalField._wrap(spec.grid, init.h.values.copy()),
+                                init.hu, init.hw, init.time)
+        ours, theirs = (adaptive_step(s, spec.dt, spec.bathymetry, spec.bcs, mode=mode,
+                                      crit=workload.criterion).state for s in (state, init))
+        for a, b in zip((ours.h, ours.hu, ours.hw), (theirs.h, theirs.hu, theirs.hw)):
+            assert a.values.tobytes() == b.values.tobytes()
 
 
 def test_cleared_caches_are_lru_caches():

@@ -7,10 +7,13 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from nhswe.adaptivity import MODES, Criterion, Stepper, adaptive_step
+from nhswe.corrector import apply_correction
 from nhswe.driver import simulate, step_times
+from nhswe.hydrostatic import heun_step
 from nhswe.scenarios import build_scenario
 
 # the plate moves and the bump slides from the first step, so a few steps
@@ -71,6 +74,24 @@ def test_returned_values_are_never_written_again(mode):
         now = fields(step.state) + [step.mask.flags, step.bottom.d]
         now += [] if step.p_nh is None else [step.p_nh.values]
         assert [a.tobytes() for a in now] == [a.tobytes() for a in copies]
+
+
+@pytest.mark.parametrize("ranges", [((0, 999),), ((10, 40), (480, 520))])
+def test_initial_predicted_and_corrected_states_view_their_own_arrays(ranges):
+    spec, init = build_scenario("hammack_up")
+    predictor = heun_step(init, spec.dt, spec.bathymetry, spec.bcs)
+    bottom = spec.bathymetry.sample(spec.grid.sample_nodes, predictor.time)
+    before = fields(predictor)
+    corrected, _ = apply_correction(predictor, bottom, spec.dt, ranges, spec.bcs)
+    states = (init, predictor, corrected)
+    for state in states:
+        for k, f in enumerate((state.h, state.hu, state.hw)):
+            assert np.shares_memory(f.values, state.packed)
+            assert f.values.tobytes() == state.packed[k, :, 1:-1].T.tobytes()
+    for i, state in enumerate(states):
+        assert not any(np.shares_memory(state.packed, other.packed) for other in states[i + 1:])
+    # correcting the momenta left the predictor as it was
+    assert [a.tobytes() for a in fields(predictor)] == [a.tobytes() for a in before]
 
 
 def test_a_stepper_serves_only_its_own_run():
