@@ -16,7 +16,7 @@ import numpy as np
 
 from .bathymetry import BathymetryModel, BottomSample
 from .corrector import BandedWorkspace, PressureSolution, apply_correction
-from .grid import FlowState, GridSpec, NodalField, derivative_values
+from .grid import FlowState, GridSpec, NodalField, carve, carved_size, derivative_values
 from .hydrostatic import BoundaryPair, StageBuffers, heun_step
 
 MODES = ("hydrostatic", "global", "adaptive")
@@ -80,32 +80,32 @@ def contiguous_ranges(flags: np.ndarray) -> tuple[tuple[int, int], ...]:
     return tuple(zip(edges[::2], [b - 1 for b in edges[1::2]]))
 
 
-def criterion_values(predictor: FlowState, bottom: BottomSample,
-                     kind: str) -> np.ndarray:
+def criterion_values(predictor: FlowState, bottom: BottomSample, kind: str,
+                     buffers: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """Nodal values of one indicator, from the predictor state and the
-    bottom sampled at the grid's sample nodes at its time."""
+    bottom sampled at the grid's sample nodes at its time.  They are
+    written into `buffers`, two contiguous arrays of the grid's
+    (elements, nodes) size, where they are given."""
+    if kind not in CRITERION_KINDS:
+        raise ValueError(f"unknown criterion kind {kind!r}")
     grid = predictor.grid
     h = predictor.h.values
+    values, derivative = (np.empty(h.shape), np.empty(h.shape)) if buffers is None else buffers
     if kind == "eta_over_d":
         # node by node, so that the reduction over an element's nodes in
         # evaluate_criterion runs along contiguous rows
         d = bottom.d.T
-        values = h.T - d
+        values = np.subtract(h.T, d, out=values.reshape(d.shape))
         values /= d
         return np.abs(values, out=values).T
     if kind == "eta_x":
-        return np.abs(derivative_values(grid, h - bottom.d))
-    u = predictor.hu.values / h
-    if kind == "u":
-        return np.abs(u)
-    if kind == "u_x":
-        return np.abs(derivative_values(grid, u))
-    w = predictor.hw.values / h
-    if kind == "w":
-        return np.abs(w)
-    if kind == "w_x":
-        return np.abs(derivative_values(grid, w))
-    raise ValueError(f"unknown criterion kind {kind!r}")
+        np.subtract(h, bottom.d, out=values)
+    else:
+        momentum = predictor.hu if kind in ("u", "u_x") else predictor.hw
+        np.divide(momentum.values, h, out=values)
+    if kind.endswith("_x"):
+        values = derivative_values(grid, values, out=derivative)
+    return np.abs(values, out=values)
 
 
 def enlarge_flags(flags: np.ndarray) -> np.ndarray:
@@ -116,9 +116,12 @@ def enlarge_flags(flags: np.ndarray) -> np.ndarray:
     return grown
 
 
-def evaluate_criterion(predictor: FlowState, bottom: BottomSample,
-                       crit: Criterion) -> NonHydroMask:
-    values = criterion_values(predictor, bottom, crit.kind)
+def evaluate_criterion(predictor: FlowState, bottom: BottomSample, crit: Criterion,
+                       buffers: tuple[np.ndarray, np.ndarray] | None = None) -> NonHydroMask:
+    """The mask of the elements whose largest nodal indicator value exceeds
+    the threshold; the values are written into `buffers` where they are
+    given (see criterion_values)."""
+    values = criterion_values(predictor, bottom, crit.kind, buffers)
     # the largest nodal value of each element, reduced node column by node
     # column: numpy reduces over a short inner axis one element at a time
     flags = reduce(np.maximum, values.T) > crit.k_nh
@@ -134,15 +137,19 @@ def full_mask(n_elements: int) -> NonHydroMask:
 class Stepper:
     """Everything the steps of one run write and no caller keeps.
 
-    Built once per run from the grid, the mode and the criterion: the
-    predictor's stage buffers, the corrector's banded workspace (none in
-    hydrostatic mode), and the masks that flag no element and every element,
-    which every step of a mode that uses them returns.  Everything else a
-    step returns is its own, and no later step writes it: the new state,
-    the bottom sample, a criterion's mask and the solution.  The one
-    exception holds no value of a state: every step fills the ghost elements
-    of its input state's padded array (`FlowState.packed`), a run's initial
-    state too.
+    Built once per run from the grid, the mode and the criterion.  It owns
+    one workspace, `block`, a float64 block sized for whichever of its users
+    needs more.  The predictor's stage buffers (`stages`) are carved from
+    it, and so are the criterion's nodal values (`criterion_buffers`) and
+    the corrector's scratch (`banded`, none in hydrostatic mode).  They take
+    turns: `heun_step` returns before the criterion runs, and the criterion
+    before the correction starts.  The stepper also holds the masks that
+    flag no element and every element, which every step of a mode that uses
+    them returns.  Everything else a step returns is its own and views no part
+    of the block, so no later step writes it: the new state, the bottom
+    sample, a criterion's mask and the solution.  The one exception holds no
+    value of a state: every step fills the ghost elements of its input
+    state's padded array (`FlowState.packed`), a run's initial state too.
     """
 
     def __init__(self, grid: GridSpec, mode: str, crit: Criterion | None = None):
@@ -150,11 +157,16 @@ class Stepper:
             raise ValueError(f"unknown mode {mode!r}")
         if mode == "adaptive" and crit is None:
             raise ValueError("adaptive mode requires a criterion")
-        n = grid.n_elements
+        m, n = grid.poly_order + 1, grid.n_elements
         self.grid, self.mode, self.crit = grid, mode, crit
-        self.stages = StageBuffers(grid)
-        self.banded = (None if mode == "hydrostatic"
-                       else BandedWorkspace(grid.poly_order + 1, n))
+        criterion = [grid.nodes.shape] * 2
+        users = [StageBuffers.shapes(grid), criterion]
+        if mode != "hydrostatic":
+            users.append(BandedWorkspace.shapes(m, n))
+        (self.block,) = carve([(max(map(carved_size, users)),)])
+        self.stages = StageBuffers(grid, self.block)
+        self.criterion_buffers = carve(criterion, self.block)
+        self.banded = None if mode == "hydrostatic" else BandedWorkspace(m, n, self.block)
         self.flag_none = NonHydroMask(np.zeros(n, dtype=bool), ())
         self.flag_all = full_mask(n)
 
@@ -211,7 +223,7 @@ def adaptive_step(state: FlowState, dt: float, bathy: BathymetryModel,
     if mode == "global" or (crit.kind in ("w", "w_x") and not np.any(state.hw.values)):
         mask = stepper.flag_all
     else:
-        mask = evaluate_criterion(predictor, new_bottom, crit)
+        mask = evaluate_criterion(predictor, new_bottom, crit, stepper.criterion_buffers)
 
     if mask.empty:
         return StepResult(predictor, mask, None, new_bottom)

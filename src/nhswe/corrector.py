@@ -31,10 +31,12 @@ Coefficients are assembled, and the banded system is filled and solved, on
 the flagged elements only.  assemble_coefficients fixes that element set
 once, in EllipticCoefficients.ranges and .rows, and the solve and the
 momentum update read it from there; p and hu stay on those elements until
-the momentum update or a caller needs them on the whole grid.  The banded
-work storage is allocated once per run, in the run's Stepper
-(BandedWorkspace), and reused by every solve, so a step allocates nothing
-of the size of the banded system.  A correction's cost is therefore the
+the momentum update or a caller needs them on the whole grid.  Everything a
+correction writes and does not return, from the coefficient stack to the
+banded system and the residual, lives in a BandedWorkspace carved from the
+run's one workspace block, whose predictor stage buffers are dead while a
+correction runs.  So a correction allocates only what it returns: the
+pressure, the momenta and the corrected state.  Its cost is therefore the
 work on the flagged elements, plus two parts that do not shrink with them:
 the copy of the predictor's padded array that the corrected state owns, and
 a fixed count of array operations, which dominates on small masks.
@@ -50,7 +52,8 @@ import numpy as np
 from scipy.linalg import get_lapack_funcs
 
 from .bathymetry import GRAVITY, RHO_WATER, BottomSample
-from .grid import FlowState, GridSpec, NodalField, derivative_values
+from .grid import (FlowState, GridSpec, NodalField, carve, carved_size,
+                   derivative_values)
 from .hydrostatic import BoundaryPair
 
 
@@ -107,7 +110,8 @@ class EllipticCoefficients:
     The arrays hold one row per element of `ranges`, in range order; `ranges`
     None stands for the whole grid, ((0, n_elements - 1),).  `phi` is None
     where the moving-bottom forcing vanishes.  `bottom` is the bottom sample
-    on the whole grid at the predictor time.
+    on the whole grid at the predictor time; `d_x` is its slope on the rows
+    and `quad` = 4 + d_x^2, both None on a flat stretch.
     """
 
     grid: GridSpec
@@ -127,8 +131,11 @@ class EllipticCoefficients:
     # the nodal features of the condensed pressure system, rows _T ... _R,
     # node by node: shape (7, nodes, elements); assemble_coefficients
     # computes them directly and stores only them, the s- and f-fields
-    # being derived from them on first access
+    # being derived from them on first access.  Assembled in a workspace,
+    # it views that workspace and holds only until its next use
     stack: np.ndarray = field(init=False, repr=False, compare=False)
+    d_x: np.ndarray | None = field(init=False, repr=False, compare=False)
+    quad: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.grid.n_elements
@@ -150,9 +157,12 @@ class EllipticCoefficients:
         stack = np.stack([a.T for a in (t / c, self.s11 * t, c * self.s11 * self.s11 * t,
                                         c * self.rho * self.s22, np.ones_like(t), g,
                                         c * (self.f2 + self.s11 * g))])
+        d_x = _active_rows(self.bottom, "d_x", rows)
         object.__setattr__(self, "ranges", ranges)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "stack", stack)
+        object.__setattr__(self, "d_x", None if d_x is None else d_x.T)
+        object.__setattr__(self, "quad", None if d_x is None else (4.0 + d_x * d_x).T)
 
     def __getattr__(self, name):
         derive = _DERIVED.get(name)
@@ -165,22 +175,33 @@ class EllipticCoefficients:
 
 @dataclass(frozen=True)
 class PressureSolution:
-    """Solved pressure and corrected momentum on the assembled elements.
+    """Solved pressure and corrected momentum on the assembled elements, and
+    what the momentum update reads besides.
 
-    `p` and `hu` hold one row per element of `coeffs.ranges`, in range
-    order, `coeffs.rows` being their grid rows; `p_nh` is the pressure on
-    the whole grid, zero off the ranges, built on first use.
+    `p` and `hu` hold one row per solved element, in range order, `rows`
+    being their grid rows; `p_nh` is the pressure on the whole grid, zero
+    off the rows, built on first use.  `dt`, `rho`, the forcing `phi`, the
+    slope `d_x` and `quad` = 4 + d_x^2 on the rows are the coefficients'
+    (see EllipticCoefficients), (element, node) like `p`.  No array of a
+    solution views a workspace, so it keeps its values while the run steps
+    on.
     """
 
-    coeffs: EllipticCoefficients
+    grid: GridSpec
+    rows: slice | np.ndarray
     p: np.ndarray
     hu: np.ndarray
+    dt: float
+    rho: float
+    phi: np.ndarray | None
+    d_x: np.ndarray | None
+    quad: np.ndarray | None
 
     @cached_property
     def p_nh(self) -> NodalField:
-        grid = self.coeffs.grid
+        grid = self.grid
         p_full = np.zeros((grid.n_elements, grid.poly_order + 1))
-        p_full[self.coeffs.rows] = self.p
+        p_full[self.rows] = self.p
         return NodalField._wrap(grid, p_full)
 
 
@@ -225,7 +246,8 @@ def _phi_values(grid: GridSpec, h: np.ndarray, hu: np.ndarray,
 
 
 def assemble_coefficients(predictor: FlowState, bottom: BottomSample, dt: float,
-                          rho: float = RHO_WATER, ranges=None) -> EllipticCoefficients:
+                          rho: float = RHO_WATER, ranges=None,
+                          workspace: BandedWorkspace | None = None) -> EllipticCoefficients:
     """Nodal s- and f-fields of the elliptic system from the predictor state
     and the bottom sampled at the grid's sample nodes at its time.
 
@@ -235,7 +257,8 @@ def assemble_coefficients(predictor: FlowState, bottom: BottomSample, dt: float,
     set every later stage of the correction reads.  The work runs node by
     node, (nodes, elements), and yields the features of
     EllipticCoefficients.stack; the fields are derived from them when asked
-    for.
+    for.  The stack and the temporaries are `workspace`'s, the run's; without
+    it the assembly carves a workspace of its own size.
 
     With q = 4 + d_x^2 (4 on a flat stretch), s12 = rho q / (4 dt h),
     s11 = (h_x - 1.5 d_x) / h, s22 = 3 dt / (rho h), f1 = q (phi d_x +
@@ -248,36 +271,43 @@ def assemble_coefficients(predictor: FlowState, bottom: BottomSample, dt: float,
     ranges = ((0, grid.n_elements - 1),) if ranges is None else tuple(map(tuple, ranges))
     rows = _range_rows(ranges, grid.n_elements)
     h, hu, hw = predictor.node_rows(rows)
-    h_x = derivative_values(grid, h.T).T
+    if workspace is None:
+        workspace = BandedWorkspace(grid.poly_order + 1, h.shape[1])
+    stack = workspace.stack(h.shape[1])
+    c_h, c_s11, term, h_x = workspace.temporaries(h.shape[1])
+    h_x = derivative_values(grid, h.T, out=h_x.reshape(h.T.shape)).T
     d_x = _active_rows(bottom, "d_x", rows)
     phi = _phi_values(grid, h, hu, bottom, rows, rho, d_x)
     c = 0.5 * grid.dx
-    c_h = c / h
-    stack = np.empty((7,) + h.shape)
-    t, a, r = stack[_T], stack[_A], stack[_R]
+    np.divide(c, h, out=c_h)
+    t, a, g, r = stack[_T], stack[_A], stack[_G], stack[_R]
+    quad = None
     if d_x is not None:
         quad = 4.0 + d_x * d_x
         np.divide((4.0 * dt / c) * h, quad, out=t)
-        c_s11 = (h_x - 1.5 * d_x) * c_h
+        np.subtract(h_x, np.multiply(d_x, 1.5, out=term), out=c_s11)
+        c_s11 *= c_h
         np.multiply(c_s11, t, out=a)
-        np.multiply((dt / rho) * phi, d_x, out=stack[_G])
-        stack[_G] += hu
+        np.multiply((dt / rho) * phi, d_x, out=g)
+        g += hu
         np.multiply(-2.0 * hw - (0.5 * d_x) * hu, c_h, out=r)
         r -= (0.5 * dt / rho) * quad * phi * c_h
     else:
         np.multiply(h, dt / c, out=t)
         np.multiply(h_x, dt, out=a)
-        c_s11 = h_x * c_h
-        stack[_G] = hu
-        np.multiply(-2.0 * hw, c_h, out=r)
+        np.multiply(h_x, c_h, out=c_s11)
+        g[...] = hu
+        np.multiply(np.multiply(hw, -2.0, out=term), c_h, out=r)
         if phi is not None:
-            r -= (2.0 * dt / rho) * phi * c_h
+            np.multiply(phi, 2.0 * dt / rho, out=term)
+            term *= c_h
+            r -= term
     d_t = _active_rows(bottom, "d_t", rows)
     if d_t is not None:
-        r -= (2.0 * c) * d_t
+        r -= np.multiply(d_t, 2.0 * c, out=term)
     if t.min() <= 0.0:
         raise AssertionError("structural condition s12 > 0 violated")
-    r += c_s11 * stack[_G]
+    r += np.multiply(c_s11, g, out=term)
     np.multiply(c_s11, a, out=stack[_C])
     np.multiply(c_h, 3.0 * dt, out=stack[_S])
     stack[_ONE] = 1.0
@@ -285,7 +315,8 @@ def assemble_coefficients(predictor: FlowState, bottom: BottomSample, dt: float,
     coeffs = object.__new__(EllipticCoefficients)
     vars(coeffs).update(grid=grid, phi=None if phi is None else phi.T,
                         bottom=bottom, dt=dt, rho=rho, ranges=ranges, rows=rows,
-                        stack=stack)
+                        stack=stack, d_x=None if d_x is None else d_x.T,
+                        quad=None if quad is None else quad.T)
     return coeffs
 
 
@@ -428,56 +459,94 @@ def _ldg_template(lengths: tuple[int, ...], m: int):
 
 
 class BandedWorkspace:
-    """Banded storage reused by every solve of one run.
+    """Everything a correction of up to `n_elements` elements of `m` nodes
+    writes and does not return.
 
-    It is sized for a system on `n_elements` elements of `m` nodes, and a
-    solve on fewer elements uses a prefix of each array, so the pages no
-    solve has reached are never touched.  `ab` is the dgbsv work array,
-    factorized in place; once the solve is done its storage serves as
-    `scratch`, the work space of the residual check's banded product.
-    `slabs` holds the assembled matrix rows, the right-hand side and the
-    back-substitution rows, which the residual check and the
-    back-substitution read after the factorization.  `padded` is the
-    solution with one leading zero, so that `windows` row k views
-    (P_k-1,m, P_k), what the back-substitution of element k reads.
+    It is carved from `block` (see `carve`), the run's workspace, whose
+    predictor stage buffers are dead while a correction runs; without a
+    block it carves a fresh one.  A correction on fewer elements uses a
+    prefix of each array, so the pages no correction has reached are never
+    touched.  In the order a correction uses them:
+
+    - the assembly writes the coefficient stack (`stack`), which the solve
+      reads up to the back-substitution; its temporaries (`temporaries`)
+      live in the slabs' storage, which the solve has not filled yet;
+    - `slabs` holds the assembled matrix rows, the right-hand side and the
+      back-substitution rows, which the residual check and the
+      back-substitution read after the factorization;
+    - the band's storage first holds the products of each element's
+      features with its left neighbour's column (`left`), then the dgbsv
+      work array `ab`, factorized in place, and once the solve is done the
+      residual check's sheared products (`scratch`);
+    - `padded` is the solution with one leading zero, so that `windows` row
+      k views (P_k-1,m, P_k), what the back-substitution of element k reads;
+    - the nodal storage holds the residual (`residual`), then the momentum
+      update's pressure term (`nodal`).
     """
 
-    def __init__(self, m: int, n_elements: int):
+    def __init__(self, m: int, n_elements: int, block: np.ndarray | None = None):
         self.m = m
         n = n_elements
-        height = 3 * m + 1
-        size = m * n
-        storage = np.empty(max(height * size, (2 * m + 1) * (size + 2 * m + 1)))
+        height, size = 3 * m + 1, m * n
+        (self._stack, self._slab_storage, storage, self._padded,
+         self._nodal) = carve(self.shapes(m, n), block)
+        self._slabs = self._slab_storage[:n * m * (3 * m + 3)].reshape(n, -1)
+        # four rows of the grid's nodal size, each 64-byte aligned
+        self._temporaries = self._slab_storage[:carved_size([(size,)] * 4)].reshape(4, -1)
         self._ab = storage[:height * size].reshape(size, height).T
-        self._slabs = np.empty((n, m * (3 * m + 3)))
-        self._padded = padded = np.zeros(size + 1)
         self._windows = np.lib.stride_tricks.as_strided(
-            padded, (n, m + 1), (m * padded.itemsize, padded.itemsize))
+            self._padded, (n, m + 1), (m * self._padded.itemsize, self._padded.itemsize))
         self._scratch = storage
 
+    @staticmethod
+    def shapes(m: int, n_elements: int) -> list[tuple[int]]:
+        """The shapes of the flat regions, in the order they are carved."""
+        n, size = n_elements, m * n_elements
+        return [(7 * size,), (max(n * m * (3 * m + 3), carved_size([(size,)] * 4)),),
+                (max((3 * m + 1) * size, (2 * m + 1) * (size + 2 * m + 1)),),
+                (size + 1,), (size + 2 * m,)]
+
+    def stack(self, n: int) -> np.ndarray:
+        """The coefficient stack of n elements, (7, m, n)."""
+        return self._stack[:7 * self.m * n].reshape(7, self.m, n)
+
+    def temporaries(self, n: int) -> np.ndarray:
+        """Four (m, n) arrays for the assembly's temporaries, (4, m, n)."""
+        return self._temporaries[:, :self.m * n].reshape(4, self.m, n)
+
     def arrays(self, n: int):
-        """(ab, slabs, padded, windows, scratch) for a system of n elements."""
-        size = self.m * n
-        return (self._ab[:, :size], self._slabs[:n], self._padded[:size + 1],
-                self._windows[:n], self._scratch)
+        """(ab, slabs, padded, windows, scratch, left, residual) for a system
+        of n elements; the solution's leading zero is set here, as other
+        users of the block write it."""
+        m, size = self.m, self.m * n
+        padded = self._padded[:size + 1]
+        padded[0] = 0.0
+        left = self._scratch[:(n - 1) * (2 * m + 2)].reshape(n - 1, 2 * m + 2)
+        return (self._ab[:, :size], self._slabs[:n], padded, self._windows[:n],
+                self._scratch, left, self._nodal[:size + 2 * m])
+
+    def nodal(self, n: int) -> np.ndarray:
+        """The momentum update's pressure term of n elements, (n, m)."""
+        return self._nodal[:self.m * n].reshape(n, self.m)
 
 
-def _banded_matvec(ab: np.ndarray, band: int, x: np.ndarray,
-                   scratch: np.ndarray) -> np.ndarray:
+def _banded_matvec(ab: np.ndarray, band: int, x: np.ndarray, scratch: np.ndarray,
+                   out: np.ndarray | None = None) -> np.ndarray:
     """y = A x for A in banded storage: A[r, c] = ab[band + r - c, c].
 
     Each stored diagonal's products are written one column further right
     than the diagonal above, which lines up all products of row r in column
     r + band of a (2*band + 1, size + 2*band) array; y is its column sum.
     The entries between the products are zeroed, the rest is not read.
-    `scratch` holds at least (2*band + 1) * (size + 2*band + 1) entries.
+    `scratch` holds at least (2*band + 1) * (size + 2*band + 1) entries;
+    `out`, where it is given, takes the column sums, size + 2*band of them.
     """
     rows, size = ab.shape
     width = size + 2 * band
     sheared = scratch[:rows * (width + 1)].reshape(rows, width + 1)
     sheared[:, size:] = 0.0
     np.multiply(ab, x, out=sheared[:, :size])
-    return scratch[:rows * width].reshape(rows, width).sum(axis=0)[band:band + size]
+    return scratch[:rows * width].reshape(rows, width).sum(axis=0, out=out)[band:band + size]
 
 
 def _solve_batched(coeffs: EllipticCoefficients, outer_hu: np.ndarray,
@@ -487,8 +556,8 @@ def _solve_batched(coeffs: EllipticCoefficients, outer_hu: np.ndarray,
     assembled on, in one banded solve.
 
     `outer_hu` holds the outer momentum trace just right of each range.
-    The system is built in `workspace`, the run's banded storage; without
-    it the solve builds storage of its own size.  Returns nodal (p, hu)
+    The system is built in `workspace`, the run's; without it the solve
+    carves a workspace of its own size.  Returns nodal (p, hu)
     arrays of shape (total flagged elements, nodes), one row per element of
     coeffs.ranges, in range order.
 
@@ -510,7 +579,7 @@ def _solve_batched(coeffs: EllipticCoefficients, outer_hu: np.ndarray,
 
     if workspace is None:
         workspace = BandedWorkspace(m, n)
-    ab, slabs, padded, windows, scratch = workspace.arrays(n)
+    ab, slabs, padded, windows, scratch, left, residual = workspace.arrays(n)
     # every slab as an inner element's, then the range ends as what they are
     np.matmul(features.T, own[_INNER], out=slabs)
     slabs[ends] = np.matmul(features.take(ends, axis=1).T[:, None, :],
@@ -518,7 +587,7 @@ def _solve_batched(coeffs: EllipticCoefficients, outer_hu: np.ndarray,
     nodes = slabs.reshape(n, m, -1)
     # the entries of each element in its left neighbour's last column, but
     # for the first element of a range
-    left = features[:, 1:].T @ next_column
+    np.matmul(features[:, 1:].T, next_column, out=left)
     left[boundaries] = 0.0
     nodes[:-1, -1, :2 * m + 2] += left
     rows = nodes.reshape(m * n, -1)
@@ -539,7 +608,7 @@ def _solve_batched(coeffs: EllipticCoefficients, outer_hu: np.ndarray,
         raise EllipticSolveError(f"elliptic solve on {ranges} failed (lapack info {info})")
 
     # residual of the system as assembled, not as factorized
-    resid = _banded_matvec(mat.T, m, x, scratch)
+    resid = _banded_matvec(mat.T, m, x, scratch, residual)
     resid -= b
     resid_norm = sqrt(resid @ resid)
     # the residual is measured against max(|b|, max|A| |x|); within the
@@ -593,7 +662,9 @@ def solve_on_ranges(predictor: FlowState, coeffs: EllipticCoefficients,
     in `workspace` (see _solve_batched), on the ranges the coefficients were
     assembled on; p and hu stay on those elements."""
     outer = np.array([_right_outer_hu(predictor, bcs, e1) for _, e1 in coeffs.ranges])
-    return PressureSolution(coeffs, *_solve_batched(coeffs, outer, workspace))
+    p, hu = _solve_batched(coeffs, outer, workspace)
+    return PressureSolution(coeffs.grid, coeffs.rows, p, hu, coeffs.dt, coeffs.rho,
+                            coeffs.phi, coeffs.d_x, coeffs.quad)
 
 
 def central_derivative_values(grid: GridSpec, values: np.ndarray) -> np.ndarray:
@@ -605,8 +676,8 @@ def central_derivative_values(grid: GridSpec, values: np.ndarray) -> np.ndarray:
     left_tr = values[:, 0]
     right_tr = values[:, -1]
     avg = 0.5 * (right_tr[:-1] + left_tr[1:])
-    d[:-1] += np.outer(avg - right_tr[:-1], grid.lift_right)
-    d[1:] -= np.outer(avg - left_tr[1:], grid.lift_left)
+    d[:-1] += (avg - right_tr[:-1])[:, None] * grid.lift_right
+    d[1:] -= (avg - left_tr[1:])[:, None] * grid.lift_left
     return d
 
 
@@ -620,39 +691,44 @@ def _central_derivative_on_ranges(grid: GridSpec, values: np.ndarray,
     window one element wider than the rows on each side, clipped at the
     domain ends, where the derivative is one-sided.
     """
-    rows = np.arange(grid.n_elements)[rows]
-    lo = max(rows[0] - 1, 0)
-    window = np.zeros((min(rows[-1] + 2, grid.n_elements) - lo, values.shape[1]))
-    window[rows - lo] = values
-    return central_derivative_values(grid, window)[rows - lo]
+    # one range comes as a slice, windowed by slicing
+    one_range = isinstance(rows, slice)
+    first, stop = (rows.start, rows.stop) if one_range else (rows[0], rows[-1] + 1)
+    lo = max(first - 1, 0)
+    at = slice(first - lo, stop - lo) if one_range else rows - lo
+    window = np.zeros((min(stop + 1, grid.n_elements) - lo, values.shape[1]))
+    window[at] = values
+    return central_derivative_values(grid, window)[at]
 
 
-def correct_momentum(predictor: FlowState, sol: PressureSolution) -> FlowState:
+def correct_momentum(predictor: FlowState, sol: PressureSolution,
+                     workspace: BandedWorkspace | None = None) -> FlowState:
     """Apply the pressure correction to the momenta; mass is untouched.
 
-    The solution's coefficients name the solved elements: only they receive
-    new momenta, copies of the predictor's everywhere else.  The corrected
-    state owns a copy of the predictor's padded array (`FlowState.packed`).
+    The solution names the solved elements: only they receive new momenta,
+    copies of the predictor's everywhere else.  The corrected state owns a
+    copy of the predictor's padded array (`FlowState.packed`).  The
+    pressure term of the vertical update is built in `workspace`, the
+    run's, where it is given.
     """
     grid = predictor.grid
-    coeffs = sol.coeffs
-    rows = coeffs.rows
-    p = sol.p
-    d_x = _active_rows(coeffs.bottom, "d_x", rows)
-    if d_x is not None:
-        d_x = d_x.T
-        quad = 4.0 + d_x * d_x
+    rows, p = sol.rows, sol.p
+    term = np.empty(p.shape) if workspace is None else workspace.nodal(len(p))
+    if sol.d_x is not None:
         hp_x = _central_derivative_on_ranges(grid, predictor.h.values[rows] * p, rows)
-        bottom_pressure = 6.0 / quad * p + d_x / quad * hp_x
+        np.divide(6.0, sol.quad, out=term)
+        term *= p
+        term += sol.d_x / sol.quad * hp_x
     else:
         # flat stretch: the slope-weighted (h p)_x term drops out exactly
-        bottom_pressure = 1.5 * p
-    if coeffs.phi is not None:
-        bottom_pressure += coeffs.phi
+        np.multiply(p, 1.5, out=term)
+    if sol.phi is not None:
+        term += sol.phi
+    term *= sol.dt / sol.rho
 
     corrected = FlowState._from_packed(grid, predictor.packed.copy(), predictor.time)
     corrected.hu.values[rows] = sol.hu
-    corrected.hw.values[rows] += (coeffs.dt / coeffs.rho) * bottom_pressure
+    corrected.hw.values[rows] += term
     return corrected
 
 
@@ -662,9 +738,10 @@ def apply_correction(predictor: FlowState, bottom: BottomSample, dt: float,
                      ) -> tuple[FlowState, PressureSolution]:
     """Full correction pipeline on the elements of the flagged ranges, over
     the bottom sampled at the grid's sample nodes at the predictor's time,
-    the banded system built in `workspace` (see _solve_batched).  The
-    ranges must be sorted and disjoint, as assemble_coefficients takes
+    every stage working in `workspace`, the run's (see BandedWorkspace).
+    The ranges must be sorted and disjoint, as assemble_coefficients takes
     them."""
-    coeffs = assemble_coefficients(predictor, bottom, dt, rho, ranges=ranges)
+    coeffs = assemble_coefficients(predictor, bottom, dt, rho, ranges=ranges,
+                                   workspace=workspace)
     sol = solve_on_ranges(predictor, coeffs, bcs, workspace)
-    return correct_momentum(predictor, sol), sol
+    return correct_momentum(predictor, sol, workspace), sol

@@ -7,12 +7,15 @@ quadrature that is exact for the chosen polynomial degree; products of fields
 are interpolated nodally before integration.
 
 Every flow state has one layout: its fields view the interior of a padded
-array it owns (`FlowState.packed`), which a step reads in place.
+array it owns (`FlowState.packed`), which a step reads in place.  The arrays
+a step writes and no caller keeps are carved from one float64 block per run
+(`carve`), each starting at a 64-byte-aligned address.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 from typing import Callable
 
 import numpy as np
@@ -238,8 +241,47 @@ def project(f: Callable[[np.ndarray], np.ndarray], grid: GridSpec) -> NodalField
     return NodalField(grid, vals)
 
 
-def derivative_values(grid: GridSpec, values: np.ndarray) -> np.ndarray:
+def derivative_values(grid: GridSpec, values: np.ndarray,
+                      out: np.ndarray | None = None) -> np.ndarray:
     """Element-local polynomial derivative of nodal values, (elements, nodes);
-    no inter-element coupling."""
-    return (values @ grid.deriv_ref.T) * (2.0 / grid.dx)
+    no inter-element coupling.  Written into `out` where it is given."""
+    out = np.matmul(values, grid.deriv_ref.T, out=out)
+    out *= 2.0 / grid.dx
+    return out
+
+
+# float64 entries in 64 bytes, the alignment of every carved view
+_ALIGN = 8
+
+
+def _aligned(count: int) -> int:
+    return -(-count // _ALIGN) * _ALIGN
+
+
+def carved_size(shapes) -> int:
+    """Entries of a block that `carve` cuts into arrays of the given shapes."""
+    return sum(_aligned(prod(shape)) for shape in shapes)
+
+
+def carve(shapes, block: np.ndarray | None = None) -> list[np.ndarray]:
+    """Uninitialised float64 arrays of the given shapes, cut one after the
+    other from the 1-D `block`, or from a fresh block when none is given.
+
+    Each array starts a multiple of 64 bytes past the block's start.  A
+    fresh block starts at a 64-byte-aligned address, and so does every block
+    carved from one, so every array does too.
+    """
+    sizes = [prod(shape) for shape in shapes]
+    total = sum(_aligned(size) for size in sizes)
+    if block is None:
+        raw = np.empty(total + _ALIGN)
+        skip = (-raw.ctypes.data % 64) // raw.itemsize
+        block = raw[skip:skip + total]
+    elif block.size < total:
+        raise ValueError(f"a block of {block.size} entries cannot hold {total}")
+    views, start = [], 0
+    for shape, size in zip(shapes, sizes):
+        views.append(block[start:start + size].reshape(shape))
+        start += _aligned(size)
+    return views
 

@@ -21,7 +21,7 @@ from math import isfinite, sqrt
 import numpy as np
 
 from .bathymetry import GRAVITY, BathymetryModel, BottomSample
-from .grid import FlowState, GridSpec
+from .grid import FlowState, GridSpec, carve
 
 
 class PositivityError(RuntimeError):
@@ -103,26 +103,28 @@ def _speed(u, h, out=None, scratch=None):
 class StageBuffers:
     """The arrays a predictor step writes and no caller keeps, for one grid:
     rhs_operator's stage temporaries, the two stage tendencies `k1` and
-    `k2`, and the first stage's padded state `star`.  A run reuses one set
-    for all its steps; `heun_step` builds a set of its own when it is given
-    none.
+    `k2`, and the first stage's padded state `star`.
+
+    They are carved from `block` (see `carve`), the run's workspace, which
+    the correction reuses once the step has returned: nothing the step
+    returns views them, and nothing in them outlives the step.  Without a
+    block the set carves a fresh one of its own, as `heun_step` does when
+    it is given no buffers.
     """
 
-    def __init__(self, grid: GridSpec):
+    def __init__(self, grid: GridSpec, block: np.ndarray | None = None):
+        (self.u, self.speed, self.scratch, self.f, self.face_speed, self.face,
+         self.jump, self.faces, self.k1, self.k2, self.star) = carve(self.shapes(grid), block)
+
+    @staticmethod
+    def shapes(grid: GridSpec) -> list[tuple[int, ...]]:
+        """The shapes of the buffers, in the order they are carved; the
+        scratch holds g h^2 / 2 of the flux, then g h d_x of the bottom
+        source."""
         m, n = grid.poly_order + 1, grid.n_elements
         padded, interior = (m, n + 2), (3, m, n)
-        self.u = np.empty(padded)
-        self.speed = np.empty(padded)
-        # g h^2 / 2 of the flux, then g h d_x of the bottom source
-        self.scratch = np.empty(padded)
-        self.f = np.empty((3,) + padded)
-        self.face_speed = np.empty(n + 1)
-        self.face = np.empty((3, n + 1))
-        self.jump = np.empty((3, n + 1))
-        self.faces = np.empty((3, 2, n))
-        self.k1 = np.empty(interior)
-        self.k2 = np.empty(interior)
-        self.star = np.empty((3,) + padded)
+        return [padded, padded, padded, (3,) + padded, (n + 1,), (3, n + 1),
+                (3, n + 1), (3, 2, n), interior, interior, (3,) + padded]
 
 
 def _step_faces(q: np.ndarray, faces: np.ndarray, d: np.ndarray, interfaces) -> None:
@@ -232,7 +234,9 @@ def heun_step(state: FlowState, dt: float, bathy: BathymetryModel,
     taken here.  `buffers` are the run's stage buffers; without them the
     step builds its own.  The new state owns a fresh padded array, which
     the next step reads in place.  Warns when the advisory CFL number of
-    the step's first stage exceeds 1.
+    the step's first stage, max(|u| + sqrt(g h)) dt / dx, exceeds the
+    linear stability limit 1 / (2p + 1) of degree-p RKDG with Heun's
+    scheme: 1/3 for linear elements.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -247,8 +251,10 @@ def heun_step(state: FlowState, dt: float, bathy: BathymetryModel,
     k1, speed = rhs_operator(q, state.time, grid, bottoms[0], bathy.jumps(state.time),
                              bcs, buffers, buffers.k1)
     cfl = float(speed[:, 1:-1].max()) * dt / grid.dx
-    if cfl > 1.0:
-        warnings.warn(f"advisory CFL number {cfl:.3f} exceeds 1 at t={state.time:.6g}",
+    limit = 1.0 / (2 * grid.poly_order + 1)
+    if cfl > limit:
+        warnings.warn(f"advisory CFL number {cfl:.3f} exceeds the stability limit "
+                      f"{limit:.3f} of degree-{grid.poly_order} RKDG at t={state.time:.6g}",
                       RuntimeWarning, stacklevel=2)
     star = buffers.star
     _advance(q, k1, dt, new_time, 1, out=star[:, :, 1:-1])

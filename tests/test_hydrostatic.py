@@ -1,5 +1,7 @@
 """Predictor tests: flux values, well-balancedness, conservation, convergence."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -197,6 +199,23 @@ def test_cfl_warning():
     state = still_state(grid, bathy)
     with pytest.warns(RuntimeWarning, match="CFL"):
         heun_step(state, 10.0, bathy, WALLS)
+
+
+@pytest.mark.parametrize("courant, warns", [(0.34, True), (0.32, False)])
+def test_cfl_warning_at_the_stability_limit(courant, warns):
+    # linear elements with Heun's scheme are stable to a Courant number of
+    # 1/3: a standing wave lost positivity at 0.34, where a limit of 1 let
+    # the first step pass in silence
+    grid = GridSpec(0.0, 10.0, 10, 1)
+    bathy = FlatBottom(1.0)
+    state = still_state(grid, bathy)
+    dt = courant * grid.dx / np.sqrt(GRAVITY)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        heun_step(state, dt, bathy, WALLS)
+    messages = [str(w.message) for w in caught]
+    assert messages == ([f"advisory CFL number {courant:.3f} exceeds the stability limit "
+                         f"0.333 of degree-1 RKDG at t=0"] if warns else [])
 
 
 def test_predictor_converges_at_second_order():

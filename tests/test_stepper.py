@@ -11,8 +11,10 @@ import numpy as np
 import pytest
 
 from nhswe.adaptivity import MODES, Criterion, Stepper, adaptive_step
+from nhswe.bathymetry import CHANNELS
 from nhswe.corrector import apply_correction
 from nhswe.driver import simulate, step_times
+from nhswe.grid import GridSpec
 from nhswe.hydrostatic import heun_step
 from nhswe.scenarios import build_scenario
 
@@ -94,6 +96,49 @@ def test_initial_predicted_and_corrected_states_view_their_own_arrays(ranges):
     assert [a.tobytes() for a in fields(predictor)] == [a.tobytes() for a in before]
 
 
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_nothing_a_step_returns_views_the_workspace(name, mode):
+    # the predictor and the correction of every step both write the
+    # stepper's one block, so an array that viewed it would change under
+    # whoever kept it
+    spec, state = short_run(name, 12)
+    stepper = Stepper(spec.grid, mode, SCENARIOS[name] if mode == "adaptive" else None)
+    bottom, corrected = None, 0
+    for _ in range(spec.n_steps):
+        step = adaptive_step(state, spec.dt, spec.bathymetry, spec.bcs, mode=mode,
+                             crit=stepper.crit, bottom=bottom, stepper=stepper)
+        state, bottom = step.state, step.bottom
+        returned = [state.packed, state.h.values, state.hu.values, state.hw.values,
+                    step.mask.flags]
+        returned += [getattr(bottom, channel) for channel in CHANNELS]
+        if step.solution is not None:
+            sol = step.solution
+            returned += [sol.p, sol.hu, sol.p_nh.values]
+            returned += [a for a in (sol.phi, sol.d_x, sol.quad) if a is not None]
+            corrected += 1
+        assert not any(np.shares_memory(a, stepper.block) for a in returned)
+    assert corrected if mode != "hydrostatic" else not corrected
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("mode", MODES)
+def test_every_workspace_view_starts_64_byte_aligned_in_the_block(mode, order):
+    # 37 elements, so that no buffer's size is a multiple of 64 bytes
+    grid = GridSpec(0.0, 10.0, 37, order)
+    stepper = Stepper(grid, mode, Criterion("eta_over_d") if mode == "adaptive" else None)
+    views = list(vars(stepper.stages).values()) + list(stepper.criterion_buffers)
+    if mode != "hydrostatic":
+        banded = stepper.banded
+        views += [a for a in vars(banded).values() if isinstance(a, np.ndarray)]
+        for n in (1, 5, 37):
+            views += [banded.stack(n), banded.nodal(n), *banded.temporaries(n)]
+            views += [a for a in banded.arrays(n) if a.size]
+    for view in views:
+        assert view.ctypes.data % 64 == 0
+        assert np.shares_memory(view, stepper.block)
+
+
 def test_a_stepper_serves_only_its_own_run():
     spec, init = short_run("solitary", 1)
     stepper = Stepper(spec.grid, "global")
@@ -143,3 +188,48 @@ def test_hydrostatic_steps_at_20000_elements_fault_in_no_memory_again():
     out = subprocess.run([sys.executable, "-c", HYDROSTATIC_RUN_FAULTS], env=env,
                          capture_output=True, text=True, check=True)
     assert float(out.stdout) <= 100.0
+
+
+GLOBAL_STEP_MEMORY = """
+import resource
+import tracemalloc
+from nhswe.adaptivity import Stepper, adaptive_step
+from nhswe.driver import simulate
+from nhswe.scenarios import build_solitary
+
+spec, init = build_solitary(n_elements=20000, dt=0.001, t_end=0.05)
+simulate(spec, init, "global")
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+simulate(spec, init, "global")
+faults = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / spec.n_steps
+
+stepper = Stepper(spec.grid, "global")
+step = adaptive_step(init, spec.dt, spec.bathymetry, spec.bcs, mode="global",
+                     stepper=stepper)
+state, bottom = step.state, step.bottom
+del step
+tracemalloc.start()
+held = tracemalloc.get_traced_memory()[0]
+step = adaptive_step(state, spec.dt, spec.bathymetry, spec.bcs, mode="global",
+                     bottom=bottom, stepper=stepper)
+peak = tracemalloc.get_traced_memory()[1] - held
+print(faults, peak / 2 ** 20)
+"""
+
+
+def test_global_steps_at_20000_elements_allocate_only_what_they_return():
+    # the correction works in the stepper's block, so a global step
+    # allocates the predictor's state and bottom sample (~1.5 MiB, all a
+    # hydrostatic step allocates), the corrected state, p and hu: ~3.05 MiB
+    # in all.  With the coefficient stack, the residual and the update's
+    # temporaries fresh every step it peaked at 5.9 MiB and took 56-82
+    # minor page faults per step of a second run
+    pytest.importorskip("resource")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", GLOBAL_STEP_MEMORY], env=env,
+                         capture_output=True, text=True, check=True)
+    faults, peak_mib = map(float, out.stdout.split())
+    assert faults <= 50.0
+    assert peak_mib <= 3.5
