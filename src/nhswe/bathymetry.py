@@ -10,19 +10,15 @@ A model's depth is continuous in x except at the positions it declares in
 element interfaces nearest those positions, so a model whose bottom can jump
 must list every such position; a smooth model declares none.
 
-A model also declares its support, `support(t)`: the closed interval outside
-which the depth is its still depth `h0` and every derivative channel is zero.
-`sample` evaluates the model only on the points inside it, in whatever order
-they come, fills the rest with h0 and zeros, and takes the sample's active
-channels from those points alone.  The sliding bump's support is its own
-length and the plate's is the plate; the flat bottom's is empty.  A model
-that declares no support is evaluated everywhere.  Either way the sample
-equals the model's evaluation on all the points, bit for bit.
+Each model evaluates its formula only on its own moving points, in whatever
+order the points come, and gives every other point its still depth `h0` and
+zero channels.  It also names the sample's active channels from the values it
+computed, so no scan of the whole sample runs: the sliding bump from its
+points on the bump, the plate from its rates, the flat bottom none.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
@@ -33,10 +29,6 @@ GRAVITY = 9.81
 RHO_WATER = 1000.0
 
 CHANNELS = ("d", "d_x", "d_t", "d_tt", "d_xt", "d_xx")
-
-# supports: every point, and no point
-WHOLE_LINE = (-np.inf, np.inf)
-NOWHERE = (np.inf, -np.inf)
 
 
 @dataclass(frozen=True)
@@ -58,7 +50,8 @@ class BottomSample:
 
 
 class BathymetryModel:
-    """Base class; subclasses implement _sample(x, t) -> BottomSample.
+    """Base class; subclasses implement _sample(x, t) -> BottomSample on a
+    float array x of any shape and order.
 
     sample() evaluates the model afresh on every call, with exactly one call
     of _sample.  A time step takes one sample of the grid at its new time
@@ -67,51 +60,24 @@ class BathymetryModel:
 
     A subclass whose depth can be discontinuous in x overrides jumps(t) to
     list the positions where it may jump at time t; everywhere else the
-    depth must be continuous.  A subclass with a still depth h0 overrides
-    support(t) to bound where its bottom differs from the still bottom.
+    depth must be continuous.
     """
 
     def sample(self, x: np.ndarray, t: float) -> BottomSample:
-        """All channels at the points x at time t, in any order.
+        """All channels at the points x at time t, in any order."""
+        return self._sample(np.asarray(x, dtype=float), t)
 
-        _sample sees only the run of x from its first to its last point
-        inside the support, even when that run is empty; the points off the
-        run get h0 and zero channels.  For ascending x, as the grid's sample
-        nodes are, the run is exactly the points inside the support.
-        """
-        x = np.asarray(x, dtype=float)
-        lo, hi = self.support(t)
-        flat = x.reshape(-1)
-        # every point past either end of the run is off the support, in any
-        # order of x, and _sample is right at the off-support points it sees
-        inside = np.flatnonzero((flat >= lo) & (flat <= hi))
-        run = slice(inside[0], inside[-1] + 1) if inside.size else slice(0, 0)
-        window = self._sample(flat[run], t)
-        values = np.array([getattr(window, name) for name in CHANNELS])
-        sample = self._still_bottom_with(x.shape, run, values)
-        # every nonzero derivative lies in the run: fill the cached set from it
-        object.__setattr__(sample, "active", frozenset(
-            compress(CHANNELS[1:], values[1:].any(axis=1))))
-        return sample
-
-    def _still_bottom_with(self, shape: tuple, where: np.ndarray | slice,
+    def _still_bottom_with(self, shape: tuple, where: np.ndarray,
                            values) -> BottomSample:
         """A sample of the given shape that is the still bottom, depth h0 and
-        zero channels, except at the flat positions `where` (a mask or a
-        slice), which take the six channel values."""
-        count = len(values[0])
-        if count == math.prod(shape):
-            # no still bottom shows, as for a model that declares no support
-            # and so need not define h0: the values are the sample
-            return BottomSample(*(v.reshape(shape) for v in values))
-        if count == 0:
-            # one zero array serves all five channels
-            zero = np.zeros(shape)
-            return BottomSample(np.full(shape, self.h0), zero, zero, zero, zero, zero)
+        zero channels, except at the flat indices `where`, which take the six
+        channel values; its active channels are those nonzero among them."""
+        moving = np.array(values)
         channels = np.zeros((len(CHANNELS),) + shape)
         channels[0] = self.h0
-        channels.reshape(len(CHANNELS), -1)[:, where] = values
-        return BottomSample(*channels)
+        channels.reshape(len(CHANNELS), -1)[:, where] = moving
+        return _with_active(BottomSample(*channels),
+                            compress(CHANNELS[1:], moving[1:].any(axis=1)))
 
     def _sample(self, x: np.ndarray, t: float) -> BottomSample:
         raise NotImplementedError
@@ -119,12 +85,6 @@ class BathymetryModel:
     def jumps(self, t: float) -> tuple[float, ...]:
         """The positions x where the depth may jump at time t; none by default."""
         return ()
-
-    def support(self, t: float) -> tuple[float, float]:
-        """The closed interval (lo, hi) outside which the depth is h0 and every
-        derivative channel is zero at time t; empty when lo > hi.  The whole
-        line by default."""
-        return WHOLE_LINE
 
     def depth(self, x: np.ndarray, t: float) -> np.ndarray:
         return self.sample(x, t).d
@@ -140,13 +100,10 @@ class FlatBottom(BathymetryModel):
         if self.h0 <= 0:
             raise ValueError("still depth h0 must be positive")
 
-    def support(self, t: float) -> tuple[float, float]:
-        return NOWHERE
-
     def _sample(self, x: np.ndarray, t: float) -> BottomSample:
-        x = np.asarray(x, dtype=float)
         zero = np.zeros_like(x)
-        return BottomSample(np.full_like(x, self.h0), zero, zero, zero, zero, zero)
+        return _with_active(BottomSample(np.full_like(x, self.h0), zero, zero,
+                                         zero, zero, zero), ())
 
 
 @dataclass(frozen=True)
@@ -176,20 +133,19 @@ class HammackPlate(BathymetryModel):
         # the plate edges, once the plate has left the still bottom
         return (-self.b, self.b) if t > 0.0 else ()
 
-    def support(self, t: float) -> tuple[float, float]:
-        return (-self.b, self.b)
-
     def _sample(self, x: np.ndarray, t: float) -> BottomSample:
-        x = np.asarray(x, dtype=float)
         inside = np.abs(x) < self.b
         a = self.alpha
         decay = np.exp(-a * max(t, 0.0))
+        rate, accel = -self.zeta0 * a * decay, self.zeta0 * a * a * decay
         zero = np.zeros_like(x)
         d = np.where(inside, self.h0 - self.zeta0 * (1.0 - decay), self.h0)
-        d_t = np.where(inside, -self.zeta0 * a * decay, 0.0)
-        d_tt = np.where(inside, self.zeta0 * a * a * decay, 0.0)
-        # the plate top is flat: no spatial variation inside the support
-        return BottomSample(d, zero, d_t, d_tt, zero, zero)
+        d_t = np.where(inside, rate, 0.0)
+        d_tt = np.where(inside, accel, 0.0)
+        # the plate top is flat: no spatial variation on it, and its rates
+        # reach the sample only where it lies
+        active = compress(("d_t", "d_tt"), (rate, accel)) if inside.any() else ()
+        return _with_active(BottomSample(d, zero, d_t, d_tt, zero, zero), active)
 
 
 @dataclass(frozen=True)
@@ -236,18 +192,12 @@ class WhittakerSlide(BathymetryModel):
         if self.Ls <= 0:
             raise ValueError("slide length Ls must be positive")
 
-    def support(self, t: float) -> tuple[float, float]:
-        # |xi| < 1 rounds to false at every float outside these rounded ends
-        center, half = self.x_start + self.motion.position(t)[0], 0.5 * self.Ls
-        return (center - half, center + half)
-
     def _sample(self, x: np.ndarray, t: float) -> BottomSample:
-        x = np.asarray(x, dtype=float)
         s, sp, spp = self.motion.position(t)
         center = self.x_start + s
-        xi = 2.0 * (x - center) / self.Ls
-        inside = np.abs(xi) < 1.0
-        xi = xi[inside]
+        xi = 2.0 * (x.reshape(-1) - center) / self.Ls
+        on = np.flatnonzero(np.abs(xi) < 1.0)
+        xi = xi[on]
         xi2, xi3 = xi ** 2, xi ** 3
         c = 2.0 / self.Ls
         # exact derivatives of h0 - Hs(1 - xi^4) with xi = c (x - x_start - S(t))
@@ -266,10 +216,13 @@ class WhittakerSlide(BathymetryModel):
             a2 * (-c * sp),
             a2 * c,
         )
-        if xi.shape == x.shape:
-            # every point is on the bump, as in a window of its support
-            return BottomSample(*values)
-        return self._still_bottom_with(x.shape, inside.reshape(-1), values)
+        return self._still_bottom_with(x.shape, on, values)
+
+
+def _with_active(sample: BottomSample, names) -> BottomSample:
+    """The sample with its active channels named by the model that made it."""
+    object.__setattr__(sample, "active", frozenset(names))
+    return sample
 
 
 def hammack_time_constant(h0: float, b: float, direction: str) -> float:

@@ -93,6 +93,11 @@ def read_gauges_csv(path: str) -> tuple[np.ndarray, dict[str, np.ndarray]]:
         raise ConfigError(f"{path}: ragged or non-numeric gauge CSV: {exc}") from exc
     if data.ndim != 2 or data.shape[1] != len(header) + 1:
         raise ConfigError(f"{path}: ragged or empty gauge CSV")
+    bad = np.argwhere(~np.isfinite(data))
+    if len(bad):
+        row, col = bad[0]
+        raise ConfigError(f"{path}: column {(['t'] + header)[col]!r} holds the "
+                          f"non-finite value {data[row, col]} in data row {row + 1}")
     names = [_column_name(h) for h in header]
     if len(set(names)) < len(names):
         raise ConfigError(f"{path}: two columns name one gauge: {header}")
@@ -345,9 +350,16 @@ def _load_run(path_str: str) -> tuple[np.ndarray, dict, RunReport | None]:
     csv_path = path / "gauges.csv" if path.is_dir() else path
     t, cols = read_gauges_csv(str(csv_path))
     rp = (path if path.is_dir() else path.parent) / "report.json"
-    doc = json.loads(rp.read_text()) if rp.exists() else {}
-    if "loop_time_s" not in doc:  # no report, or a failed run's
+    try:
+        doc = json.loads(rp.read_text()) if rp.exists() else {}
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read run report {rp}: {exc}") from exc
+    if isinstance(doc, dict) and "loop_time_s" not in doc:  # no report, or a failed run's
         return t, cols, None
+    if not (isinstance(doc, dict) and isinstance(doc["loop_time_s"], (int, float))
+            and isinstance(doc.get("config"), dict)):
+        raise ConfigError(f"{rp}: a run report is a JSON object whose loop_time_s "
+                          f"is a number and comes with its config object")
     return t, cols, RunReport(config=doc["config"], loop_time=doc["loop_time_s"],
                               mask_fraction_mean=doc.get("mask_fraction_mean", 0.0))
 

@@ -87,8 +87,10 @@ _DERIVED = {
 }
 
 
-def _range_rows(ranges: tuple[tuple[int, int], ...], n_elements: int) -> slice | np.ndarray:
-    """Index of the elements of sorted, disjoint (first, last) ranges, in order."""
+def _range_rows(ranges, n_elements: int) -> tuple[tuple, slice | np.ndarray]:
+    """Sorted, disjoint (first, last) ranges as a tuple of pairs, None standing
+    for the whole grid, with the index of their elements, in order."""
+    ranges = ((0, n_elements - 1),) if ranges is None else tuple(map(tuple, ranges))
     selected = None if len(ranges) == 1 else np.zeros(n_elements, dtype=bool)
     last = -1
     for e0, e1 in ranges:
@@ -99,8 +101,8 @@ def _range_rows(ranges: tuple[tuple[int, int], ...], n_elements: int) -> slice |
         last = e1
     if selected is None:
         e0, e1 = ranges[0]
-        return slice(e0, e1 + 1)
-    return np.flatnonzero(selected)
+        return ranges, slice(e0, e1 + 1)
+    return ranges, np.flatnonzero(selected)
 
 
 @dataclass(frozen=True)
@@ -138,9 +140,7 @@ class EllipticCoefficients:
     quad: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        n = self.grid.n_elements
-        ranges = ((0, n - 1),) if self.ranges is None else tuple(map(tuple, self.ranges))
-        rows = _range_rows(ranges, n)
+        ranges, rows = _range_rows(self.ranges, self.grid.n_elements)
         count = sum(e1 - e0 + 1 for e0, e1 in ranges)
         for name in ("s11", "s12", "s21", "s22", "f1", "f2", "phi"):
             value = getattr(self, name)
@@ -268,8 +268,7 @@ def assemble_coefficients(predictor: FlowState, bottom: BottomSample, dt: float,
     the features at no extra cost.
     """
     grid = predictor.grid
-    ranges = ((0, grid.n_elements - 1),) if ranges is None else tuple(map(tuple, ranges))
-    rows = _range_rows(ranges, grid.n_elements)
+    ranges, rows = _range_rows(ranges, grid.n_elements)
     h, hu, hw = predictor.node_rows(rows)
     if workspace is None:
         workspace = BandedWorkspace(grid.poly_order + 1, h.shape[1])

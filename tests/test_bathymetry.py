@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from nhswe.adaptivity import Criterion, adaptive_step
-from nhswe.bathymetry import (CHANNELS, BathymetryModel, FlatBottom, HammackPlate,
-                              SlideMotion, WhittakerSlide, hammack_time_constant)
+from nhswe.bathymetry import (CHANNELS, FlatBottom, HammackPlate, SlideMotion,
+                              WhittakerSlide, hammack_time_constant)
 from nhswe.driver import simulate
 from nhswe.grid import GridSpec
 from nhswe.scenarios import build_scenario
@@ -156,16 +156,10 @@ def test_a_run_samples_the_grid_once_per_step(name, t_end, mode):
     spec = replace(spec, bathymetry=model)
     simulate(spec, init, mode, Criterion("eta_over_d") if mode == "adaptive" else None)
     assert len(evaluated) == spec.n_steps + 1
-    # each evaluation sees a run of sample nodes that covers the support
-    nodes = spec.grid.sample_nodes.ravel()
-    for points, t in evaluated:
-        start = np.searchsorted(nodes, points[0]) if points.size else 0
-        window = np.arange(start, start + points.size)
-        assert points.tobytes() == nodes[window].tobytes()
-        lo, hi = model.support(t)
-        assert np.isin(np.flatnonzero((nodes >= lo) & (nodes <= hi)), window).all()
-        if name == "solitary":      # the flat bottom's support is empty
-            assert points.size == 0
+    # each evaluation sees every sample node
+    nodes = spec.grid.sample_nodes
+    for points, _ in evaluated:
+        assert points.shape == nodes.shape and points.tobytes() == nodes.tobytes()
     times = [t for _, t in evaluated]
     assert times == sorted(set(times))
 
@@ -225,15 +219,33 @@ def test_hammack_plate_declares_its_edge_once_it_moves():
         assert d[k - 1, -1] < d[k, 0]        # the raised plate ends there
 
 
-# ------------------------------------------------- the sampled window
+# ------------------------------------------------ a model's moving points
 
-def assert_same_sample(sample, full):
+def windowed(model, x, t, size=1):
+    """The channels of the model evaluated on each window of `size`
+    consecutive points of x alone, laid out as x."""
+    flat = np.ravel(x)
+    windows = [model.sample(flat[k:k + size], t) for k in range(0, flat.size, size)]
+    return {ch: np.concatenate([getattr(w, ch) for w in windows]).reshape(np.shape(x))
+            for ch in CHANNELS}
+
+
+def assert_same_sample(sample, channels):
+    # the model names the active channels as it evaluates, with no scan
+    assert "active" in vars(sample)
     for name in CHANNELS:
-        a, b = getattr(sample, name), getattr(full, name)
-        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
-    # the active set of a full evaluation, from a scan of its channels
+        a, b = getattr(sample, name), channels[name]
+        assert np.shape(a) == b.shape and a.tobytes() == b.tobytes(), name
     assert sample.active == {name for name in CHANNELS[1:]
-                             if np.count_nonzero(getattr(full, name))}
+                             if np.count_nonzero(channels[name])}
+
+
+def bump_center(model, t):
+    """A point the model's bottom moves at, at time t; the flat bottom's
+    is anywhere."""
+    if isinstance(model, WhittakerSlide):
+        return model.x_start + model.motion.position(t)[0]
+    return 0.0      # the plate is centered at 0
 
 
 @pytest.mark.parametrize("name, overrides", SHIPPED_GRIDS)
@@ -244,50 +256,49 @@ def test_the_windowed_sample_is_the_full_evaluation(name, overrides):
     if name == "whittaker":
         times.append(3.0)      # the slide has stopped
     for t in times:
-        assert_same_sample(model.sample(nodes, t), model._sample(nodes, t))
+        # windows of 7 nodes split the bump and the plate unevenly
+        assert_same_sample(model.sample(nodes, t), windowed(model, nodes, t, 7))
 
 
-class Undeclared(WhittakerSlide):
-    """The bump with no declared support: evaluated on the whole line."""
-
-    support = BathymetryModel.support
-
-
-@pytest.mark.parametrize("kind", [WhittakerSlide, Undeclared])
-def test_a_support_wider_than_the_domain_samples_everything(kind):
+def test_a_bump_longer_than_the_domain_is_sampled_everywhere():
     motion = SlideMotion(1.5, 0.327, 0.218, 2.218, 2.436)
-    model = kind(1.0, 0.3, 14.0, motion, x_start=5.0)
-    grid = GridSpec(0.0, 10.0, 50, 1)
+    model = WhittakerSlide(1.0, 0.3, 14.0, motion, x_start=5.0)
+    nodes = GridSpec(0.0, 10.0, 50, 1).sample_nodes
     for t in (0.0, 0.3, 3.0):
-        assert_same_sample(model.sample(grid.sample_nodes, t),
-                           model._sample(grid.sample_nodes, t))
+        sample = model.sample(nodes, t)
+        assert np.all(sample.d < model.h0)
+        assert_same_sample(sample, windowed(model, nodes, t))
 
 
 @pytest.mark.parametrize("name", ["solitary", "hammack_up", "whittaker"])
 def test_any_points_give_the_full_evaluation(name):
     spec, _ = build_scenario(name)
-    model = spec.bathymetry
-    lo, hi = model.support(0.5)
-    center = 0.5 * (lo + hi) if lo <= hi else 1.0
-    spread = center + np.linspace(-1.0, 1.0, 12).reshape(6, 2)
-    # a point on the bump ahead of sorted points off it
-    unsorted = center + np.array([0.0, -1.0, -0.9, 0.9, 1.0])
-    points = (spread, spread.ravel()[::2], spread[::-1], unsorted,
-              np.array([center]), np.array(center))
-    for x in points:
-        assert_same_sample(model.sample(x, 0.5), model._sample(x, 0.5))
+    model, t = spec.bathymetry, 0.5
+    center = bump_center(model, t)
+    x = center + np.linspace(-1.0, 1.0, 13)
+    full = model.sample(x, t)
+    assert_same_sample(full, windowed(model, x, t))
+    # a point on the bump ahead of sorted points off it, strided views and a
+    # shuffle, in one and two dimensions, then each point as a 0-d array
+    orders = (np.r_[6, 0:6, 7:13], slice(None, None, -1), slice(None, None, 2),
+              np.random.default_rng(0).permutation(13))
+    for order in orders:
+        for shape in ((-1,), (-1, 1)):
+            permuted = {ch: getattr(full, ch)[order].reshape(shape) for ch in CHANNELS}
+            assert_same_sample(model.sample(x[order].reshape(shape), t), permuted)
+    for k in range(13):
+        point = {ch: getattr(full, ch)[k].reshape(()) for ch in CHANNELS}
+        assert_same_sample(model.sample(np.array(x[k]), t), point)
 
 
-@given(t=st.floats(0.0, 4.0), offset=st.integers(-40, 40), side=st.sampled_from([0, 1]))
-def test_the_bump_is_still_bottom_outside_its_support(t, offset, side):
-    # a float just outside a rounded end of the support is off the bump
+@given(t=st.floats(0.0, 4.0), offset=st.integers(1, 40), side=st.sampled_from([-1, 1]))
+def test_the_bump_is_still_bottom_just_past_its_ends(t, offset, side):
+    # a float just past a rounded end of the bump is off it
     motion = SlideMotion(1.5, 0.327, 0.218, 2.218, 2.436)
     model = WhittakerSlide(0.175, 0.026, 0.5, motion, x_start=5.0)
-    lo, hi = model.support(t)
-    x = (lo, hi)[side]
-    for _ in range(abs(offset)):
-        x = np.nextafter(x, np.sign(offset) * np.inf)
-    full = model._sample(np.array([x]), t)
-    if not lo <= x <= hi:
-        assert full.d[0] == model.h0 and full.active == frozenset()
-    assert_same_sample(model.sample(np.array([x]), t), full)
+    x = model.x_start + motion.position(t)[0] + side * 0.5 * model.Ls
+    for _ in range(offset):
+        x = np.nextafter(x, side * np.inf)
+    sample = model.sample(np.array([x]), t)
+    assert sample.d[0] == model.h0 and sample.active == frozenset()
+    assert_same_sample(sample, windowed(model, [x], t))

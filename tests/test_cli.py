@@ -275,6 +275,32 @@ def test_unreadable_gauge_csv_is_a_config_error(tmp_path, monkeypatch, capsys):
         assert run_cli("compare", str(malformed), str(malformed)) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("row", ["nan,0.1", "0.1,inf", "0.1,-inf", "0.1,NaN"])
+def test_non_finite_gauge_value_is_a_config_error(tmp_path, monkeypatch, capsys, row):
+    ref = tmp_path / "ref.csv"
+    ref.write_text(f"t,eta@200\n0.0,0.0\n{row}\n1.0,0.2\n")
+    column = "t" if row.startswith("nan") else "eta@200"
+    assert run_cli("compare", str(ref), str(ref)) == EXIT_CONFIG
+    monkeypatch.setattr("nhswe.cli.simulate", no_simulate)
+    assert run_cli("run", "--scenario", "solitary", "--t-end", "2", "--gauges", "200",
+                   "--outdir", str(tmp_path / "run"), "--reference", str(ref)) == EXIT_CONFIG
+    assert not (tmp_path / "run").exists()
+    err = capsys.readouterr().err
+    assert err.count(f"{ref}: column {column!r} holds the non-finite value") == 2
+
+
+@pytest.mark.parametrize("report", ["{not json", '{"loop_time_s": 1.0}', "42",
+                                    '{"loop_time_s": "fast", "config": {}}',
+                                    '{"loop_time_s": 1.0, "config": []}'])
+def test_unreadable_run_report_is_a_config_error(tmp_path, capsys, report):
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / "gauges.csv").write_text("t,eta@1\n0.0,0.1\n0.1,0.2\n")
+    (run / "report.json").write_text(report)
+    assert run_cli("compare", str(run), str(run)) == EXIT_CONFIG
+    assert str(run / "report.json") in capsys.readouterr().err
+
+
 def test_numerical_failure_exit_code(tmp_path):
     # a grossly unstable time step blows up into a positivity failure
     import warnings

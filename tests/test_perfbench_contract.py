@@ -103,8 +103,8 @@ def test_a_traced_run_reaches_every_layer(tracer):
 
 @pytest.mark.parametrize("scenario", ["solitary", "whittaker"])
 def test_a_traced_run_samples_the_bottom_once_per_step(tracer, scenario):
-    # the flat bottom's evaluation is reached too, on its empty window, so
-    # the benchmark measures it on every workload
+    # the flat bottom's evaluation is reached too, once per sample, so the
+    # benchmark measures it on every workload
     spec, init = build_scenario(scenario)
     spec = replace(spec, t_end=5 * spec.dt)
     targets = tracer.layer_targets(spec.bathymetry)
