@@ -260,14 +260,27 @@ def test_the_windowed_sample_is_the_full_evaluation(name, overrides):
         assert_same_sample(model.sample(nodes, t), windowed(model, nodes, t, 7))
 
 
-def test_a_bump_longer_than_the_domain_is_sampled_everywhere():
+class Undeclared(WhittakerSlide):
+    """The bump that does not narrow its points to where it moves: every
+    point is laid in as a moving one."""
+
+    def _sample(self, x, t):
+        full = super()._sample(x, t)
+        return self._still_bottom_with(
+            x.shape, np.arange(x.size), [getattr(full, ch).reshape(-1) for ch in CHANNELS])
+
+
+@pytest.mark.parametrize("kind", [WhittakerSlide, Undeclared])
+def test_a_support_wider_than_the_domain_samples_everything(kind):
     motion = SlideMotion(1.5, 0.327, 0.218, 2.218, 2.436)
-    model = WhittakerSlide(1.0, 0.3, 14.0, motion, x_start=5.0)
+    model = kind(1.0, 0.3, 14.0, motion, x_start=5.0)
+    bump = WhittakerSlide(1.0, 0.3, 14.0, motion, x_start=5.0)
     nodes = GridSpec(0.0, 10.0, 50, 1).sample_nodes
     for t in (0.0, 0.3, 3.0):
         sample = model.sample(nodes, t)
         assert np.all(sample.d < model.h0)
         assert_same_sample(sample, windowed(model, nodes, t))
+        assert_same_sample(sample, windowed(bump, nodes, t, nodes.size))
 
 
 @pytest.mark.parametrize("name", ["solitary", "hammack_up", "whittaker"])
