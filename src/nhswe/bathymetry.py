@@ -14,13 +14,14 @@ Each model evaluates its formula only on its own moving points, in whatever
 order the points come, and gives every other point its still depth `h0` and
 zero channels.  It also names the sample's active channels from the values it
 computed, so no scan of the whole sample runs: the sliding bump from its
-points on the bump, the plate from its rates, the flat bottom none.
+points on the bump, the plate from its rates, the flat bottom none.  Every
+array a model returns is read-only, so a sample can be handed on and shared
+without a reader changing it under another.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import compress
 
 import numpy as np
@@ -41,12 +42,7 @@ class BottomSample:
     d_tt: np.ndarray
     d_xt: np.ndarray
     d_xx: np.ndarray
-
-    @cached_property
-    def active(self) -> frozenset[str]:
-        """Names of the derivative channels that are nonzero somewhere."""
-        return frozenset(name for name in CHANNELS[1:]
-                         if np.count_nonzero(getattr(self, name)))
+    active: frozenset[str]      # the derivative channels nonzero somewhere
 
 
 class BathymetryModel:
@@ -76,8 +72,9 @@ class BathymetryModel:
         channels = np.zeros((len(CHANNELS),) + shape)
         channels[0] = self.h0
         channels.reshape(len(CHANNELS), -1)[:, where] = moving
-        return _with_active(BottomSample(*channels),
-                            compress(CHANNELS[1:], moving[1:].any(axis=1)))
+        channels.setflags(write=False)
+        return BottomSample(*channels, frozenset(compress(CHANNELS[1:],
+                                                          moving[1:].any(axis=1))))
 
     def _sample(self, x: np.ndarray, t: float) -> BottomSample:
         raise NotImplementedError
@@ -101,9 +98,10 @@ class FlatBottom(BathymetryModel):
             raise ValueError("still depth h0 must be positive")
 
     def _sample(self, x: np.ndarray, t: float) -> BottomSample:
-        zero = np.zeros_like(x)
-        return _with_active(BottomSample(np.full_like(x, self.h0), zero, zero,
-                                         zero, zero, zero), ())
+        d, zero = np.full_like(x, self.h0), np.zeros_like(x)
+        d.setflags(write=False)
+        zero.setflags(write=False)
+        return BottomSample(d, zero, zero, zero, zero, zero, frozenset())
 
 
 @dataclass(frozen=True)
@@ -142,10 +140,12 @@ class HammackPlate(BathymetryModel):
         d = np.where(inside, self.h0 - self.zeta0 * (1.0 - decay), self.h0)
         d_t = np.where(inside, rate, 0.0)
         d_tt = np.where(inside, accel, 0.0)
+        for a in (zero, d, d_t, d_tt):
+            a.setflags(write=False)
         # the plate top is flat: no spatial variation on it, and its rates
         # reach the sample only where it lies
         active = compress(("d_t", "d_tt"), (rate, accel)) if inside.any() else ()
-        return _with_active(BottomSample(d, zero, d_t, d_tt, zero, zero), active)
+        return BottomSample(d, zero, d_t, d_tt, zero, zero, frozenset(active))
 
 
 @dataclass(frozen=True)
@@ -217,12 +217,6 @@ class WhittakerSlide(BathymetryModel):
             a2 * c,
         )
         return self._still_bottom_with(x.shape, on, values)
-
-
-def _with_active(sample: BottomSample, names) -> BottomSample:
-    """The sample with its active channels named by the model that made it."""
-    object.__setattr__(sample, "active", frozenset(names))
-    return sample
 
 
 def hammack_time_constant(h0: float, b: float, direction: str) -> float:

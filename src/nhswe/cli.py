@@ -98,6 +98,12 @@ def read_gauges_csv(path: str) -> tuple[np.ndarray, dict[str, np.ndarray]]:
         row, col = bad[0]
         raise ConfigError(f"{path}: column {(['t'] + header)[col]!r} holds the "
                           f"non-finite value {data[row, col]} in data row {row + 1}")
+    # the times are the sample grid that series are interpolated on
+    back = np.flatnonzero(np.diff(data[:, 0]) <= 0.0)
+    if len(back):
+        row = back[0] + 1
+        raise ConfigError(f"{path}: time {data[row, 0]} in data row {row + 1} does "
+                          f"not increase on {data[row - 1, 0]} in the row before")
     names = [_column_name(h) for h in header]
     if len(set(names)) < len(names):
         raise ConfigError(f"{path}: two columns name one gauge: {header}")
@@ -114,7 +120,13 @@ def _parse_bool(value) -> bool:
 
 
 def _parse_gauges(value) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in value.split(",") if tok.strip())
+    """Gauge positions, no two of which share a gauge_name (a column)."""
+    gauges = tuple(float(tok) for tok in value.split(",") if tok.strip())
+    names = [gauge_name(x) for x in gauges]
+    shared = sorted({name for name in names if names.count(name) > 1})
+    if shared:
+        raise ValueError(f"two positions name one gauge: {', '.join(shared)}")
+    return gauges
 
 
 def _parse_kind(value) -> str:

@@ -175,27 +175,18 @@ class EllipticCoefficients:
 
 @dataclass(frozen=True)
 class PressureSolution:
-    """Solved pressure and corrected momentum on the assembled elements, and
-    what the momentum update reads besides.
+    """Solved pressure and corrected momentum on the assembled elements.
 
     `p` and `hu` hold one row per solved element, in range order, `rows`
     being their grid rows; `p_nh` is the pressure on the whole grid, zero
-    off the rows, built on first use.  `dt`, `rho`, the forcing `phi`, the
-    slope `d_x` and `quad` = 4 + d_x^2 on the rows are the coefficients'
-    (see EllipticCoefficients), (element, node) like `p`.  No array of a
-    solution views a workspace, so it keeps its values while the run steps
-    on.
+    off the rows, built on first use.  No array of a solution views a
+    workspace, so it keeps its values while the run steps on.
     """
 
     grid: GridSpec
     rows: slice | np.ndarray
     p: np.ndarray
     hu: np.ndarray
-    dt: float
-    rho: float
-    phi: np.ndarray | None
-    d_x: np.ndarray | None
-    quad: np.ndarray | None
 
     @cached_property
     def p_nh(self) -> NodalField:
@@ -661,9 +652,8 @@ def solve_on_ranges(predictor: FlowState, coeffs: EllipticCoefficients,
     in `workspace` (see _solve_batched), on the ranges the coefficients were
     assembled on; p and hu stay on those elements."""
     outer = np.array([_right_outer_hu(predictor, bcs, e1) for _, e1 in coeffs.ranges])
-    p, hu = _solve_batched(coeffs, outer, workspace)
-    return PressureSolution(coeffs.grid, coeffs.rows, p, hu, coeffs.dt, coeffs.rho,
-                            coeffs.phi, coeffs.d_x, coeffs.quad)
+    return PressureSolution(coeffs.grid, coeffs.rows,
+                            *_solve_batched(coeffs, outer, workspace))
 
 
 def central_derivative_values(grid: GridSpec, values: np.ndarray) -> np.ndarray:
@@ -700,30 +690,31 @@ def _central_derivative_on_ranges(grid: GridSpec, values: np.ndarray,
     return central_derivative_values(grid, window)[at]
 
 
-def correct_momentum(predictor: FlowState, sol: PressureSolution,
+def correct_momentum(predictor: FlowState, coeffs: EllipticCoefficients,
+                     sol: PressureSolution,
                      workspace: BandedWorkspace | None = None) -> FlowState:
     """Apply the pressure correction to the momenta; mass is untouched.
 
     The solution names the solved elements: only they receive new momenta,
     copies of the predictor's everywhere else.  The corrected state owns a
-    copy of the predictor's padded array (`FlowState.packed`).  The
-    pressure term of the vertical update is built in `workspace`, the
-    run's, where it is given.
+    copy of the predictor's padded array (`FlowState.packed`).  The vertical
+    update reads dt, rho, the forcing and the slope from `coeffs` and builds
+    its pressure term in `workspace`, the run's, where it is given.
     """
     grid = predictor.grid
     rows, p = sol.rows, sol.p
     term = np.empty(p.shape) if workspace is None else workspace.nodal(len(p))
-    if sol.d_x is not None:
+    if coeffs.d_x is not None:
         hp_x = _central_derivative_on_ranges(grid, predictor.h.values[rows] * p, rows)
-        np.divide(6.0, sol.quad, out=term)
+        np.divide(6.0, coeffs.quad, out=term)
         term *= p
-        term += sol.d_x / sol.quad * hp_x
+        term += coeffs.d_x / coeffs.quad * hp_x
     else:
         # flat stretch: the slope-weighted (h p)_x term drops out exactly
         np.multiply(p, 1.5, out=term)
-    if sol.phi is not None:
-        term += sol.phi
-    term *= sol.dt / sol.rho
+    if coeffs.phi is not None:
+        term += coeffs.phi
+    term *= coeffs.dt / coeffs.rho
 
     corrected = FlowState._from_packed(grid, predictor.packed.copy(), predictor.time)
     corrected.hu.values[rows] = sol.hu
@@ -743,4 +734,4 @@ def apply_correction(predictor: FlowState, bottom: BottomSample, dt: float,
     coeffs = assemble_coefficients(predictor, bottom, dt, rho, ranges=ranges,
                                    workspace=workspace)
     sol = solve_on_ranges(predictor, coeffs, bcs, workspace)
-    return correct_momentum(predictor, sol, workspace), sol
+    return correct_momentum(predictor, coeffs, sol, workspace), sol

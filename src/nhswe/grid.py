@@ -106,7 +106,6 @@ class GridSpec:
 
         set_ = object.__setattr__
         set_(self, "dx", dx)
-        set_(self, "ref_nodes", ref)
         set_(self, "nodes", nodes)
         set_(self, "sample_nodes", inset)
         set_(self, "mass", mass)
@@ -151,11 +150,14 @@ class NodalField:
         expected = (self.grid.n_elements, self.grid.poly_order + 1)
         if values.shape != expected:
             raise ValueError(f"values shape {values.shape}, expected {expected}")
-        # a finite sum certifies all entries finite (NaN/inf propagate)
-        if not np.isfinite(values.sum()):
-            bad = np.argwhere(~np.isfinite(values))[0]
-            x = self.grid.nodes[bad[0], bad[1]]
-            raise ValueError(f"non-finite nodal value at x={x} (element {bad[0]})")
+        # a finite sum certifies all entries finite (NaN/inf propagate); a
+        # sum of finite values may overflow, so the entries decide
+        with np.errstate(over="ignore"):
+            finite = np.isfinite(values.sum())
+        if not (finite or np.isfinite(values).all()):
+            e, j = np.argwhere(~np.isfinite(values))[0]
+            raise ValueError(f"non-finite nodal value at x={self.grid.nodes[e, j]} "
+                             f"(element {e})")
         object.__setattr__(self, "values", values)
 
     @classmethod

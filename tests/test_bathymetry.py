@@ -219,6 +219,19 @@ def test_hammack_plate_declares_its_edge_once_it_moves():
         assert d[k - 1, -1] < d[k, 0]        # the raised plate ends there
 
 
+@pytest.mark.parametrize("name", ["solitary", "hammack_up", "whittaker"])
+def test_no_channel_of_a_sample_can_be_written(name):
+    # channels share arrays (the flat bottom's five zeros, the plate's
+    # three), and a sample is handed on from step to step
+    spec, _ = build_scenario(name)
+    model, nodes = spec.bathymetry, spec.grid.sample_nodes
+    for t in (0.0, spec.dt, 0.5 * spec.t_end):
+        sample = model.sample(nodes, t)
+        for channel in CHANNELS:
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(sample, channel)[2] = 0.5
+
+
 # ------------------------------------------------ a model's moving points
 
 def windowed(model, x, t, size=1):
@@ -231,8 +244,6 @@ def windowed(model, x, t, size=1):
 
 
 def assert_same_sample(sample, channels):
-    # the model names the active channels as it evaluates, with no scan
-    assert "active" in vars(sample)
     for name in CHANNELS:
         a, b = getattr(sample, name), channels[name]
         assert np.shape(a) == b.shape and a.tobytes() == b.tobytes(), name

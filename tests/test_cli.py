@@ -317,3 +317,39 @@ def test_numerical_failure_exit_code(tmp_path):
     config = report["config"]
     assert (config["dt"], config["t_end"], config["n_elements"],
             config["poly_order"]) == (5.0, 100.0, 200, 1)
+
+
+@pytest.mark.parametrize("gauges", ["200,200.0", "100,2e2,200"])
+def test_two_gauges_at_one_position_are_a_config_error(tmp_path, monkeypatch, capsys,
+                                                       gauges):
+    # one gauges.csv column per position: a repeated one would write a
+    # header that compare refuses and a reference comparison halves
+    monkeypatch.setattr("nhswe.cli.simulate", no_simulate)
+    cfg = tmp_path / "gauges.cfg"
+    cfg.write_text(f"scenario = solitary\ngauges = {gauges}\n")
+    for argv in (["--scenario", "solitary", "--gauges", gauges], ["--config", str(cfg)]):
+        out = tmp_path / "out"
+        assert run_cli("run", *argv, "--mode", "hydrostatic", "--t-end", "1",
+                       "--outdir", str(out)) == EXIT_CONFIG
+        assert not out.exists()
+        assert "config error: gauges: two positions name one gauge: eta@200" in \
+            capsys.readouterr().err
+
+
+@pytest.mark.parametrize("times", [(0, 2, 1, 3), (0, 1, 1, 3)],
+                         ids=["swapped", "repeated"])
+def test_gauge_times_that_do_not_increase_are_a_config_error(tmp_path, monkeypatch,
+                                                             capsys, times):
+    # interpolating onto an unsorted time column gives wrong metrics silently
+    ordered = tmp_path / "ordered.csv"
+    ordered.write_text("t,eta@200\n0,0\n1,1\n2,4\n3,9\n")
+    ref = tmp_path / "ref.csv"
+    ref.write_text("t,eta@200\n" + "".join(f"{t},{t * t}\n" for t in times))
+    assert run_cli("compare", str(ordered), str(ref)) == EXIT_CONFIG
+    monkeypatch.setattr("nhswe.cli.simulate", no_simulate)
+    assert run_cli("run", "--scenario", "solitary", "--t-end", "2", "--gauges", "200",
+                   "--outdir", str(tmp_path / "run"), "--reference", str(ref)) == EXIT_CONFIG
+    assert not (tmp_path / "run").exists()
+    err = capsys.readouterr().err
+    assert err.count(f"{ref}: time {float(times[2])} in data row 3 does not "
+                     f"increase on {float(times[1])}") == 2

@@ -1,5 +1,7 @@
 """Grid, basis and nodal-field tests against hand-computed oracles."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -64,6 +66,20 @@ def test_nodal_field_validation():
     bad[2, 1] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
         NodalField(grid, bad)
+
+
+def test_large_finite_values_are_accepted():
+    # their sum overflows; the entries, not the sum, decide, with no warning
+    grid = GridSpec(0.0, 1.0, 2, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.all(NodalField(grid, np.full((2, 2), 1e308)).values == 1e308)
+        assert np.all(project(lambda x: np.full_like(x, 1e308), grid).values == 1e308)
+        for value in (np.nan, np.inf):
+            bad = np.full((2, 2), 1e308)
+            bad[1, 1] = value
+            with pytest.raises(ValueError, match=r"non-finite nodal value at x=1\.0 "):
+                NodalField(grid, bad)
 
 
 def test_flow_state_requires_positive_depth():

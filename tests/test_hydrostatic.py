@@ -90,7 +90,7 @@ class Staircase(BathymetryModel):
     def _sample(self, x, t):
         d = np.select([x < 2.0, x < 4.0, x < 6.0, x < 8.0], [1.0, 0.6, 0.9, 0.5], 0.8)
         zero = np.zeros_like(x)
-        return BottomSample(d, zero, zero, zero, zero, zero)
+        return BottomSample(d, zero, zero, zero, zero, zero, frozenset())
 
     def jumps(self, t):
         return (2.0, 4.0, 6.0, 8.0)
