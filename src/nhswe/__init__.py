@@ -6,7 +6,7 @@ from .bathymetry import (FlatBottom, HammackPlate, SlideMotion, WhittakerSlide,
 from .corrector import (EllipticSolveError, PressureSolution, assemble_coefficients,
                         correct_momentum, ldg_solve)
 from .driver import RunResult, simulate
-from .grid import FlowState, GridSpec, NodalField, project
+from .grid import FlowState, GridSpec, NodalField
 from .hydrostatic import (ABSORBING, WALL, BoundaryCondition, BoundaryPair,
                           PositivityError, heun_step)
 from .metrics import RunReport, SeriesPair, pearson, rmse, time_ratio

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import json
 import sys
 from dataclasses import replace
@@ -23,17 +24,18 @@ from .driver import RunResult, simulate, step_times
 from .hydrostatic import PositivityError
 from .metrics import (DegenerateSeriesError, DisjointSeriesError, RunReport,
                       SeriesPair, aligned_pair, overlap, pearson, rmse, time_ratio)
-from .scenarios import ScenarioSpec, build_scenario, solitary_exact
+from .scenarios import SCENARIOS, SOLITARY_D, ScenarioSpec, solitary_exact
 
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
-
-SCENARIOS = ("solitary", "hammack_up", "hammack_down", "whittaker")
 
 # keys accepted in a config file; every one is also a command-line flag
 CONFIG_KEYS = ("scenario", "mode", "criterion", "k_nh", "enlarge", "dt",
                "t_end", "dx", "n_elements", "poly_order", "froude", "gauges",
                "outdir", "reference", "with_global")
+# the keys that set up a scenario: the parameters of the scenario builders
+SCENARIO_KEYS = {key for builder in SCENARIOS.values()
+                 for key in inspect.signature(builder).parameters}
 
 
 class ConfigError(ValueError):
@@ -175,28 +177,21 @@ def build_run(cfg: dict) -> tuple[ScenarioSpec, object, str, Criterion | None]:
     """Scenario + initial state + mode + criterion from a parsed config."""
     name = cfg.get("scenario")
     if name not in SCENARIOS:
-        raise ConfigError(f"scenario must be one of {SCENARIOS}, got {name!r}")
+        raise ConfigError(f"scenario must be one of {tuple(SCENARIOS)}, got {name!r}")
     mode = cfg.get("mode", "adaptive")
     if mode not in MODES:
         raise ConfigError(f"unknown mode {mode!r}")
 
-    overrides = {key: cfg[key] for key in ("dt", "t_end", "poly_order")
-                 if key in cfg}
-    if "dx" in cfg:
-        if name == "solitary":
-            raise ConfigError("solitary takes n_elements, not dx")
-        overrides["dx"] = cfg["dx"]
-    if "n_elements" in cfg:
-        if name != "solitary":
-            raise ConfigError("dx sets the resolution for this scenario")
-        overrides["n_elements"] = cfg["n_elements"]
-    if "froude" in cfg:
-        if name != "whittaker":
-            raise ConfigError("froude applies to the whittaker scenario only")
-        overrides["froude"] = cfg["froude"]
+    # a scenario takes the settings its builder declares, and no other
+    settings = inspect.signature(SCENARIOS[name]).parameters
+    overrides = {key: value for key, value in cfg.items() if key in SCENARIO_KEYS}
+    for key in overrides:
+        if key not in settings:
+            raise ConfigError(f"{name} takes no {key}; its settings are "
+                              f"{', '.join(settings)}")
 
     try:
-        spec, initial = build_scenario(name, **overrides)
+        spec, initial = SCENARIOS[name](**overrides)
         if cfg.get("gauges"):
             spec = replace(spec, gauges=cfg["gauges"])
     except ValueError as exc:
@@ -251,8 +246,7 @@ def write_snapshot_csv(path: Path, result: RunResult, config: dict) -> None:
     grid = result.spec.grid
     p = (result.final_p.values if result.final_p is not None
          else np.zeros_like(state.h.values))
-    flags = (result.final_mask.flags if result.final_mask is not None
-             else np.zeros(grid.n_elements, dtype=bool))
+    flags = result.final_mask.flags
     fields = (grid.nodes, state.h.values, state.hu.values, state.hw.values, p)
     rows = ([repr(float(f[e, j])) for f in fields] + [int(flags[e])]
             for e in range(grid.n_elements) for j in range(grid.poly_order + 1))
@@ -288,11 +282,8 @@ def make_report(result: RunResult, config: dict, reference=None) -> RunReport:
     spec = result.spec
     if spec.name == "solitary":
         # final-snapshot accuracy against the closed-form solitary profile
-        d0 = spec.bathymetry.h0
-        x0 = (spec.grid.x_right - spec.grid.x_left) / 4.0
-        eta_ref, _ = solitary_exact(spec.grid.nodes, result.final_state.time,
-                                    d=d0, x0=x0)
-        eta = result.final_state.h.values - d0
+        eta_ref, _ = solitary_exact(spec.grid.nodes, result.final_state.time)
+        eta = result.final_state.h.values - SOLITARY_D
         e, r = series_metrics(SeriesPair(eta_ref.ravel(), eta.ravel()))
         report.extra.update(rmse_vs_exact=e, r_vs_exact=r)
     if reference:
@@ -455,11 +446,10 @@ def _add_run_flags(sub) -> None:
     sub.add_argument("--scenario", choices=SCENARIOS)
     sub.add_argument("--dt")
     sub.add_argument("--t-end", dest="t_end")
-    sub.add_argument("--dx", help="element width (hammack/whittaker)")
-    sub.add_argument("--n-elements", dest="n_elements",
-                     help="element count (solitary)")
+    sub.add_argument("--dx", help="element width")
+    sub.add_argument("--n-elements", dest="n_elements", help="element count")
     sub.add_argument("--poly-order", dest="poly_order")
-    sub.add_argument("--froude", help="whittaker slide Froude number")
+    sub.add_argument("--froude", help="slide Froude number")
     sub.add_argument("--gauges", help="comma-separated gauge positions (m)")
     sub.add_argument("--k-nh", dest="k_nh", help="flag threshold")
     sub.add_argument("--outdir")

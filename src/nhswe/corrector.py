@@ -44,7 +44,7 @@ a fixed count of array operations, which dominates on small masks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property, lru_cache
 from math import isfinite, sqrt
 
@@ -111,9 +111,9 @@ class EllipticCoefficients:
 
     The arrays hold one row per element of `ranges`, in range order; `ranges`
     None stands for the whole grid, ((0, n_elements - 1),).  `phi` is None
-    where the moving-bottom forcing vanishes.  `bottom` is the bottom sample
-    on the whole grid at the predictor time; `d_x` is its slope on the rows
-    and `quad` = 4 + d_x^2, both None on a flat stretch.
+    where the moving-bottom forcing vanishes.  `bottom`, the bottom sample
+    on the whole grid at the predictor time, is not kept: `d_x` is its slope
+    on the rows and `quad` = 4 + d_x^2, both None on a flat stretch.
     """
 
     grid: GridSpec
@@ -124,7 +124,7 @@ class EllipticCoefficients:
     f1: np.ndarray
     f2: np.ndarray
     phi: np.ndarray | None
-    bottom: BottomSample
+    bottom: InitVar[BottomSample]
     dt: float
     rho: float
     ranges: tuple[tuple[int, int], ...] | None = None
@@ -139,7 +139,7 @@ class EllipticCoefficients:
     d_x: np.ndarray | None = field(init=False, repr=False, compare=False)
     quad: np.ndarray | None = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
+    def __post_init__(self, bottom: BottomSample):
         ranges, rows = _range_rows(self.ranges, self.grid.n_elements)
         count = sum(e1 - e0 + 1 for e0, e1 in ranges)
         for name in ("s11", "s12", "s21", "s22", "f1", "f2", "phi"):
@@ -157,7 +157,7 @@ class EllipticCoefficients:
         stack = np.stack([a.T for a in (t / c, self.s11 * t, c * self.s11 * self.s11 * t,
                                         c * self.rho * self.s22, np.ones_like(t), g,
                                         c * (self.f2 + self.s11 * g))])
-        d_x = _active_rows(self.bottom, "d_x", rows)
+        d_x = _active_rows(bottom, "d_x", rows)
         object.__setattr__(self, "ranges", ranges)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "stack", stack)
@@ -304,7 +304,7 @@ def assemble_coefficients(predictor: FlowState, bottom: BottomSample, dt: float,
     # s21 = -s11 holds by construction, so the checked constructor is skipped
     coeffs = object.__new__(EllipticCoefficients)
     vars(coeffs).update(grid=grid, phi=None if phi is None else phi.T,
-                        bottom=bottom, dt=dt, rho=rho, ranges=ranges, rows=rows,
+                        dt=dt, rho=rho, ranges=ranges, rows=rows,
                         stack=stack, d_x=None if d_x is None else d_x.T,
                         quad=None if quad is None else quad.T)
     return coeffs

@@ -18,7 +18,7 @@ class RunResult:
     spec: ScenarioSpec
     final_state: FlowState
     final_p: NodalField | None
-    final_mask: NonHydroMask | None
+    final_mask: NonHydroMask
     gauge_times: np.ndarray          # (n_steps + 1,)
     gauge_eta: np.ndarray            # (n_steps + 1, n_gauges)
     mask_history: list               # (step, t, ranges) per step
@@ -58,7 +58,6 @@ def simulate(spec: ScenarioSpec, initial: FlowState, mode: str,
     stepper = Stepper(grid, mode, criterion)
     bottom = spec.bathymetry.sample(grid.sample_nodes, state.time)
     record_gauges(0, state, bottom)
-    result = None
 
     # wall time covers the numerical step calls only; gauge reads and mask
     # bookkeeping are output collection and stay outside the timed section
@@ -78,10 +77,10 @@ def simulate(spec: ScenarioSpec, initial: FlowState, mode: str,
     return RunResult(
         spec=spec,
         final_state=state,
-        final_p=None if result is None else result.p_nh,
-        final_mask=None if result is None else result.mask,
+        final_p=result.p_nh,
+        final_mask=result.mask,
         gauge_times=gauge_times, gauge_eta=gauge_eta,
         mask_history=mask_history,
-        mask_fraction_mean=float(fractions.mean()) if n_steps else 0.0,
+        mask_fraction_mean=float(fractions.mean()),
         loop_time=loop_time,
     )

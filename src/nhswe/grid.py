@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import prod
-from typing import Callable
 
 import numpy as np
 from numpy.polynomial import legendre
@@ -230,17 +229,6 @@ class FlowState:
         # np.take gathers an index array several times faster than indexing,
         # and copies a non-contiguous input first, so it reads the padded array
         return self.packed.take(rows + 1, axis=2)
-
-
-def project(f: Callable[[np.ndarray], np.ndarray], grid: GridSpec) -> NodalField:
-    """Interpolate f at the grid nodes (exact for degree <= poly_order)."""
-    vals = np.asarray(f(grid.nodes), dtype=float)
-    if vals.shape != grid.nodes.shape:
-        vals = np.broadcast_to(vals, grid.nodes.shape).copy()
-    if not np.all(np.isfinite(vals)):
-        bad = np.argwhere(~np.isfinite(vals))[0]
-        raise ValueError(f"f is non-finite at node x={grid.nodes[bad[0], bad[1]]}")
-    return NodalField(grid, vals)
 
 
 def derivative_values(grid: GridSpec, values: np.ndarray,

@@ -2,12 +2,13 @@
 
 Three setups are provided: a propagating solitary wave over constant depth
 (with its closed-form reference solution), an impulsively raised or lowered
-plate next to a wall, and a semi-elliptic bump sliding along a flat bottom.
+plate next to a wall, and a quartic bump sliding along a flat bottom.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -22,6 +23,9 @@ SLIDE_MOTIONS = {
     0.25: SlideMotion(1.500, 0.327, 0.218, 2.218, 2.436),
     0.375: SlideMotion(1.500, 0.491, 0.327, 2.327, 2.654),
 }
+
+# the solitary wave's amplitude, still-water depth and crest at t = 0 (m)
+SOLITARY_A, SOLITARY_D, SOLITARY_X0 = 2.0, 10.0, 200.0
 
 
 @dataclass(frozen=True)
@@ -39,6 +43,8 @@ class ScenarioSpec:
     def __post_init__(self):
         if not (0 < self.dt < np.inf and 0 < self.t_end < np.inf):
             raise ValueError("dt and t_end must be positive and finite")
+        if self.n_steps < 1:
+            raise ValueError(f"t_end={self.t_end} holds no step of dt={self.dt}")
         for x in self.gauges:
             if not self.grid.x_left <= x <= self.grid.x_right:
                 raise ValueError(f"gauge at x={x} outside the domain")
@@ -48,7 +54,8 @@ class ScenarioSpec:
         return int(round(self.t_end / self.dt))
 
 
-def solitary_exact(x, t, a: float = 2.0, d: float = 10.0, x0: float = 200.0):
+def solitary_exact(x, t, a: float = SOLITARY_A, d: float = SOLITARY_D,
+                   x0: float = SOLITARY_X0):
     """Closed-form solitary wave profile: surface elevation and velocity."""
     if d <= 0 or a <= 0:
         raise ValueError("require a > 0 and d > 0")
@@ -77,16 +84,14 @@ def vertical_momentum_from_constraint(grid: GridSpec, h: np.ndarray, hu: np.ndar
     return 0.5 * (-h * hu_x - hu * arg_x - 2.0 * h * bottom.d_t)
 
 
-def build_solitary(a: float = 2.0, d: float = 10.0, length: float = 800.0,
-                   n_elements: int = 200, dt: float = 0.1, t_end: float = 30.0,
+def build_solitary(n_elements: int = 200, dt: float = 0.1, t_end: float = 30.0,
                    poly_order: int = 1) -> tuple[ScenarioSpec, FlowState]:
-    grid = GridSpec(0.0, length, n_elements, poly_order)
-    bathy = FlatBottom(d)
+    grid = GridSpec(0.0, 800.0, n_elements, poly_order)
+    bathy = FlatBottom(SOLITARY_D)
     spec = ScenarioSpec("solitary", grid, dt, t_end, bathy,
                         BoundaryPair(WALL, WALL))
-    x0 = length / 4.0
-    eta, u = solitary_exact(grid.nodes, 0.0, a, d, x0)
-    h = d + eta
+    eta, u = solitary_exact(grid.nodes, 0.0)
+    h = SOLITARY_D + eta
     hu = h * u
     hw = vertical_momentum_from_constraint(grid, h, hu, bathy, 0.0)
     state = FlowState(NodalField(grid, h), NodalField(grid, hu),
@@ -94,9 +99,8 @@ def build_solitary(a: float = 2.0, d: float = 10.0, length: float = 800.0,
     return spec, state
 
 
-def build_hammack(direction: str = "up", h0: float = 0.05, zeta0_mag: float = 0.005,
-                  b: float = 0.61, length: float = 25.0, dx: float = 0.025,
-                  dt: float | None = None, t_end: float = 40.0,
+def build_hammack(direction: str = "up", dx: float = 0.025, dt: float | None = None,
+                  t_end: float = 40.0,
                   poly_order: int = 1) -> tuple[ScenarioSpec, FlowState]:
     """Vertical plate thrust next to a wall; the plate occupies 0 <= x < b.
 
@@ -109,21 +113,18 @@ def build_hammack(direction: str = "up", h0: float = 0.05, zeta0_mag: float = 0.
     """
     if dt is None:
         dt = 0.01 * (dx / 0.025)
-    zeta0 = zeta0_mag if direction == "up" else -zeta0_mag
-    n_elements = int(round(length / dx))
-    grid = GridSpec(0.0, length, n_elements, poly_order)
-    b_snap = max(round(b / grid.dx), 1) * grid.dx
-    t_c = hammack_time_constant(h0, b_snap, direction)
-    bathy = HammackPlate(h0, zeta0, b_snap, t_c)
+    h0 = 0.05
+    grid = GridSpec(0.0, 25.0, int(round(25.0 / dx)), poly_order)
+    b = max(round(0.61 / grid.dx), 1) * grid.dx
+    bathy = HammackPlate(h0=h0, zeta0=0.005 if direction == "up" else -0.005, b=b,
+                         t_c=hammack_time_constant(h0, b, direction))
     gauges = tuple(snap_to_node(grid, x) for x in (0.61, 1.61, 9.61, 20.61))
     spec = ScenarioSpec(f"hammack_{direction}", grid, dt, t_end, bathy,
                         BoundaryPair(WALL, ABSORBING), gauges)
     return spec, still_water_state(grid, bathy)
 
 
-def build_whittaker(froude: float = 0.25, h0: float = 0.175, Hs: float = 0.026,
-                    Ls: float = 0.5, length: float = 15.0, x_start: float = 5.0,
-                    dx: float = 0.075, dt: float | None = None,
+def build_whittaker(froude: float = 0.25, dx: float = 0.075, dt: float | None = None,
                     t_end: float | None = None,
                     poly_order: int = 1) -> tuple[ScenarioSpec, FlowState]:
     """Sliding bump; comparison snapshot defaults to t* = 8 / sqrt(g / Ls).
@@ -137,11 +138,10 @@ def build_whittaker(froude: float = 0.25, h0: float = 0.175, Hs: float = 0.026,
                          f"choose from {sorted(SLIDE_MOTIONS)}")
     if dt is None:
         dt = 0.005 * (dx / 0.075)
+    bathy = WhittakerSlide(h0=0.175, Hs=0.026, Ls=0.5, motion=motion, x_start=5.0)
     if t_end is None:
-        t_end = 8.0 / np.sqrt(GRAVITY / Ls)
-    bathy = WhittakerSlide(h0, Hs, Ls, motion, x_start)
-    n_elements = int(round(length / dx))
-    grid = GridSpec(0.0, length, n_elements, poly_order)
+        t_end = 8.0 / np.sqrt(GRAVITY / bathy.Ls)
+    grid = GridSpec(0.0, 15.0, int(round(15.0 / dx)), poly_order)
     spec = ScenarioSpec(f"whittaker_fr{froude}", grid, dt, t_end, bathy,
                         BoundaryPair(ABSORBING, ABSORBING))
     return spec, still_water_state(grid, bathy)
@@ -153,14 +153,17 @@ def snap_to_node(grid: GridSpec, x: float) -> float:
     return float(grid.nodes[e, j])
 
 
+# the scenarios by their CLI names; a builder's parameters are the settings
+# a run of its scenario can take
+SCENARIOS = {"solitary": build_solitary,
+             "hammack_up": partial(build_hammack, "up"),
+             "hammack_down": partial(build_hammack, "down"),
+             "whittaker": build_whittaker}
+
+
 def build_scenario(name: str, **overrides) -> tuple[ScenarioSpec, FlowState]:
     """Scenario factory keyed by the CLI scenario names."""
-    if name == "solitary":
-        return build_solitary(**overrides)
-    if name == "hammack_up":
-        return build_hammack("up", **overrides)
-    if name == "hammack_down":
-        return build_hammack("down", **overrides)
-    if name == "whittaker":
-        return build_whittaker(**overrides)
-    raise ValueError(f"unknown scenario {name!r}")
+    builder = SCENARIOS.get(name)
+    if builder is None:
+        raise ValueError(f"unknown scenario {name!r}")
+    return builder(**overrides)

@@ -10,7 +10,8 @@ from nhswe.adaptivity import (Criterion, NonHydroMask, adaptive_step,
 from nhswe.bathymetry import FlatBottom
 from nhswe.grid import FlowState, GridSpec, NodalField
 from nhswe.hydrostatic import WALL, BoundaryPair, PositivityError, heun_step
-from nhswe.scenarios import build_scenario, build_solitary, still_water_state
+from nhswe.scenarios import (SOLITARY_A, SOLITARY_D, build_scenario, build_solitary,
+                             still_water_state)
 
 WALLS = BoundaryPair(WALL, WALL)
 
@@ -64,8 +65,8 @@ def test_criterion_values_eta_over_d():
 def test_flagged_band_matches_analytic_width():
     # for the solitary profile a*sech^2(K xi), |eta/d| > k exactly where
     # |xi| < arccosh(sqrt(a/(k d))) / K; count flagged elements against that
-    a, d, k = 2.0, 10.0, 0.001
-    spec, state = build_solitary(a=a, d=d)
+    a, d, k = SOLITARY_A, SOLITARY_D, 0.001
+    spec, state = build_solitary()
     bottom = spec.bathymetry.sample(spec.grid.sample_nodes, state.time)
     mask = evaluate_criterion(state, bottom, Criterion("eta_over_d", k))
     K = np.sqrt(3.0 * a / (4.0 * d * d * (d + a)))

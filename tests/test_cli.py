@@ -1,15 +1,17 @@
 """CLI behaviour: config handling, outputs, determinism, exit codes."""
 
+import inspect
 import json
 
 import numpy as np
 import pytest
 
 from nhswe.adaptivity import Criterion
-from nhswe.cli import (EXIT_CONFIG, EXIT_NUMERICAL, main, read_config_file,
+from nhswe.cli import (CONFIG_KEYS, EXIT_CONFIG, EXIT_NUMERICAL, SCENARIO_KEYS,
+                       build_run, main, parse_value, read_config_file,
                        read_gauges_csv)
 from nhswe.driver import simulate
-from nhswe.scenarios import build_scenario
+from nhswe.scenarios import SCENARIOS, build_scenario
 
 
 def run_cli(*argv):
@@ -202,6 +204,47 @@ def test_config_error_exit_codes(tmp_path):
         assert run_cli("sweep", "--scenario", "solitary", *flags,
                        "--outdir", str(tmp_path / "sweep")) == EXIT_CONFIG
     assert not (tmp_path / "sweep").exists()
+
+
+def test_a_run_that_holds_no_step_is_a_config_error(tmp_path, capsys):
+    # solitary steps by 0.1 s, so a 0.01 s run takes no step
+    for command, flags in (("run", ("--mode", "adaptive", "--with-global")),
+                           ("sweep", ("--criteria", "eta_over_d"))):
+        out = tmp_path / command
+        assert run_cli(command, "--scenario", "solitary", "--t-end", "0.01", *flags,
+                       "--outdir", str(out)) == EXIT_CONFIG
+        assert "t_end=0.01 holds no step of dt=0.1" in capsys.readouterr().err
+        assert not out.exists()
+
+
+# a value of each key that sets up a scenario
+SETTINGS = {"dt": "0.01", "t_end": "0.1", "dx": "0.1", "n_elements": "20",
+            "poly_order": "1", "froude": "0.25"}
+
+
+@pytest.mark.parametrize("name", list(SCENARIOS))
+def test_each_builder_setting_is_a_config_key(name):
+    settings = inspect.signature(SCENARIOS[name]).parameters
+    assert set(settings) <= set(CONFIG_KEYS)
+    assert SCENARIO_KEYS == set(SETTINGS)
+    for key in settings:
+        build_run({"scenario": name, key: parse_value(key, SETTINGS[key])})
+
+
+@pytest.mark.parametrize("name", list(SCENARIOS))
+def test_a_setting_the_builder_does_not_take_is_a_config_error(tmp_path, monkeypatch,
+                                                               capsys, name):
+    monkeypatch.setattr("nhswe.cli.simulate", no_simulate)
+    settings = inspect.signature(SCENARIOS[name]).parameters
+    refused = [key for key in SETTINGS if key not in settings]
+    assert refused
+    for key in refused:
+        out = tmp_path / key
+        assert run_cli("run", "--scenario", name, "--" + key.replace("_", "-"),
+                       SETTINGS[key], "--outdir", str(out)) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"{name} takes no {key}; its settings are {', '.join(settings)}" in err
+        assert not out.exists()
 
 
 def test_sweep_rejects_a_bad_threshold_before_any_run(tmp_path, monkeypatch):

@@ -285,9 +285,10 @@ def test_pressure_only_solve_satisfies_the_full_ldg_system(order, bottom, ranges
     else:
         grid = GridSpec(0.0, 10.0, 40, order)
         (state, bathy), dt = sloped_state(grid), 0.01
-    co = assemble_coefficients(state, bottom_at(state, bathy), dt, ranges=ranges)
+    sample = bottom_at(state, bathy)
+    co = assemble_coefficients(state, sample, dt, ranges=ranges)
     if bottom == "sloped":
-        assert co.phi is not None and np.all(co.bottom.d_x != 0.0)
+        assert co.phi is not None and np.all(sample.d_x != 0.0)
     outer = [_right_outer_hu(state, WALLS, e1) for _, e1 in ranges]
     assert all(hu != 0.0 for hu in outer)
     sol = solve_on_ranges(state, co, WALLS)
@@ -325,15 +326,16 @@ def test_global_solve_factors_the_pressure_system_only(monkeypatch):
 def test_coefficients_must_hold_one_row_per_element_of_their_ranges():
     grid = GridSpec(0.0, 100.0, 60, 1)
     state = smooth_state(grid)
-    whole = assemble_coefficients(state, bottom_at(state, FlatBottom(10.0)), 0.1)
+    sample = bottom_at(state, FlatBottom(10.0))
+    whole = assemble_coefficients(state, sample, 0.1)
     fields = [whole.s11, whole.s12, whole.s21, whole.s22, whole.f1, whole.f2, whole.phi]
     with pytest.raises(ValueError, match=r"s11 has 60 rows, but the ranges "
                                          r"\(\(3, 12\),\) hold 10 elements"):
-        EllipticCoefficients(grid, *fields, whole.bottom, 0.1, RHO_WATER, ranges=[(3, 12)])
+        EllipticCoefficients(grid, *fields, sample, 0.1, RHO_WATER, ranges=[(3, 12)])
     # the rows of those elements are accepted, and solve as assembled
     part = assemble_coefficients(state, bottom_at(state, FlatBottom(10.0)), 0.1, ranges=[(3, 12)])
     rows = [f[3:13] for f in fields[:-1]]
-    checked = EllipticCoefficients(grid, *rows, None, whole.bottom, 0.1, RHO_WATER,
+    checked = EllipticCoefficients(grid, *rows, None, sample, 0.1, RHO_WATER,
                                    ranges=[(3, 12)])
     for a, b in zip(ldg_solve(part, (3, 12), (0.0, 1.0)),
                     ldg_solve(checked, (3, 12), (0.0, 1.0))):
@@ -471,8 +473,9 @@ def test_momentum_update_on_a_sloped_bottom(ranges):
     corrected, sol = apply_correction(state, bottom_at(state, bathy), dt, ranges, WALLS)
     # the vertical update from its definition, on the whole grid with the
     # pressure zero off the ranges
-    co = assemble_coefficients(state, bottom_at(state, bathy), dt)
-    d_x = co.bottom.d_x
+    sample = bottom_at(state, bathy)
+    co = assemble_coefficients(state, sample, dt)
+    d_x = sample.d_x
     assert np.all(d_x != 0.0)
     p = sol.p_nh.values
     quad = 4.0 + d_x ** 2

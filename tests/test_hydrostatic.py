@@ -7,7 +7,7 @@ import pytest
 
 from nhswe.bathymetry import (BathymetryModel, BottomSample, FlatBottom, GRAVITY,
                               HammackPlate)
-from nhswe.grid import FlowState, GridSpec, NodalField, project
+from nhswe.grid import FlowState, GridSpec, NodalField
 from nhswe.hydrostatic import (ABSORBING, WALL, BoundaryCondition, BoundaryPair,
                                PositivityError, _flux, _rusanov, _speed, heun_step)
 
@@ -125,8 +125,8 @@ def test_several_bottom_jumps_keep_still_water_and_mass():
 def test_mass_conservation_with_walls():
     grid = GridSpec(0.0, 20.0, 80, 1)
     bathy = FlatBottom(1.0)
-    h = project(lambda x: 1.0 + 0.1 * np.exp(-((x - 10.0) / 2.0) ** 2), grid)
-    zero = project(lambda x: 0.0 * x, grid)
+    h = NodalField(grid, 1.0 + 0.1 * np.exp(-((grid.nodes - 10.0) / 2.0) ** 2))
+    zero = NodalField(grid, np.zeros_like(grid.nodes))
     state = FlowState(h, zero, zero, 0.0)
     m0 = total_mass(state)
     for _ in range(200):
@@ -225,8 +225,8 @@ def test_predictor_converges_at_second_order():
 
     def run(n):
         grid = GridSpec(0.0, 10.0, n, 1)
-        h = project(lambda x: 1.0 + 0.05 * np.exp(-((x - 5.0) / 1.0) ** 2), grid)
-        zero = project(lambda x: 0.0 * x, grid)
+        h = NodalField(grid, 1.0 + 0.05 * np.exp(-((grid.nodes - 5.0) / 1.0) ** 2))
+        zero = NodalField(grid, np.zeros_like(grid.nodes))
         state = FlowState(h, zero, zero, 0.0)
         for _ in range(int(round(t_end / dt))):
             state = heun_step(state, dt, bathy, WALLS)
