@@ -24,7 +24,7 @@ from .driver import RunResult, simulate, step_times
 from .hydrostatic import PositivityError
 from .metrics import (DegenerateSeriesError, DisjointSeriesError, RunReport,
                       SeriesPair, aligned_pair, overlap, pearson, rmse, time_ratio)
-from .scenarios import SCENARIOS, SOLITARY_D, ScenarioSpec, solitary_exact
+from .scenarios import EXACT_SURFACES, SCENARIOS, ScenarioSpec
 
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
@@ -280,11 +280,11 @@ def make_report(result: RunResult, config: dict, reference=None) -> RunReport:
     report = RunReport(config=config, loop_time=result.loop_time,
                        mask_fraction_mean=result.mask_fraction_mean)
     spec = result.spec
-    if spec.name == "solitary":
-        # final-snapshot accuracy against the closed-form solitary profile
-        eta_ref, _ = solitary_exact(spec.grid.nodes, result.final_state.time)
-        eta = result.final_state.h.values - SOLITARY_D
-        e, r = series_metrics(SeriesPair(eta_ref.ravel(), eta.ravel()))
+    exact = EXACT_SURFACES.get(spec.name)
+    if exact is not None:
+        # final-snapshot accuracy against the closed-form surface
+        eta_ref = exact(spec.grid.nodes, result.final_state.time)
+        e, r = series_metrics(SeriesPair(eta_ref.ravel(), _final_surface(result)))
         report.extra.update(rmse_vs_exact=e, r_vs_exact=r)
     if reference:
         ref_t, ref_cols = reference
@@ -418,7 +418,7 @@ def cmd_sweep(args) -> int:
             row = {"criterion": crit.kind, "enlarge": int(crit.enlarge),
                    "time_ratio": time_ratio(report, greport),
                    "mask_fraction": report.mask_fraction_mean}
-            if spec.name == "solitary":
+            if "rmse_vs_exact" in report.extra:
                 row["rmse"] = report.extra["rmse_vs_exact"]
                 row["r"] = report.extra["r_vs_exact"]
             else:

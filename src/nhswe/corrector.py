@@ -19,27 +19,33 @@ solved pressure.
 Since p* is the left trace, the first equation of an element holds its own
 momentum only, weighted by M diag(s12), which is invertible.  So hu is
 eliminated element by element, the standard elimination of the LDG auxiliary
-variable: the second equation becomes a banded system in the pressure alone,
-one unknown per node, and hu is recovered from the first equation by an
-element-local back-substitution.  Every entry of that pressure system is
-linear in a few nodal features of the coefficients, which the assembly
-computes directly, so it is filled by one product of the features with a
-constant coupling tensor of the reference element, plus one product for the
-coupling to the right neighbour and fix-ups at the range ends.
+variable: the second equation becomes a system in the pressure alone, and
+hu is recovered from the first equation by an element-local
+back-substitution.  In that pressure system only an element's last node
+couples to its neighbours, so its other nodes are eliminated element by
+element too, the static condensation of hybridised DG methods (Cockburn,
+Gopalakrishnan & Lazarov, SINUM 2009): what is left is one tridiagonal
+system in the elements' last pressures, solved by one banded factorization,
+from whose solution the other pressures and the momenta follow element by
+element.  Every entry of an element's local system is linear in a few nodal
+features of the coefficients, which the assembly computes directly, so all
+local systems are filled by one product of the features with a constant
+coupling tensor of the reference element, plus fix-ups at the range ends.
 
-Coefficients are assembled, and the banded system is filled and solved, on
-the flagged elements only.  assemble_coefficients fixes that element set
-once, in EllipticCoefficients.ranges and .rows, and the solve and the
-momentum update read it from there; p and hu stay on those elements until
-the momentum update or a caller needs them on the whole grid.  Everything a
-correction writes and does not return, from the coefficient stack to the
-banded system and the residual, lives in a BandedWorkspace carved from the
-run's one workspace block, whose predictor stage buffers are dead while a
-correction runs.  So a correction allocates only what it returns: the
-pressure, the momenta and the corrected state.  Its cost is therefore the
-work on the flagged elements, plus two parts that do not shrink with them:
-the copy of the predictor's padded array that the corrected state owns, and
-a fixed count of array operations, which dominates on small masks.
+Coefficients are assembled, and the local systems are filled, condensed and
+solved, on the flagged elements only.  assemble_coefficients fixes that
+element set once, in EllipticCoefficients.ranges and .rows, and the solve
+and the momentum update read it from there; p and hu stay on those elements
+until the momentum update or a caller needs them on the whole grid.
+Everything a correction writes and does not return, from the coefficient
+stack to the local systems, the banded system and the residual, lives in a
+BandedWorkspace carved from the run's one workspace block, whose predictor
+stage buffers are dead while a correction runs.  So a correction allocates
+only what it returns: the pressure, the momenta and the corrected state.
+Its cost is therefore the work on the flagged elements, plus two parts that
+do not shrink with them: the copy of the predictor's padded array that the
+corrected state owns, and a fixed count of array operations, which
+dominates on small masks.
 """
 
 from __future__ import annotations
@@ -130,11 +136,12 @@ class EllipticCoefficients:
     ranges: tuple[tuple[int, int], ...] | None = None
     # grid rows of the arrays
     rows: slice | np.ndarray = field(init=False, repr=False, compare=False)
-    # the nodal features of the condensed pressure system, rows _T ... _R,
-    # node by node: shape (7, nodes, elements); assemble_coefficients
-    # computes them directly and stores only them, the s- and f-fields
-    # being derived from them on first access.  Assembled in a workspace,
-    # it views that workspace and holds only until its next use
+    # the nodal features of the pressure system, rows _T ... _R, node by
+    # node: shape (7, nodes, elements); assemble_coefficients computes them
+    # directly and stores only them, the s- and f-fields being derived from
+    # them on first access.  Assembled in a workspace, it views that
+    # workspace and holds only until its next use: a solve in the same
+    # workspace overwrites it once it has filled the local systems
     stack: np.ndarray = field(init=False, repr=False, compare=False)
     d_x: np.ndarray | None = field(init=False, repr=False, compare=False)
     quad: np.ndarray | None = field(init=False, repr=False, compare=False)
@@ -323,39 +330,62 @@ def assemble_coefficients(predictor: FlowState, bottom: BottomSample, dt: float,
 # and the second, D_k Q_k + [k not last] E_m1 Q_k+1 + (M S22' + E_mm / 2
 # + E_11 / 2) P_k - [k not first] E_1m P_k-1 / 2 - [k not last] E_m1 P_k+1 / 2
 # = M f2 - [k last] e_m hu_outer with D_k = M S21 - K - E_11, becomes a
-# system in P alone.  Its unknowns are ordered element by element, node by
-# node: P of node j of the k-th solved element sits at k m + j.  An element
-# couples to its own nodes and to the last node of its left neighbour, and
-# its last node to the nodes of its right neighbour, so the bandwidth is m
-# on both sides.  The system is stored in the LAPACK general-banded layout
-# that dgbsv factorizes in place: entry (r, c) at row 2m + r - c of column c
-# of a (3m + 1, size) Fortran-ordered array, the leading m rows being
-# pivoting fill-in that dgbsv sets itself.  The matrix rows are assembled
-# in a (size, 3m + 3) array: row c holds column c at positions m + r - c,
-# the right-hand side of row c at 2m + 1, and from 2m + 2 on the
-# back-substitution row of node c, the coefficients of (P_k-1,m, P_k) in
-# Q_c - f1' t.  Seen so, each element owns an (m, 3m + 3) slab, which
-# holds its own block, the row its left neighbour's last node has in it,
-# its right-hand side and its back-substitution.  The only other entries
-# an element's features make are in its left neighbour's last column: the
-# rows of its own nodes there, and the diagonal term and the right-hand
-# side its momentum adds through E_m1 Q_k+1.  The features (see
-# EllipticCoefficients.stack) carry the powers of dx / 2 that M, W and the
-# lifts do, so all these entries come from reference-element matrices.
+# system in P alone.  Its equations couple an element's nodes to each other
+# and to the last node of its left neighbour; only the equation of an
+# element's last node reaches into its right neighbour, through E_m1 Q_k+1.
+# So the nodes 0 ... m-2 of an element, its interior, appear in the
+# equations of that element and of its left neighbour's last node alone.
+#
+# Each element therefore owns a local system of 2m + 2 rows over m + 2
+# columns, every entry linear in the element's own features.  Its rows are
+# the equations of its interior nodes, its last pressure, the
+# back-substitutions of its m momenta, the part of its left neighbour's
+# last equation that its features make, and the equation of its own last
+# node; its columns the interior pressures, a constant, the left
+# neighbour's last pressure and its own.  The equations are stored as
+# (A | -b); the other rows as (-B | -g) for a value B P + g: the last
+# pressure as (-e_m | 0), the momenta as (a - t lift | -f1' t).  So each
+# row that is not an equation reads "minus the value is the row applied to
+# (P, 1)".  The interior columns are eliminated by Gauss-Jordan passes,
+# vectorised across all elements and without pivoting, one pass per
+# interior node: the interior blocks are well conditioned.  After them an
+# interior equation reads the same way, its unit pivot standing for its
+# value.  What is left of the last two equations is the condensed system,
+# tridiagonal in the elements' last pressures: the last pressure of element
+# k couples to those of k - 1 and k + 1 only.  Its row k sums the own-last
+# row of element k and the left-neighbour row of element k + 1, which the
+# first element of every range leaves empty, so ranges stay independent
+# and a batch of them is one block-diagonal system.  Handed the constant
+# column as its right-hand side, the banded solve finds -P at the last
+# nodes, and every other row yields its value by one product with
+# (-P_k-1,m, -P_k,m): the m pressures and the m momenta of every element at
+# once.
+#
+# The local systems are held entry by entry: entry (r, c) of every element
+# is one contiguous row of length n, so that each pass and the recovery are
+# a few whole-array operations.  The condensed system is stored in the
+# LAPACK general-banded layout that dgbsv factorizes in place: entry (r, c)
+# at row 2 + r - c of column c of a (4, n) Fortran-ordered array, the
+# leading row being pivoting fill-in that dgbsv sets itself.  The features
+# (see EllipticCoefficients.stack) carry the powers of dx / 2 that M, W and
+# the lifts do, so all entries come from reference-element matrices.
 
 # element kinds by place in the range, 2 [not first] + [not last]
 _ALONE, _FIRST, _LAST, _INNER = range(4)
 
 
 @lru_cache(maxsize=None)
-def _couplings(m: int):
-    """Constant tensors of the condensed system for elements of m nodes.
+def _couplings(m: int) -> np.ndarray:
+    """Constant tensors of the local systems of elements of m nodes.
 
     The features of EllipticCoefficients.stack carry the element size, so
     the tensors are built on the reference element, whose half-width is 1.
-    `own[kind]` maps an element's features, (7 m,) feature by feature, to
-    its (m, 3m + 3) slab; `next_column` maps them to the band entries and
-    right-hand side of its left neighbour's last column, (2m + 2,).
+    `local[kind]` maps an element's features, (7 m,) feature by feature, to
+    its local system, (2m + 2) (m + 2) entries row by row.  Rows: the
+    interior equations 0 ... m-2, the last pressure, the back-substitutions
+    of the m nodes, the left neighbour's last equation and the element's own
+    last equation.  Columns: the interior pressures, the constant, the left
+    neighbour's last pressure and the element's last pressure.
     """
     ref = GridSpec(0.0, 4.0, 2, m - 1)
     M, W = ref.mass, ref.weak_div
@@ -364,88 +394,92 @@ def _couplings(m: int):
     K1[0, 0] += 1.0                                 # -D_k = M diag(s11) + K1
     eye = np.eye(m)
     e0, em = eye[0], eye[-1]
-    mass_diag = np.einsum("ij,lj->lij", M, eye)     # (node l, row i, column j)
     nodes = np.arange(m)
-    own = np.zeros((4, 7, m, m, 3 * m + 3))         # kind, feature, node, row, position
+    # the row of node i's equation, the column of node j's pressure
+    row = np.r_[nodes[:-1], 2 * m + 1]
+    col = np.r_[nodes[:-1], m + 1]
+    last, hu, left, const, prev = m - 1, m + nodes, 2 * m, m - 1, m
+    local = np.zeros((4, 2 * m + 2, m + 2, 7, m))   # kind, row, column, feature, node
     for kind in range(4):
         not_first, not_last = kind >> 1, kind & 1
-        # own block, d/d(feature at node l) of entry (i, j)
-        block = np.zeros((7, m, m, m))
-        block[_T] = (-np.einsum("il,lj->lij", K1, W)
-                     + not_last * np.einsum("il,l,j->lij", K1, L_r, em))
-        block[_A] = (np.einsum("ij,lj->lij", K1, eye) - np.einsum("il,lj->lij", M, W)
-                     + not_last * np.einsum("il,l,j->lij", M, L_r, em))
-        block[_C] = block[_S] = mass_diag
-        block[_ONE, 0] = 0.5 * (np.outer(em, em) + np.outer(e0, e0))
-        # the left neighbour's last row: -E_m1 (A_k + I / 2), A_k the
-        # matrix of P_k in Q_k
-        upper = np.zeros((7, m, m))
-        upper[_A, 0, 0] = -1.0
-        upper[_T, 0] = W[0] - not_last * L_r[0] * em
-        upper[_ONE, 0, 0] = -0.5
-        slab = own[kind]
-        for j in range(m):
-            for i in range(m):
-                slab[:, :, j, m + i - j] = block[:, :, i, j]
-            slab[:, :, j, m - 1 - j] = not_first * upper[:, :, j]
-        slab[_R, :, :, 2 * m + 1] = M.T
-        slab[_G, :, :, 2 * m + 1] = K1.T
-        # back-substitution row of node i: Q_k,i - g_i, as t_i and a_i
-        # times (P_k-1,m, P_k)
-        lift = np.zeros((m + 1, m))
-        lift[0] = not_first * L_l
-        lift[1:] = W.T - not_last * np.outer(em, L_r)
-        slab[_T, nodes, nodes, 2 * m + 2:] = lift.T
-        slab[_A, nodes, nodes, 2 * m + 3 + nodes] = -1.0
-    next_column = np.zeros((7, m, 2 * m + 2))
-    next_column[_T, 0, m] = L_l[0]
-    next_column[_A, :, m + 1:m + 1 + m] = -(M * L_l).T
-    next_column[_T, :, m + 1:m + 1 + m] = -(K1 * L_l).T
-    next_column[_ONE, 0, m + 1] = -0.5
-    next_column[_G, 0, -1] = -1.0
-    own = own.reshape(4, 7 * m, m * (3 * m + 3))
-    next_column = next_column.reshape(7 * m, 2 * m + 2)
-    own.flags.writeable = next_column.flags.writeable = False
-    return own, next_column
+        sys = local[kind]
+        # own equations, d/d(feature at node l) of entry (i, j): (i, j, feature, l)
+        block = np.zeros((m, m, 7, m))
+        block[:, :, _T] = (-np.einsum("il,lj->ijl", K1, W)
+                           + not_last * np.einsum("il,l,j->ijl", K1, L_r, em))
+        block[:, :, _A] = (np.einsum("ij,lj->ijl", K1, eye)
+                           - np.einsum("il,lj->ijl", M, W)
+                           + not_last * np.einsum("il,l,j->ijl", M, L_r, em))
+        block[:, :, _C] = block[:, :, _S] = np.einsum("ij,lj->ijl", M, eye)
+        block[:, :, _ONE, 0] = 0.5 * (np.outer(em, em) + np.outer(e0, e0))
+        sys[row[:, None], col] = block
+        sys[row, const, _R] = -M
+        sys[row, const, _G] = -K1
+        # the last pressure, negated: a row of its own, so that the
+        # recovery yields all m pressures of an element
+        sys[last, col[-1], _ONE, 0] = -1.0
+        if not_first:
+            # the left neighbour's last equation: -E_m1 (A_k + I / 2), A_k
+            # the matrix of P_k in Q_k, and the diagonal term and the
+            # right-hand side its momentum adds through E_m1 Q_k
+            sys[left, col, _A, 0] = -e0
+            sys[left, col, _T, 0] = W[0] - not_last * L_r[0] * em
+            sys[left, col[0], _ONE, 0] -= 0.5
+            sys[left, prev, _T, 0] = L_l[0]
+            sys[left, const, _G, 0] = 1.0
+            # the element's equations in the left neighbour's last pressure
+            sys[row, prev, _A] = -M * L_l
+            sys[row, prev, _T] = -K1 * L_l
+            sys[row[0], prev, _ONE, 0] = -0.5
+        # back-substitution of node i, negated: Q_k,i = g_i - a_i P_k,i +
+        # t_i (lift^T (P_k-1,m, P_k))_i
+        lift = np.zeros((m, m + 1))
+        lift[:, 0] = not_first * L_l
+        lift[:, 1:] = W - not_last * np.outer(L_r, em)
+        sys[hu, prev, _T, nodes] = -lift[:, 0]
+        sys[hu[:, None], col, _T, nodes[:, None]] = -lift[:, 1:]
+        sys[hu, col, _A, nodes] = 1.0
+        sys[hu, const, _G, nodes] = -1.0
+    local = local.reshape(4, -1, 7 * m)
+    local.flags.writeable = False
+    return local
 
 
 @lru_cache(maxsize=256)
-def _block_template(n: int, m: int):
-    """The elements of one range of n elements whose slabs differ from an
-    inner element's, its ends: their positions in the range and kinds; and
-    the unknown of the range's last node, where the outer momentum enters."""
+def _block_template(n: int):
+    """The elements of one range of n elements whose local systems differ
+    from an inner element's, its ends: their positions in the range and
+    kinds."""
     if n == 1:
-        return (0,), (_ALONE,), m - 1
-    return (0, n - 1), (_FIRST, _LAST), n * m - 1
+        return (0,), (_ALONE,)
+    return (0, n - 1), (_FIRST, _LAST)
 
 
 @lru_cache(maxsize=512)
-def _ldg_template(lengths: tuple[int, ...], m: int):
+def _ldg_template(lengths: tuple[int, ...]):
     """Range-end structure of a batch of independent ranges.
 
     The ranges are stacked into one block-diagonal system whose bandwidth
     equals that of a single range, so the whole batch is factorized in one
     banded solve.  Returns the batch positions of the range-end elements
-    and their kinds, the positions of the last elements of all ranges but
-    the final one, across whose right face nothing couples, and the
-    unknowns of the ranges' last nodes.  The per-length parts come from
+    and their kinds, and the positions of the ranges' last elements, where
+    the outer momentum enters.  The per-length parts come from
     _block_template, and the end elements' tensors are indexed from
     _couplings by their kinds, so an entry here is as small as the number
     of ranges.
     """
-    ends, kinds, row_ends = [], [], []
+    ends, kinds, lasts = [], [], []
     start = 0
     for nb in lengths:
-        positions, kind, last_row = _block_template(nb, m)
+        positions, kind = _block_template(nb)
         ends.extend(start + k for k in positions)
         kinds.extend(kind)
-        row_ends.append(m * start + last_row)
         start += nb
-    ends, kinds, row_ends = np.array(ends), np.array(kinds), np.array(row_ends)
-    boundaries = row_ends[:-1] // m
-    for a in (ends, kinds, boundaries, row_ends):
+        lasts.append(start - 1)
+    ends, kinds, lasts = np.array(ends), np.array(kinds), np.array(lasts)
+    for a in (ends, kinds, lasts):
         a.flags.writeable = False
-    return ends, kinds, boundaries, row_ends
+    return ends, kinds, lasts
 
 
 class BandedWorkspace:
@@ -459,42 +493,40 @@ class BandedWorkspace:
     touched.  In the order a correction uses them:
 
     - the assembly writes the coefficient stack (`stack`), which the solve
-      reads up to the back-substitution; its temporaries (`temporaries`)
-      live in the slabs' storage, which the solve has not filled yet;
-    - `slabs` holds the assembled matrix rows, the right-hand side and the
-      back-substitution rows, which the residual check and the
-      back-substitution read after the factorization;
-    - the band's storage first holds the products of each element's
-      features with its left neighbour's column (`left`), then the dgbsv
-      work array `ab`, factorized in place, and once the solve is done the
-      residual check's sheared products (`scratch`);
-    - `padded` is the solution with one leading zero, so that `windows` row
-      k views (P_k-1,m, P_k), what the back-substitution of element k reads;
-    - the nodal storage holds the residual (`residual`), then the momentum
-      update's pressure term (`nodal`).
+      reads once, to fill the local systems, and then overwrites with the
+      products of its elimination passes; the assembly's temporaries
+      (`temporaries`) live in the local systems' storage, which the solve
+      has not filled yet;
+    - `local` holds the local systems, entry by entry, which the passes
+      reduce in place and the recovery reads;
+    - the band storage holds the condensed system in the layout of `ab`,
+      its right-hand side in the row dgbsv fills in (`band`), the dgbsv
+      work array `ab`, factorized in place, and the residual check's
+      sheared products (`scratch`); the residual lands in `ab`'s storage
+      once the solve is done, and the momentum update's pressure term
+      (`nodal`) in `band`'s once the recovery is;
+    - `padded` is the condensed solution with one leading zero, so that
+      `windows` row 0 views each element's left neighbour's value and row 1
+      its own, what the recovery multiplies.
     """
 
     def __init__(self, m: int, n_elements: int, block: np.ndarray | None = None):
         self.m = m
         n = n_elements
-        height, size = 3 * m + 1, m * n
-        (self._stack, self._slab_storage, storage, self._padded,
-         self._nodal) = carve(self.shapes(m, n), block)
-        self._slabs = self._slab_storage[:n * m * (3 * m + 3)].reshape(n, -1)
+        (self._stack, self._local, self._band, self._ab, self._scratch,
+         self._padded) = carve(self.shapes(m, n), block)
         # four rows of the grid's nodal size, each 64-byte aligned
-        self._temporaries = self._slab_storage[:carved_size([(size,)] * 4)].reshape(4, -1)
-        self._ab = storage[:height * size].reshape(size, height).T
+        self._temporaries = self._local[:carved_size([(m * n,)] * 4)].reshape(4, -1)
         self._windows = np.lib.stride_tricks.as_strided(
-            self._padded, (n, m + 1), (m * self._padded.itemsize, self._padded.itemsize))
-        self._scratch = storage
+            self._padded, (2, n), (self._padded.itemsize,) * 2)
 
     @staticmethod
     def shapes(m: int, n_elements: int) -> list[tuple[int]]:
         """The shapes of the flat regions, in the order they are carved."""
-        n, size = n_elements, m * n_elements
-        return [(7 * size,), (max(n * m * (3 * m + 3), carved_size([(size,)] * 4)),),
-                (max((3 * m + 1) * size, (2 * m + 1) * (size + 2 * m + 1)),),
-                (size + 1,), (size + 2 * m,)]
+        n = n_elements
+        return [(max(7 * m * n, 2 * m * (m + 1) * n),),
+                (max((2 * m + 2) * (m + 2) * n, carved_size([(m * n,)] * 4)),),
+                (max(4, m) * n,), (4 * n,), (3 * n + 9,), (n + 1,)]
 
     def stack(self, n: int) -> np.ndarray:
         """The coefficient stack of n elements, (7, m, n)."""
@@ -505,19 +537,23 @@ class BandedWorkspace:
         return self._temporaries[:, :self.m * n].reshape(4, self.m, n)
 
     def arrays(self, n: int):
-        """(ab, slabs, padded, windows, scratch, left, residual) for a system
-        of n elements; the solution's leading zero is set here, as other
-        users of the block write it."""
-        m, size = self.m, self.m * n
-        padded = self._padded[:size + 1]
+        """(products, local, band, ab, scratch, padded, windows) for a system
+        of n elements: `products` is the stack's storage, flat; `local` is
+        entry by entry, (2m + 2, m + 2, n); `band`, Fortran-ordered as
+        `ab`, holds the condensed system's right-hand side and then its
+        three diagonals as _banded_matvec reads them, (4, n).  The
+        solution's leading zero is set here, as other users of the block
+        write it."""
+        m = self.m
+        padded = self._padded[:n + 1]
         padded[0] = 0.0
-        left = self._scratch[:(n - 1) * (2 * m + 2)].reshape(n - 1, 2 * m + 2)
-        return (self._ab[:, :size], self._slabs[:n], padded, self._windows[:n],
-                self._scratch, left, self._nodal[:size + 2 * m])
+        return (self._stack, self._local[:(2 * m + 2) * (m + 2) * n].reshape(2 * m + 2, m + 2, n),
+                self._band[:4 * n].reshape(n, 4).T, self._ab[:4 * n].reshape(n, 4).T,
+                self._scratch, padded, self._windows[:, :n])
 
     def nodal(self, n: int) -> np.ndarray:
         """The momentum update's pressure term of n elements, (n, m)."""
-        return self._nodal[:self.m * n].reshape(n, self.m)
+        return self._band[:self.m * n].reshape(n, self.m)
 
 
 def _banded_matvec(ab: np.ndarray, band: int, x: np.ndarray, scratch: np.ndarray,
@@ -539,67 +575,100 @@ def _banded_matvec(ab: np.ndarray, band: int, x: np.ndarray, scratch: np.ndarray
     return scratch[:rows * width].reshape(rows, width).sum(axis=0, out=out)[band:band + size]
 
 
+def _singular(coeffs: EllipticCoefficients, what: str, k: int, node: int,
+              info: str = "") -> EllipticSolveError:
+    """The error of a zero pivot at node `node` of the k-th solved element."""
+    element = np.arange(coeffs.grid.n_elements)[coeffs.rows][k]
+    return EllipticSolveError(f"singular elliptic system on {coeffs.ranges}: {what} "
+                              f"at element {element}, node {node}{info}")
+
+
 def _solve_batched(coeffs: EllipticCoefficients, outer_hu: np.ndarray,
                    workspace: BandedWorkspace | None = None,
                    ) -> tuple[np.ndarray, np.ndarray]:
     """Solve the elliptic system on the disjoint ranges the coefficients were
-    assembled on, in one banded solve.
+    assembled on, in one banded solve of the condensed system.
 
     `outer_hu` holds the outer momentum trace just right of each range.
     The system is built in `workspace`, the run's; without it the solve
     carves a workspace of its own size.  Returns nodal (p, hu)
     arrays of shape (total flagged elements, nodes), one row per element of
-    coeffs.ranges, in range order.
+    coeffs.ranges, in range order: the two halves of one fresh array.
 
     Internally the system is solved for the density-scaled pressure p/rho,
     which makes every coefficient, the forcing, and the interface penalty
     independent of rho: the corrected momenta are then exactly invariant
     under a change of density.  The physical pressure is recovered by one
-    multiplication at the end.
+    multiplication of the pressure rows before their values are taken.
     """
     ranges = coeffs.ranges
-    grid = coeffs.grid
-    m = grid.poly_order + 1
+    m = coeffs.grid.poly_order + 1
     lengths = tuple(e1 - e0 + 1 for e0, e1 in ranges)
     n = sum(lengths)
-    stack = coeffs.stack
-    features = stack.reshape(7 * m, n)
-    own, next_column = _couplings(m)
-    ends, kinds, boundaries, row_ends = _ldg_template(lengths, m)
+    features = coeffs.stack.reshape(7 * m, n)
+    local_of = _couplings(m)
+    ends, kinds, lasts = _ldg_template(lengths)
 
     if workspace is None:
         workspace = BandedWorkspace(m, n)
-    ab, slabs, padded, windows, scratch, left, residual = workspace.arrays(n)
-    # every slab as an inner element's, then the range ends as what they are
-    np.matmul(features.T, own[_INNER], out=slabs)
-    slabs[ends] = np.matmul(features.take(ends, axis=1).T[:, None, :],
-                            own.take(kinds, axis=0))[:, 0]
-    nodes = slabs.reshape(n, m, -1)
-    # the entries of each element in its left neighbour's last column, but
-    # for the first element of a range
-    np.matmul(features[:, 1:].T, next_column, out=left)
-    left[boundaries] = 0.0
-    nodes[:-1, -1, :2 * m + 2] += left
-    rows = nodes.reshape(m * n, -1)
-    mat, b = rows[:, :2 * m + 1], rows[:, 2 * m + 1]
-    b[row_ends] -= outer_hu
-    ab[m:] = mat.T
+    stack, local, band, ab, scratch, padded, windows = workspace.arrays(n)
+    # every element's local system as an inner element's, then the range
+    # ends as what they are
+    entries = local.reshape(-1, n)
+    np.matmul(local_of[_INNER], features, out=entries)
+    entries[:, ends] = np.matmul(local_of.take(kinds, axis=0),
+                                 features.take(ends, axis=1).T[:, :, None])[:, :, 0].T
+
+    # Gauss-Jordan passes over the interior pressures: the pivot row is
+    # scaled to a unit pivot and subtracted from every other row but the
+    # last pressure's, which holds no interior pressure.  The products are
+    # formed where the coefficient stack was, which nothing reads again
+    for j in range(m - 1):
+        pivot = local[j, j]
+        # a zero pivot, or a non-finite one, whose square is not finite
+        if not (np.count_nonzero(pivot) == n and isfinite(pivot @ pivot)):
+            bad = ~np.isfinite(pivot) | (pivot == 0.0)
+            if bad.any():
+                raise _singular(coeffs, "zero or non-finite interior pivot",
+                                int(np.argmax(bad)), j)
+        rest = local[j, j + 1:]
+        rest /= pivot
+        for first, stop in ((0, j), (j + 1, m - 1), (m, 2 * m + 2)):
+            if first < stop:
+                others = local[first:stop, j + 1:]
+                products = stack[:others.size].reshape(others.shape)
+                np.multiply(local[first:stop, j, None], rest, out=products)
+                others -= products
+
+    # the condensed system: row k sums element k's own last row and element
+    # k + 1's left-neighbour row.  Columns m - 1 ... m + 1 are the constant
+    # and the two last pressures, so in the flat storage the left row's
+    # constant and left-pressure entries of elements 1 ... n - 1 run on into
+    # those of element 0, the first of its range, whose left row is zero
+    flat = local.reshape(-1)
+    left, own = (2 * m * (m + 2) + m - 1) * n, ((2 * m + 1) * (m + 2) + m) * n
+    np.add(local[2 * m + 1, m + 1:m - 2:-2], flat[left + 1:left + 1 + 2 * n].reshape(2, n)[::-1],
+           out=band[2::-2])
+    band[1] = local[2 * m, m + 1]
+    # below the diagonal, element k + 1's own row; the entry past the last
+    # column lies outside the matrix and is not read
+    band[3] = flat[own + 1:own + 1 + n]
+    mat, rhs = band[1:], band[0]
+    rhs[lasts] += outer_hu
+    ab[...] = band
     x = padded[1:]
-    x[...] = b
+    x[...] = rhs
     rhs_norm = sqrt(x @ x)
 
-    _, _, x, info = _GBSV(m, m, ab, x, overwrite_ab=True, overwrite_b=True)
+    _, _, x, info = _GBSV(1, 1, ab, x, overwrite_ab=True, overwrite_b=True)
     if info > 0:
-        raise EllipticSolveError(
-            f"singular elliptic system on {ranges}: zero pivot at element "
-            f"{np.arange(grid.n_elements)[coeffs.rows][(info - 1) // m]}, "
-            f"node {(info - 1) % m} (lapack info {info})")
+        raise _singular(coeffs, "zero pivot", info - 1, m - 1, f" (lapack info {info})")
     if info != 0:
         raise EllipticSolveError(f"elliptic solve on {ranges} failed (lapack info {info})")
 
-    # residual of the system as assembled, not as factorized
-    resid = _banded_matvec(mat.T, m, x, scratch, residual)
-    resid -= b
+    # residual of the condensed system as assembled, not as factorized
+    resid = _banded_matvec(mat, 1, x, scratch, ab.T.reshape(-1)[:n + 2])
+    resid -= rhs
     resid_norm = sqrt(resid @ resid)
     # the residual is measured against max(|b|, max|A| |x|); within the
     # tolerance of |b| alone it passes without computing the other term
@@ -613,10 +682,17 @@ def _solve_batched(coeffs: EllipticCoefficients, outer_hu: np.ndarray,
                 f"elliptic solve residual {rel:.3e} exceeds {_MAX_RESIDUAL:.1e} "
                 f"on {ranges} (likely ill-conditioned)")
 
-    # back-substitution for the momentum, element by element
-    hu = np.einsum("kic,kc->ki", nodes[:, :, 2 * m + 2:], windows)
-    hu += stack[_G].T
-    return coeffs.rho * x.reshape(n, m), hu
+    # the value of every other row from x = -P at the last nodes, element
+    # by element: the m pressures, scaled to p by their rows, then the m
+    # momenta, formed entry by entry in the products' storage and laid out
+    # element by element, in one array, as the difference is taken
+    local[:m, m - 1:] *= coeffs.rho
+    sums = stack[:2 * m * n].reshape(2 * m, n)
+    np.einsum("rcn,cn->rn", local[:2 * m, m:], windows, out=sums)
+    values = np.empty((2, n, m))
+    np.subtract(sums.reshape(2, m, n), local[:2 * m, m - 1].reshape(2, m, n),
+                out=values.transpose(0, 2, 1))
+    return values[0], values[1]
 
 
 def ldg_solve(coeffs: EllipticCoefficients, elements: tuple[int, int],

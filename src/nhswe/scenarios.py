@@ -161,6 +161,15 @@ SCENARIOS = {"solitary": build_solitary,
              "whittaker": build_whittaker}
 
 
+def _solitary_surface(x, t):
+    return solitary_exact(x, t)[0]
+
+
+# the scenarios of SCENARIOS whose surface elevation is known in closed
+# form, as a function of the nodes and the time, by their CLI names
+EXACT_SURFACES = {"solitary": _solitary_surface}
+
+
 def build_scenario(name: str, **overrides) -> tuple[ScenarioSpec, FlowState]:
     """Scenario factory keyed by the CLI scenario names."""
     builder = SCENARIOS.get(name)

@@ -8,10 +8,12 @@ import pytest
 
 from nhswe.adaptivity import Criterion
 from nhswe.cli import (CONFIG_KEYS, EXIT_CONFIG, EXIT_NUMERICAL, SCENARIO_KEYS,
-                       build_run, main, parse_value, read_config_file,
+                       build_run, main, make_report, parse_value, read_config_file,
                        read_gauges_csv)
 from nhswe.driver import simulate
-from nhswe.scenarios import SCENARIOS, build_scenario
+from nhswe.metrics import SeriesPair, rmse
+from nhswe.scenarios import (EXACT_SURFACES, SCENARIOS, SOLITARY_D, build_scenario,
+                             solitary_exact)
 
 
 def run_cli(*argv):
@@ -53,6 +55,20 @@ def test_run_writes_all_outputs(tmp_path):
     assert report["config"]["k_nh"] == 0.001
     assert report["config"]["enlarge"] is False
     assert "rmse_vs_exact" in report
+
+
+@pytest.mark.parametrize("name", list(SCENARIOS))
+def test_a_report_scores_the_exact_surface_where_the_scenario_has_one(name):
+    # the scenario table says which scenarios have a closed-form surface;
+    # the report scores the final surface against it there, and nowhere else
+    spec, init = build_scenario(name)
+    spec, init = build_scenario(name, t_end=spec.dt)
+    report = make_report(simulate(spec, init, "hydrostatic"), {})
+    assert ("rmse_vs_exact" in report.extra) == (name in EXACT_SURFACES)
+    if name == "solitary":
+        eta = simulate(spec, init, "hydrostatic").final_state.h.values - SOLITARY_D
+        exact, _ = solitary_exact(spec.grid.nodes, spec.dt)
+        assert report.extra["rmse_vs_exact"] == rmse(SeriesPair(exact.ravel(), eta.ravel()))
 
 
 def test_rerun_is_bit_identical(tmp_path):

@@ -10,7 +10,7 @@ import pytest
 
 from nhswe.bathymetry import (FlatBottom, GRAVITY, HammackPlate, RHO_WATER,
                               SlideMotion, WhittakerSlide)
-from nhswe.corrector import (EllipticCoefficients, EllipticSolveError,
+from nhswe.corrector import (_S, EllipticCoefficients, EllipticSolveError,
                              _banded_matvec, _right_outer_hu, apply_correction,
                              assemble_coefficients, central_derivative_values,
                              ldg_solve, solve_on_ranges)
@@ -269,7 +269,7 @@ def sloped_state(grid, t=0.3):
     return state, bathy
 
 
-@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("order", [1, 2, 3])
 @pytest.mark.parametrize("bottom", ["flat", "sloped"])
 @pytest.mark.parametrize("ranges", [((0, 0), (1, 2), (5, 11), (20, 39)),
                                     ((0, 5), (6, 6), (10, 11), (39, 39)),
@@ -304,8 +304,9 @@ def test_pressure_only_solve_satisfies_the_full_ldg_system(order, bottom, ranges
 
 
 def test_global_solve_factors_the_pressure_system_only(monkeypatch):
-    # one unknown per node: m n columns and bandwidth m on both sides, so
-    # the dgbsv work array has 3 m + 1 rows
+    # the interior nodes are eliminated element by element, so the banded
+    # solve holds one unknown per element, its last node's pressure: n
+    # columns and bandwidth 1 on both sides, a dgbsv work array of 4 rows
     from nhswe import corrector
     seen = []
     solve = corrector._GBSV
@@ -320,7 +321,7 @@ def test_global_solve_factors_the_pressure_system_only(monkeypatch):
         grid = GridSpec(0.0, 100.0, n, order)
         state = smooth_state(grid)
         apply_correction(state, bottom_at(state, FlatBottom(10.0)), 0.1, [(0, n - 1)], WALLS)
-        assert seen[-1] == (m, m, (3 * m + 1, m * n), (m * n,))
+        assert seen[-1] == (1, 1, (4, n), (n,))
 
 
 def test_coefficients_must_hold_one_row_per_element_of_their_ranges():
@@ -343,8 +344,9 @@ def test_coefficients_must_hold_one_row_per_element_of_their_ranges():
 
 
 def test_zero_pivot_names_the_grid_element(monkeypatch):
-    # lapack reports the column of a zero pivot; the error maps it back
-    # through the ranges to a grid element and node
+    # lapack reports the column of a zero pivot in the condensed system,
+    # one column per solved element, its last node; the error maps it back
+    # through the ranges to a grid element
     from nhswe import corrector
     grid = GridSpec(0.0, 100.0, 60, 1)
     state = smooth_state(grid)
@@ -354,11 +356,30 @@ def test_zero_pivot_names_the_grid_element(monkeypatch):
 
     def singular(*args, **kwargs):
         lub, piv, x, _ = solve(*args, **kwargs)
-        return lub, piv, x, 8    # U(8, 8) = 0: column 7, the 4th element's node 1
+        return lub, piv, x, 4    # U(4, 4) = 0: column 3, the 4th element's last node
 
     monkeypatch.setattr(corrector, "_GBSV", singular)
     with pytest.raises(EllipticSolveError, match=r"zero pivot at element 11, node 1 "
-                                                 r"\(lapack info 8\)"):
+                                                 r"\(lapack info 4\)"):
+        solve_on_ranges(state, co, WALLS)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("value", [0.0, np.nan])
+def test_zero_interior_pivot_names_the_grid_element(order, value):
+    # the interior nodes are eliminated without pivoting; a zero or
+    # non-finite pivot is refused before it divides anything, naming the
+    # element and node, and no numpy warning is raised on the way.  With
+    # every feature of an element zero (or one of them NaN), the pivot of
+    # its first interior node is zero (NaN)
+    grid = GridSpec(0.0, 100.0, 60, order)
+    state = smooth_state(grid)
+    ranges = ((3, 4), (10, 12))
+    co = assemble_coefficients(state, bottom_at(state, FlatBottom(10.0)), 0.1, ranges=ranges)
+    co.stack[:, :, 3] = 0.0
+    co.stack[_S, 0, 3] = value
+    with pytest.raises(EllipticSolveError, match=r"zero or non-finite interior pivot "
+                                                 r"at element 11, node 0$"):
         solve_on_ranges(state, co, WALLS)
 
 
@@ -507,9 +528,10 @@ def test_still_water_receives_no_correction():
     assert np.abs(corrected.hu.values).max() < 1e-12
 
 
-def test_banded_matvec_against_dense():
+@pytest.mark.parametrize("band", [1, 2, 3])
+def test_banded_matvec_against_dense(band):
     rng = np.random.default_rng(3)
-    n, band = 12, 3
+    n = 12
     dense = np.zeros((n, n))
     for r in range(n):
         for c in range(max(0, r - band), min(n, r + band + 1)):
