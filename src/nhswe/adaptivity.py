@@ -15,7 +15,7 @@ from functools import reduce
 import numpy as np
 
 from .bathymetry import BathymetryModel, BottomSample
-from .corrector import BandedWorkspace, PressureSolution, apply_correction
+from .corrector import BandedWorkspace, PressureSolution, RangePlan, apply_correction
 from .grid import FlowState, GridSpec, NodalField, carve, carved_size, derivative_values
 from .hydrostatic import BoundaryPair, StageBuffers, heun_step
 
@@ -48,19 +48,26 @@ class Criterion:
 
 @dataclass(frozen=True)
 class NonHydroMask:
-    """Per-element flags plus their decomposition into contiguous ranges."""
+    """Per-element flags plus the plan of their correction (RangePlan), made
+    once by `from_flags` from their contiguous ranges; None where no element
+    is flagged."""
 
     flags: np.ndarray
-    ranges: tuple[tuple[int, int], ...]
+    plan: RangePlan | None
 
     @classmethod
     def from_flags(cls, flags: np.ndarray) -> "NonHydroMask":
         flags = np.asarray(flags, dtype=bool)
-        return cls(flags, contiguous_ranges(flags))
+        ranges = contiguous_ranges(flags)
+        return cls(flags, RangePlan.from_flags(flags, ranges) if ranges else None)
+
+    @property
+    def ranges(self) -> tuple[tuple[int, int], ...]:
+        return () if self.plan is None else self.plan.ranges
 
     @property
     def empty(self) -> bool:
-        return not self.ranges
+        return self.plan is None
 
     @property
     def fraction(self) -> float:
@@ -71,8 +78,8 @@ def contiguous_ranges(flags: np.ndarray) -> tuple[tuple[int, int], ...]:
     """Maximal runs of True as (first, last) inclusive index pairs."""
     if not len(flags):
         return ()
-    # a run starts after each rise and ends at each fall of the flags
-    edges = (np.flatnonzero(flags[1:] != flags[:-1]) + 1).tolist()
+    # runs start after each rise and end at each fall; .nonzero() skips flatnonzero's wrapper
+    edges = ((flags[1:] != flags[:-1]).nonzero()[0] + 1).tolist()
     if flags[0]:
         edges.insert(0, 0)
     if flags[-1]:
@@ -131,7 +138,7 @@ def evaluate_criterion(predictor: FlowState, bottom: BottomSample, crit: Criteri
 
 
 def full_mask(n_elements: int) -> NonHydroMask:
-    return NonHydroMask(np.ones(n_elements, dtype=bool), ((0, n_elements - 1),))
+    return NonHydroMask.from_flags(np.ones(n_elements, dtype=bool))
 
 
 class Stepper:
@@ -145,9 +152,10 @@ class Stepper:
     turns: `heun_step` returns before the criterion runs, and the criterion
     before the correction starts.  The stepper also holds the masks that
     flag no element and every element, which every step of a mode that uses
-    them returns.  Everything else a step returns is its own and views no part
-    of the block, so no later step writes it: the new state, the bottom
-    sample, a criterion's mask and the solution.  The one exception holds no
+    them returns, so a global run plans its correction once.  Everything
+    else a step returns is its own and views no part of the block, so no
+    later step writes it: the new state, the bottom sample, a criterion's
+    mask and the solution.  The one exception holds no
     value of a state: every step fills the ghost elements of its input
     state's padded array (`FlowState.packed`), a run's initial state too.
     """
@@ -167,7 +175,7 @@ class Stepper:
         self.stages = StageBuffers(grid, self.block)
         self.criterion_buffers = carve(criterion, self.block)
         self.banded = None if mode == "hydrostatic" else BandedWorkspace(m, n, self.block)
-        self.flag_none = NonHydroMask(np.zeros(n, dtype=bool), ())
+        self.flag_none = NonHydroMask.from_flags(np.zeros(n, dtype=bool))
         self.flag_all = full_mask(n)
 
 
@@ -228,6 +236,6 @@ def adaptive_step(state: FlowState, dt: float, bathy: BathymetryModel,
     if mask.empty:
         return StepResult(predictor, mask, None, new_bottom)
 
-    corrected, sol = apply_correction(predictor, new_bottom, dt, mask.ranges, bcs,
+    corrected, sol = apply_correction(predictor, new_bottom, dt, mask.plan, bcs,
                                       workspace=stepper.banded)
     return StepResult(corrected, mask, sol, new_bottom)

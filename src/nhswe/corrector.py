@@ -16,36 +16,27 @@ outer momentum enters only at each range's right end; at the left end the
 range's own trace stands in.  The vertical momentum is then updated from the
 solved pressure.
 
-Since p* is the left trace, the first equation of an element holds its own
-momentum only, weighted by M diag(s12), which is invertible.  So hu is
-eliminated element by element, the standard elimination of the LDG auxiliary
-variable: the second equation becomes a system in the pressure alone, and
-hu is recovered from the first equation by an element-local
-back-substitution.  In that pressure system only an element's last node
-couples to its neighbours, so its other nodes are eliminated element by
-element too, the static condensation of hybridised DG methods (Cockburn,
-Gopalakrishnan & Lazarov, SINUM 2009): what is left is one tridiagonal
-system in the elements' last pressures, solved by one banded factorization,
-from whose solution the other pressures and the momenta follow element by
-element.  Every entry of an element's local system is linear in a few nodal
-features of the coefficients, which the assembly computes directly, so all
-local systems are filled by one product of the features with a constant
-coupling tensor of the reference element, plus fix-ups at the range ends.
+Since p* is the left trace, hu is eliminated element by element, the
+standard elimination of the LDG auxiliary variable, and then every pressure
+node but each element's last, the static condensation of hybridised DG
+methods (Cockburn, Gopalakrishnan & Lazarov, SINUM 2009): one tridiagonal
+system in the elements' last pressures is left, solved by one banded
+factorization, from whose solution the other pressures and the momenta
+follow element by element (see the banded layout notes below).
 
 Coefficients are assembled, and the local systems are filled, condensed and
-solved, on the flagged elements only.  assemble_coefficients fixes that
-element set once, in EllipticCoefficients.ranges and .rows, and the solve
-and the momentum update read it from there; p and hu stay on those elements
-until the momentum update or a caller needs them on the whole grid.
-Everything a correction writes and does not return, from the coefficient
-stack to the local systems, the banded system and the residual, lives in a
-BandedWorkspace carved from the run's one workspace block, whose predictor
-stage buffers are dead while a correction runs.  So a correction allocates
-only what it returns: the pressure, the momenta and the corrected state.
-Its cost is therefore the work on the flagged elements, plus two parts that
-do not shrink with them: the copy of the predictor's padded array that the
-corrected state owns, and a fixed count of array operations, which
-dominates on small masks.
+solved, on the flagged elements only.  That element set is worked out once,
+where the mask is made, as a RangePlan, which every stage reads; p and hu
+stay on those elements until the momentum update or a caller needs them on
+the whole grid.  Everything a correction writes and does not return, from
+the coefficient stack to the local systems, the banded system and the
+residual, lives in a BandedWorkspace carved from the run's one workspace
+block, whose predictor stage buffers are dead while a correction runs.  So a
+correction allocates only what it returns: the pressure, the momenta and the
+corrected state.  Its cost is therefore the work on the flagged elements,
+plus two parts that do not shrink with them: the copy of the predictor's
+padded array that the corrected state owns, and a fixed count of array
+operations, which dominates on small masks.
 """
 
 from __future__ import annotations
@@ -93,33 +84,16 @@ _DERIVED = {
 }
 
 
-def _range_rows(ranges, n_elements: int) -> tuple[tuple, slice | np.ndarray]:
-    """Sorted, disjoint (first, last) ranges as a tuple of pairs, None standing
-    for the whole grid, with the index of their elements, in order."""
-    ranges = ((0, n_elements - 1),) if ranges is None else tuple(map(tuple, ranges))
-    selected = None if len(ranges) == 1 else np.zeros(n_elements, dtype=bool)
-    last = -1
-    for e0, e1 in ranges:
-        if e0 > e1 or e0 <= last or e1 >= n_elements:
-            raise ValueError(f"invalid element range {(e0, e1)}")
-        if selected is not None:
-            selected[e0:e1 + 1] = True
-        last = e1
-    if selected is None:
-        e0, e1 = ranges[0]
-        return ranges, slice(e0, e1 + 1)
-    return ranges, np.flatnonzero(selected)
-
-
 @dataclass(frozen=True)
 class EllipticCoefficients:
     """Nodal coefficient and forcing fields of the elliptic system.
 
     The arrays hold one row per element of `ranges`, in range order; `ranges`
-    None stands for the whole grid, ((0, n_elements - 1),).  `phi` is None
-    where the moving-bottom forcing vanishes.  `bottom`, the bottom sample
-    on the whole grid at the predictor time, is not kept: `d_x` is its slope
-    on the rows and `quad` = 4 + d_x^2, both None on a flat stretch.
+    None stands for the whole grid.  `plan`, their RangePlan, is the element
+    set every later stage of the correction reads.  `phi` is None where the
+    moving-bottom forcing vanishes.  `bottom`, the bottom sample on the whole
+    grid at the predictor time, is not kept: `d_x` is its slope on the rows
+    and `quad` = 4 + d_x^2, both None on a flat stretch.
     """
 
     grid: GridSpec
@@ -134,8 +108,7 @@ class EllipticCoefficients:
     dt: float
     rho: float
     ranges: tuple[tuple[int, int], ...] | None = None
-    # grid rows of the arrays
-    rows: slice | np.ndarray = field(init=False, repr=False, compare=False)
+    plan: RangePlan = field(init=False, repr=False, compare=False)
     # the nodal features of the pressure system, rows _T ... _R, node by
     # node: shape (7, nodes, elements); assemble_coefficients computes them
     # directly and stores only them, the s- and f-fields being derived from
@@ -147,8 +120,8 @@ class EllipticCoefficients:
     quad: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self, bottom: BottomSample):
-        ranges, rows = _range_rows(self.ranges, self.grid.n_elements)
-        count = sum(e1 - e0 + 1 for e0, e1 in ranges)
+        plan = RangePlan.checked(self.ranges, self.grid.n_elements)
+        ranges, count = plan.ranges, sum(plan.lengths)
         for name in ("s11", "s12", "s21", "s22", "f1", "f2", "phi"):
             value = getattr(self, name)
             if value is not None and len(value) != count:
@@ -164,12 +137,10 @@ class EllipticCoefficients:
         stack = np.stack([a.T for a in (t / c, self.s11 * t, c * self.s11 * self.s11 * t,
                                         c * self.rho * self.s22, np.ones_like(t), g,
                                         c * (self.f2 + self.s11 * g))])
-        d_x = _active_rows(bottom, "d_x", rows)
-        object.__setattr__(self, "ranges", ranges)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "stack", stack)
-        object.__setattr__(self, "d_x", None if d_x is None else d_x.T)
-        object.__setattr__(self, "quad", None if d_x is None else (4.0 + d_x * d_x).T)
+        d_x = _active_rows(bottom, "d_x", plan)
+        vars(self).update(ranges=ranges, plan=plan, stack=stack,
+                          d_x=None if d_x is None else d_x.T,
+                          quad=None if d_x is None else (4.0 + d_x * d_x).T)
 
     def __getattr__(self, name):
         derive = _DERIVED.get(name)
@@ -203,29 +174,28 @@ class PressureSolution:
         return NodalField._wrap(grid, p_full)
 
 
-def _active_rows(bottom: BottomSample, channel: str, rows) -> np.ndarray | None:
-    """The rows of one bottom channel node by node, (nodes, len(rows)), or
-    None where the channel vanishes there."""
+def _active_rows(bottom: BottomSample, channel: str, plan: RangePlan) -> np.ndarray | None:
+    """The planned rows of one bottom channel node by node, (nodes, rows),
+    or None where the channel vanishes there."""
     if channel not in bottom.active:
         return None
-    values = getattr(bottom, channel)
-    part = (values[rows] if isinstance(rows, slice) else values.take(rows, axis=0)).T
+    part = plan.gather(getattr(bottom, channel)).T
     return part if np.count_nonzero(part) else None
 
 
 def _phi_values(grid: GridSpec, h: np.ndarray, hu: np.ndarray,
-                bottom: BottomSample, rows, rho: float,
+                bottom: BottomSample, plan: RangePlan, rho: float,
                 d_x: np.ndarray | None) -> np.ndarray | None:
-    """Moving-bottom forcing on the given rows, or None where it vanishes.
+    """Moving-bottom forcing on the planned rows, or None where it vanishes.
 
-    Arrays are node by node, (nodes, len(rows)); `d_x` is the slope on the
-    rows (None on a flat stretch).  Only the bottom channels that are active
-    on the rows enter the sum.
+    Arrays are node by node, (nodes, rows); `d_x` is the slope on the rows
+    (None on a flat stretch).  Only the bottom channels that are active on
+    the rows enter the sum.
     """
-    d_tt = _active_rows(bottom, "d_tt", rows)
+    d_tt = _active_rows(bottom, "d_tt", plan)
     inner = -d_tt if d_tt is not None else None
-    d_xt = _active_rows(bottom, "d_xt", rows)
-    d_xx = _active_rows(bottom, "d_xx", rows)
+    d_xt = _active_rows(bottom, "d_xt", plan)
+    d_xx = _active_rows(bottom, "d_xx", plan)
     if d_xt is not None or d_xx is not None:
         zero = np.zeros_like(h)
         d_xt = zero if d_xt is None else d_xt
@@ -234,7 +204,7 @@ def _phi_values(grid: GridSpec, h: np.ndarray, hu: np.ndarray,
         drag = -2.0 * u * d_xt - u * u * d_xx
         inner = drag if inner is None else inner + drag
     if d_x is not None:
-        eta_x = derivative_values(grid, (h - bottom.d.T[:, rows]).T).T
+        eta_x = derivative_values(grid, (h - plan.gather(bottom.d).T).T).T
         slope = (GRAVITY * d_x) * eta_x
         inner = slope if inner is None else inner + slope
         return (rho * h / (4.0 + d_x * d_x)) * inner
@@ -249,10 +219,10 @@ def assemble_coefficients(predictor: FlowState, bottom: BottomSample, dt: float,
     """Nodal s- and f-fields of the elliptic system from the predictor state
     and the bottom sampled at the grid's sample nodes at its time.
 
-    With `ranges` (sorted, disjoint (first, last) pairs) the fields are
-    computed on the elements of those ranges only; otherwise on the whole
-    grid.  The coefficients keep the ranges and their grid rows, the element
-    set every later stage of the correction reads.  The work runs node by
+    With `ranges`, a RangePlan or sorted, disjoint (first, last) pairs, the
+    fields are computed on the elements of those ranges only; otherwise on
+    the whole grid.  The coefficients keep the plan, the element set every
+    later stage of the correction reads.  The work runs node by
     node, (nodes, elements), and yields the features of
     EllipticCoefficients.stack; the fields are derived from them when asked
     for.  The stack and the temporaries are `workspace`'s, the run's; without
@@ -266,15 +236,15 @@ def assemble_coefficients(predictor: FlowState, bottom: BottomSample, dt: float,
     the features at no extra cost.
     """
     grid = predictor.grid
-    ranges, rows = _range_rows(ranges, grid.n_elements)
-    h, hu, hw = predictor.node_rows(rows)
+    plan = ranges if isinstance(ranges, RangePlan) else RangePlan.checked(ranges, grid.n_elements)
+    h, hu, hw = plan.gather(predictor.packed, axis=2, shift=1)
     if workspace is None:
         workspace = BandedWorkspace(grid.poly_order + 1, h.shape[1])
     stack = workspace.stack(h.shape[1])
     c_h, c_s11, term, h_x = workspace.temporaries(h.shape[1])
     h_x = derivative_values(grid, h.T, out=h_x.reshape(h.T.shape)).T
-    d_x = _active_rows(bottom, "d_x", rows)
-    phi = _phi_values(grid, h, hu, bottom, rows, rho, d_x)
+    d_x = _active_rows(bottom, "d_x", plan)
+    phi = _phi_values(grid, h, hu, bottom, plan, rho, d_x)
     c = 0.5 * grid.dx
     np.divide(c, h, out=c_h)
     t, a, g, r = stack[_T], stack[_A], stack[_G], stack[_R]
@@ -299,7 +269,7 @@ def assemble_coefficients(predictor: FlowState, bottom: BottomSample, dt: float,
             np.multiply(phi, 2.0 * dt / rho, out=term)
             term *= c_h
             r -= term
-    d_t = _active_rows(bottom, "d_t", rows)
+    d_t = _active_rows(bottom, "d_t", plan)
     if d_t is not None:
         r -= np.multiply(d_t, 2.0 * c, out=term)
     if t.min() <= 0.0:
@@ -311,7 +281,7 @@ def assemble_coefficients(predictor: FlowState, bottom: BottomSample, dt: float,
     # s21 = -s11 holds by construction, so the checked constructor is skipped
     coeffs = object.__new__(EllipticCoefficients)
     vars(coeffs).update(grid=grid, phi=None if phi is None else phi.T,
-                        dt=dt, rho=rho, ranges=ranges, rows=rows,
+                        dt=dt, rho=rho, ranges=plan.ranges, plan=plan,
                         stack=stack, d_x=None if d_x is None else d_x.T,
                         quad=None if quad is None else quad.T)
     return coeffs
@@ -457,17 +427,10 @@ def _block_template(n: int):
 
 @lru_cache(maxsize=512)
 def _ldg_template(lengths: tuple[int, ...]):
-    """Range-end structure of a batch of independent ranges.
-
-    The ranges are stacked into one block-diagonal system whose bandwidth
-    equals that of a single range, so the whole batch is factorized in one
-    banded solve.  Returns the batch positions of the range-end elements
-    and their kinds, and the positions of the ranges' last elements, where
-    the outer momentum enters.  The per-length parts come from
-    _block_template, and the end elements' tensors are indexed from
-    _couplings by their kinds, so an entry here is as small as the number
-    of ranges.
-    """
+    """The batch positions of the range-end elements of ranges of the given
+    lengths, batched into one block-diagonal system, and their kinds, and
+    the positions of the ranges' last elements, where the outer momentum
+    enters; each as small as the number of ranges."""
     ends, kinds, lasts = [], [], []
     start = 0
     for nb in lengths:
@@ -482,6 +445,63 @@ def _ldg_template(lengths: tuple[int, ...]):
     return ends, kinds, lasts
 
 
+@dataclass(frozen=True, eq=False)
+class RangePlan:
+    """The element set of a correction, worked out once where its ranges are
+    found: the sorted, disjoint (first, last) `ranges` and their `lengths`;
+    their grid `rows` in order, a slice for one range and an index array for
+    several, which `gather` reads; the range ends as _ldg_template gives
+    them; and `outer`, the columns of a padded array (FlowState.packed) just
+    right of each range, the right ghost's at the grid's end."""
+
+    ranges: tuple[tuple[int, int], ...]
+    rows: slice | np.ndarray
+    lengths: tuple[int, ...]
+    ends: np.ndarray
+    kinds: np.ndarray
+    lasts: np.ndarray
+    outer: np.ndarray
+
+    @classmethod
+    def from_flags(cls, flags: np.ndarray, ranges: tuple) -> RangePlan:
+        """The plan of the flagged elements, whose maximal runs are `ranges`."""
+        lengths = tuple([e1 - e0 + 1 for e0, e1 in ranges])
+        rows = slice(ranges[0][0], ranges[0][1] + 1) if len(ranges) == 1 else flags.nonzero()[0]
+        # a mask makes one per step: skip the frozen __init__, as slow as all the rest
+        plan, (ends, kinds, lasts) = object.__new__(cls), _ldg_template(lengths)
+        vars(plan).update(ranges=ranges, rows=rows, lengths=lengths, ends=ends, kinds=kinds,
+                          lasts=lasts, outer=np.array([e1 + 2 for _, e1 in ranges]))
+        return plan
+
+    @classmethod
+    def checked(cls, ranges, n_elements: int) -> RangePlan:
+        """The plan of raw, sorted and disjoint (first, last) ranges, None
+        standing for the whole grid."""
+        ranges = ((0, n_elements - 1),) if ranges is None else tuple(map(tuple, ranges))
+        flags, last = np.zeros(n_elements, dtype=bool), -1
+        for e0, e1 in ranges:
+            if e0 > e1 or e0 <= last or e1 >= n_elements:
+                raise ValueError(f"invalid element range {(e0, e1)}")
+            flags[e0:e1 + 1], last = True, e1
+        return cls.from_flags(flags, ranges)
+
+    def index(self, shift: int = 0) -> slice | np.ndarray:
+        """The rows in an array that holds grid element e at e + shift."""
+        rows = self.rows
+        if isinstance(rows, slice):
+            return slice(rows.start + shift, rows.stop + shift)
+        return rows + shift if shift else rows
+
+    def gather(self, values: np.ndarray, axis: int = 0, shift: int = 0) -> np.ndarray:
+        """The rows of `values` along `axis`, in an array that holds grid
+        element e at e + shift: a view for one range, a copy for several."""
+        rows = self.rows
+        if isinstance(rows, slice):
+            return values[(slice(None),) * axis + (slice(rows.start + shift, rows.stop + shift),)]
+        # np.take is several times faster than indexing, and reads a padded array whole
+        return values.take(rows + shift if shift else rows, axis=axis)
+
+
 class BandedWorkspace:
     """Everything a correction of up to `n_elements` elements of `m` nodes
     writes and does not return.
@@ -492,22 +512,16 @@ class BandedWorkspace:
     prefix of each array, so the pages no correction has reached are never
     touched.  In the order a correction uses them:
 
-    - the assembly writes the coefficient stack (`stack`), which the solve
-      reads once, to fill the local systems, and then overwrites with the
-      products of its elimination passes; the assembly's temporaries
-      (`temporaries`) live in the local systems' storage, which the solve
-      has not filled yet;
-    - `local` holds the local systems, entry by entry, which the passes
-      reduce in place and the recovery reads;
-    - the band storage holds the condensed system in the layout of `ab`,
-      its right-hand side in the row dgbsv fills in (`band`), the dgbsv
-      work array `ab`, factorized in place, and the residual check's
-      sheared products (`scratch`); the residual lands in `ab`'s storage
-      once the solve is done, and the momentum update's pressure term
-      (`nodal`) in `band`'s once the recovery is;
-    - `padded` is the condensed solution with one leading zero, so that
-      `windows` row 0 views each element's left neighbour's value and row 1
-      its own, what the recovery multiplies.
+    - the coefficient stack (`stack`), which the solve reads once and then
+      overwrites with its elimination's products; the assembly's
+      `temporaries` live in the local systems' storage, not yet filled;
+    - `local`, the local systems entry by entry, reduced in place;
+    - the condensed system in the layout of `ab` with its right-hand side
+      in the row dgbsv fills in (`band`), the dgbsv work array `ab` and the
+      residual check's products (`scratch`); the residual lands in `ab`'s
+      storage, and the momentum update's term (`nodal`) in `band`'s;
+    - `padded`, the condensed solution after one zero, whose `windows` row
+      0 views each element's left neighbour's value and row 1 its own.
     """
 
     def __init__(self, m: int, n_elements: int, block: np.ndarray | None = None):
@@ -578,7 +592,8 @@ def _banded_matvec(ab: np.ndarray, band: int, x: np.ndarray, scratch: np.ndarray
 def _singular(coeffs: EllipticCoefficients, what: str, k: int, node: int,
               info: str = "") -> EllipticSolveError:
     """The error of a zero pivot at node `node` of the k-th solved element."""
-    element = np.arange(coeffs.grid.n_elements)[coeffs.rows][k]
+    i = int(np.searchsorted(coeffs.plan.lasts, k))  # the range holding k
+    element = coeffs.ranges[i][1] - int(coeffs.plan.lasts[i] - k)
     return EllipticSolveError(f"singular elliptic system on {coeffs.ranges}: {what} "
                               f"at element {element}, node {node}{info}")
 
@@ -587,27 +602,19 @@ def _solve_batched(coeffs: EllipticCoefficients, outer_hu: np.ndarray,
                    workspace: BandedWorkspace | None = None,
                    ) -> tuple[np.ndarray, np.ndarray]:
     """Solve the elliptic system on the disjoint ranges the coefficients were
-    assembled on, in one banded solve of the condensed system.
+    assembled on, in one banded solve of the condensed system, built in
+    `workspace`, the run's, or in a workspace of its own size.
 
     `outer_hu` holds the outer momentum trace just right of each range.
-    The system is built in `workspace`, the run's; without it the solve
-    carves a workspace of its own size.  Returns nodal (p, hu)
-    arrays of shape (total flagged elements, nodes), one row per element of
-    coeffs.ranges, in range order: the two halves of one fresh array.
-
-    Internally the system is solved for the density-scaled pressure p/rho,
-    which makes every coefficient, the forcing, and the interface penalty
-    independent of rho: the corrected momenta are then exactly invariant
-    under a change of density.  The physical pressure is recovered by one
-    multiplication of the pressure rows before their values are taken.
+    Returns nodal (p, hu) arrays, (flagged elements, nodes) in range order:
+    the two halves of one fresh array.  The solve runs on p / rho, so the
+    corrected momenta are exactly invariant under a change of density; the
+    pressure rows are scaled back before their values are taken.
     """
-    ranges = coeffs.ranges
-    m = coeffs.grid.poly_order + 1
-    lengths = tuple(e1 - e0 + 1 for e0, e1 in ranges)
-    n = sum(lengths)
+    ranges, plan = coeffs.ranges, coeffs.plan
+    _, m, n = coeffs.stack.shape
     features = coeffs.stack.reshape(7 * m, n)
     local_of = _couplings(m)
-    ends, kinds, lasts = _ldg_template(lengths)
 
     if workspace is None:
         workspace = BandedWorkspace(m, n)
@@ -616,8 +623,8 @@ def _solve_batched(coeffs: EllipticCoefficients, outer_hu: np.ndarray,
     # ends as what they are
     entries = local.reshape(-1, n)
     np.matmul(local_of[_INNER], features, out=entries)
-    entries[:, ends] = np.matmul(local_of.take(kinds, axis=0),
-                                 features.take(ends, axis=1).T[:, :, None])[:, :, 0].T
+    entries[:, plan.ends] = np.matmul(local_of.take(plan.kinds, axis=0),
+                                      features.take(plan.ends, axis=1).T[:, :, None])[:, :, 0].T
 
     # Gauss-Jordan passes over the interior pressures: the pivot row is
     # scaled to a unit pivot and subtracted from every other row but the
@@ -654,7 +661,7 @@ def _solve_batched(coeffs: EllipticCoefficients, outer_hu: np.ndarray,
     # column lies outside the matrix and is not read
     band[3] = flat[own + 1:own + 1 + n]
     mat, rhs = band[1:], band[0]
-    rhs[lasts] += outer_hu
+    rhs[plan.lasts] += outer_hu
     ab[...] = band
     x = padded[1:]
     x[...] = rhs
@@ -712,24 +719,22 @@ def ldg_solve(coeffs: EllipticCoefficients, elements: tuple[int, int],
     return _solve_batched(coeffs, np.array([outer_hu[1]], dtype=float))
 
 
-def _right_outer_hu(predictor: FlowState, bcs: BoundaryPair, e1: int) -> float:
-    """Outer (uncorrected) momentum trace just right of a range ending at e1:
-    the next element's first one, or the right boundary's ghost value."""
-    hu = predictor.hu.values
-    if e1 < predictor.grid.n_elements - 1:
-        return hu[e1 + 1, 0]
-    return bcs.right.signs[1, 0] * hu[-1, -1]
-
-
 def solve_on_ranges(predictor: FlowState, coeffs: EllipticCoefficients,
                     bcs: BoundaryPair,
                     workspace: BandedWorkspace | None = None) -> PressureSolution:
     """Independent per-range elliptic solves, batched into one banded system
     in `workspace` (see _solve_batched), on the ranges the coefficients were
-    assembled on; p and hu stay on those elements."""
-    outer = np.array([_right_outer_hu(predictor, bcs, e1) for _, e1 in coeffs.ranges])
-    return PressureSolution(coeffs.grid, coeffs.rows,
-                            *_solve_batched(coeffs, outer, workspace))
+    assembled on; p and hu stay on those elements.  The outer momentum right
+    of a range is read from the predictor's padded array, whose right ghost,
+    which holds no part of the state, takes the boundary's ghost value
+    first.  An EllipticSolveError names the predictor's time."""
+    packed = predictor.packed
+    packed[1, 0, -1] = bcs.right.signs[1, 0] * packed[1, -1, -2]
+    try:
+        p, hu = _solve_batched(coeffs, packed[1, 0].take(coeffs.plan.outer), workspace)
+    except EllipticSolveError as exc:
+        raise EllipticSolveError(f"{exc} at t={predictor.time:.6g}") from None
+    return PressureSolution(coeffs.grid, coeffs.plan.rows, p, hu)
 
 
 def central_derivative_values(grid: GridSpec, values: np.ndarray) -> np.ndarray:
@@ -747,20 +752,15 @@ def central_derivative_values(grid: GridSpec, values: np.ndarray) -> np.ndarray:
 
 
 def _central_derivative_on_ranges(grid: GridSpec, values: np.ndarray,
-                                  rows) -> np.ndarray:
-    """central_derivative_values over the grid, of a field that is zero on
-    every element off `rows`, evaluated on `rows`.
-
-    `rows` are sorted grid rows, as EllipticCoefficients.rows, and `values`
-    holds the field on them in order.  The field is laid into a zeroed
-    window one element wider than the rows on each side, clipped at the
-    domain ends, where the derivative is one-sided.
+                                  plan: RangePlan) -> np.ndarray:
+    """central_derivative_values over the grid, of a field that is zero off
+    the planned rows, on those rows, where `values` holds it in order.  The
+    field is laid into a zeroed window one element wider than the rows on
+    each side, clipped at the domain ends, where the derivative is one-sided.
     """
-    # one range comes as a slice, windowed by slicing
-    one_range = isinstance(rows, slice)
-    first, stop = (rows.start, rows.stop) if one_range else (rows[0], rows[-1] + 1)
+    first, stop = plan.ranges[0][0], plan.ranges[-1][1] + 1
     lo = max(first - 1, 0)
-    at = slice(first - lo, stop - lo) if one_range else rows - lo
+    at = plan.index(-lo)
     window = np.zeros((min(stop + 1, grid.n_elements) - lo, values.shape[1]))
     window[at] = values
     return central_derivative_values(grid, window)[at]
@@ -781,7 +781,7 @@ def correct_momentum(predictor: FlowState, coeffs: EllipticCoefficients,
     rows, p = sol.rows, sol.p
     term = np.empty(p.shape) if workspace is None else workspace.nodal(len(p))
     if coeffs.d_x is not None:
-        hp_x = _central_derivative_on_ranges(grid, predictor.h.values[rows] * p, rows)
+        hp_x = _central_derivative_on_ranges(grid, predictor.h.values[rows] * p, coeffs.plan)
         np.divide(6.0, coeffs.quad, out=term)
         term *= p
         term += coeffs.d_x / coeffs.quad * hp_x
@@ -805,8 +805,8 @@ def apply_correction(predictor: FlowState, bottom: BottomSample, dt: float,
     """Full correction pipeline on the elements of the flagged ranges, over
     the bottom sampled at the grid's sample nodes at the predictor's time,
     every stage working in `workspace`, the run's (see BandedWorkspace).
-    The ranges must be sorted and disjoint, as assemble_coefficients takes
-    them."""
+    `ranges` is a mask's RangePlan, or sorted, disjoint (first, last) pairs,
+    which assemble_coefficients checks."""
     coeffs = assemble_coefficients(predictor, bottom, dt, rho, ranges=ranges,
                                    workspace=workspace)
     sol = solve_on_ranges(predictor, coeffs, bcs, workspace)

@@ -221,15 +221,6 @@ class FlowState:
                            hw=NodalField._wrap(grid, fields[2]), time=time, packed=packed)
         return state
 
-    def node_rows(self, rows) -> np.ndarray:
-        """(h, hu, hw) on the given elements, node by node: shape
-        (3, nodes, len(rows))."""
-        if isinstance(rows, slice):
-            return self.packed[:, :, 1:-1][:, :, rows]
-        # np.take gathers an index array several times faster than indexing,
-        # and copies a non-contiguous input first, so it reads the padded array
-        return self.packed.take(rows + 1, axis=2)
-
 
 def derivative_values(grid: GridSpec, values: np.ndarray,
                       out: np.ndarray | None = None) -> np.ndarray:

@@ -8,6 +8,7 @@ from nhswe.adaptivity import (Criterion, NonHydroMask, adaptive_step,
                               contiguous_ranges, criterion_values,
                               enlarge_flags, evaluate_criterion, full_mask)
 from nhswe.bathymetry import FlatBottom
+from nhswe.corrector import RangePlan
 from nhswe.grid import FlowState, GridSpec, NodalField
 from nhswe.hydrostatic import WALL, BoundaryPair, PositivityError, heun_step
 from nhswe.scenarios import (SOLITARY_A, SOLITARY_D, build_scenario, build_solitary,
@@ -39,6 +40,24 @@ def test_contiguous_ranges_roundtrip(bits):
         assert e0 <= e1
         rebuilt[e0:e1 + 1] = True
     assert np.array_equal(rebuilt, flags)
+
+
+@given(st.lists(st.booleans(), min_size=2, max_size=60).filter(any))
+def test_a_mask_plans_as_the_checked_constructor_plans_its_ranges(bits):
+    # a mask works out its correction's element set from its flags; raw
+    # ranges go through the checked constructor, which must plan them alike
+    flags = np.array(bits, dtype=bool)
+    ours = NonHydroMask.from_flags(flags).plan
+    theirs = RangePlan.checked(contiguous_ranges(flags), len(flags))
+    assert ours.ranges == theirs.ranges and ours.lengths == theirs.lengths
+    assert type(ours.rows) is type(theirs.rows)
+    everything = np.arange(len(flags))
+    assert everything[ours.rows].tobytes() == everything[theirs.rows].tobytes()
+    assert np.flatnonzero(flags).tobytes() == everything[ours.rows].tobytes()
+    for name in ("ends", "kinds", "lasts", "outer"):
+        a, b = getattr(ours, name), getattr(theirs, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert ours.outer.tolist() == [e1 + 2 for _, e1 in ours.ranges]
 
 
 def test_enlarge_flags():

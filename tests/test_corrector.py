@@ -7,11 +7,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nhswe.bathymetry import (FlatBottom, GRAVITY, HammackPlate, RHO_WATER,
                               SlideMotion, WhittakerSlide)
-from nhswe.corrector import (_S, EllipticCoefficients, EllipticSolveError,
-                             _banded_matvec, _right_outer_hu, apply_correction,
+from nhswe.corrector import (_S, EllipticCoefficients, EllipticSolveError, RangePlan,
+                             _banded_matvec, apply_correction,
                              assemble_coefficients, central_derivative_values,
                              ldg_solve, solve_on_ranges)
 from nhswe.grid import FlowState, GridSpec, NodalField, derivative_values
@@ -30,6 +31,13 @@ def still_state(grid, bathy, t=0.0):
 def bottom_at(state, bathy):
     """The bottom at the grid's sample nodes at the state's time."""
     return bathy.sample(state.grid.sample_nodes, state.time)
+
+
+def right_outer_hu(state, e1):
+    """The uncorrected momentum trace just right of a range ending at e1,
+    between walls: the next element's first, or the wall ghost's."""
+    hu = state.hu.values
+    return hu[e1 + 1, 0] if e1 < state.grid.n_elements - 1 else -hu[-1, -1]
 
 
 def smooth_state(grid, d0=10.0, amp=0.5, u0=0.2):
@@ -171,7 +179,7 @@ def assert_batch_matches_separate_solves(state, bathy, ranges):
     for e0, e1 in ranges:
         co = assemble_coefficients(state, bottom, 0.1, ranges=[(e0, e1)])
         p_one, hu_one = ldg_solve(co, (e0, e1),
-                                  outer_hu=(0.0, _right_outer_hu(state, WALLS, e1)))
+                                  outer_hu=(0.0, right_outer_hu(state, e1)))
         assert np.allclose(sol.p_nh.values[e0:e1 + 1], p_one, atol=1e-9)
         # sol.hu holds the ranges' elements in range order
         assert np.allclose(sol.hu[k:k + e1 - e0 + 1], hu_one, atol=1e-12)
@@ -194,6 +202,31 @@ def test_batched_ranges_match_separate_solves():
     solve_on_ranges(state, co, WALLS)
     assert _ldg_template.cache_info().misses == misses + 1
     assert_batch_matches_separate_solves(state, bathy, ranges)
+
+
+@st.composite
+def wall_range_sets(draw, n):
+    """Sorted, disjoint ranges on a grid of n elements, some of them meeting,
+    the first starting at the left wall or the last ending at the right one."""
+    wall = draw(st.sampled_from(["left", "right", "both"]))
+    e0 = 0 if wall != "right" else draw(st.integers(0, 5))
+    ranges = []
+    while e0 < n:
+        e1 = min(e0 + draw(st.integers(0, 7)), n - 1)
+        ranges.append((e0, e1))
+        e0 = e1 + 1 + draw(st.integers(0, 4))
+    if wall != "left":
+        ranges[-1] = (ranges[-1][0], n - 1)
+    return tuple(ranges)
+
+
+@settings(max_examples=30, deadline=None)
+@given(ranges=wall_range_sets(30), order=st.sampled_from([1, 2]))
+def test_batched_ranges_match_per_range_solves_at_the_walls(ranges, order):
+    # however the ranges are batched, each solves as it does alone, with the
+    # wall ghost's momentum right of a range that ends at the right wall
+    state = smooth_state(GridSpec(0.0, 100.0, 30, order))
+    assert_batch_matches_separate_solves(state, FlatBottom(10.0), ranges)
 
 
 def dense_ldg_system(co, ranges, outer_hu):
@@ -289,7 +322,7 @@ def test_pressure_only_solve_satisfies_the_full_ldg_system(order, bottom, ranges
     co = assemble_coefficients(state, sample, dt, ranges=ranges)
     if bottom == "sloped":
         assert co.phi is not None and np.all(sample.d_x != 0.0)
-    outer = [_right_outer_hu(state, WALLS, e1) for _, e1 in ranges]
+    outer = [right_outer_hu(state, e1) for _, e1 in ranges]
     assert all(hu != 0.0 for hu in outer)
     sol = solve_on_ranges(state, co, WALLS)
     z = np.empty(2 * sol.p.size)
@@ -346,10 +379,11 @@ def test_coefficients_must_hold_one_row_per_element_of_their_ranges():
 def test_zero_pivot_names_the_grid_element(monkeypatch):
     # lapack reports the column of a zero pivot in the condensed system,
     # one column per solved element, its last node; the error maps it back
-    # through the ranges to a grid element
+    # through the ranges to a grid element, and names the predictor's time
     from nhswe import corrector
     grid = GridSpec(0.0, 100.0, 60, 1)
     state = smooth_state(grid)
+    state = FlowState(state.h, state.hu, state.hw, 1.25)
     ranges = ((3, 4), (10, 12))
     co = assemble_coefficients(state, bottom_at(state, FlatBottom(10.0)), 0.1, ranges=ranges)
     solve = corrector._GBSV
@@ -360,7 +394,7 @@ def test_zero_pivot_names_the_grid_element(monkeypatch):
 
     monkeypatch.setattr(corrector, "_GBSV", singular)
     with pytest.raises(EllipticSolveError, match=r"zero pivot at element 11, node 1 "
-                                                 r"\(lapack info 4\)"):
+                                                 r"\(lapack info 4\) at t=1.25$"):
         solve_on_ranges(state, co, WALLS)
 
 
@@ -371,15 +405,17 @@ def test_zero_interior_pivot_names_the_grid_element(order, value):
     # non-finite pivot is refused before it divides anything, naming the
     # element and node, and no numpy warning is raised on the way.  With
     # every feature of an element zero (or one of them NaN), the pivot of
-    # its first interior node is zero (NaN)
+    # its first interior node is zero (NaN).  The error names the
+    # predictor's time
     grid = GridSpec(0.0, 100.0, 60, order)
     state = smooth_state(grid)
+    state = FlowState(state.h, state.hu, state.hw, 1.25)
     ranges = ((3, 4), (10, 12))
     co = assemble_coefficients(state, bottom_at(state, FlatBottom(10.0)), 0.1, ranges=ranges)
     co.stack[:, :, 3] = 0.0
     co.stack[_S, 0, 3] = value
     with pytest.raises(EllipticSolveError, match=r"zero or non-finite interior pivot "
-                                                 r"at element 11, node 0$"):
+                                                 r"at element 11, node 0 at t=1.25$"):
         solve_on_ranges(state, co, WALLS)
 
 
@@ -480,7 +516,8 @@ def test_momentum_update_on_a_sloped_bottom(ranges):
     values = np.random.default_rng(5).normal(size=(len(rows), 2))
     padded = np.zeros((50, 2))
     padded[rows] = values
-    assert np.allclose(_central_derivative_on_ranges(grid, values, rows),
+    plan = RangePlan.checked(ranges, 50)
+    assert np.allclose(_central_derivative_on_ranges(grid, values, plan),
                        central_derivative_values(grid, padded)[rows],
                        rtol=0.0, atol=1e-12)
 
@@ -564,6 +601,62 @@ def test_correction_rejects_unsorted_ranges():
     state = smooth_state(grid, d0=1.0, amp=0.01, u0=0.01)
     with pytest.raises(ValueError, match="invalid element range"):
         apply_correction(state, bottom_at(state, FlatBottom(1.0)), 0.01, [(4, 6), (1, 2)], WALLS)
+
+
+# Python-level calls (cProfile's total_calls) of a correction on one
+# element, and on three ranges, of a mid-run state, with the ranges planned
+# by a mask as a step plans them.  A count is deterministic where wall-time
+# ratios drift by several percent between runs, so it guards the fixed cost
+# of a correction, which dominates on small masks.  The bounds are the
+# counts measured when the plan was introduced
+CORRECTION_CALLS = {"solitary": (88, 89), "whittaker": (118, 124), "hammack_up": (100, 103)}
+
+
+@pytest.fixture(scope="module")
+def mid_run():
+    from nhswe.adaptivity import Stepper, adaptive_step
+    from nhswe.hydrostatic import heun_step
+    from nhswe.scenarios import build_scenario
+    states = {}
+    for name in CORRECTION_CALLS:
+        spec, state = build_scenario(name)
+        stepper = Stepper(spec.grid, "global")
+        for _ in range(spec.n_steps // 2):
+            state = adaptive_step(state, spec.dt, spec.bathymetry, spec.bcs, mode="global",
+                                  stepper=stepper).state
+        bottom = spec.bathymetry.sample(spec.grid.sample_nodes, state.time + spec.dt)
+        predictor = heun_step(state, spec.dt, spec.bathymetry, spec.bcs,
+                              buffers=stepper.stages)
+        states[name] = spec, stepper, predictor, bottom
+    return states
+
+
+@pytest.mark.parametrize("name", sorted(CORRECTION_CALLS))
+def test_a_small_correction_makes_a_bounded_number_of_calls(mid_run, name):
+    import cProfile
+    import gc
+    import pstats
+    from nhswe.adaptivity import NonHydroMask
+    spec, stepper, predictor, bottom = mid_run[name]
+    n = spec.grid.n_elements
+    for ranges, bound in zip(([(n // 2, n // 2)], [(10, 20), (50, 60), (100, 120)]),
+                             CORRECTION_CALLS[name]):
+        flags = np.zeros(n, dtype=bool)
+        for e0, e1 in ranges:
+            flags[e0:e1 + 1] = True
+        args = (predictor, bottom, spec.dt, NonHydroMask.from_flags(flags).plan, spec.bcs)
+        # the first call fills the caches of the reference-element tensors;
+        # no collection runs during the second, whose finalizers of other
+        # tests' objects would count
+        apply_correction(*args, workspace=stepper.banded)
+        profile = cProfile.Profile()
+        gc.collect()
+        gc.disable()
+        try:
+            profile.runcall(apply_correction, *args, workspace=stepper.banded)
+        finally:
+            gc.enable()
+        assert pstats.Stats(profile).total_calls <= bound, ranges
 
 
 GLOBAL_STEP_FAULTS = """

@@ -2,10 +2,11 @@
 
 `perfbench/` traces the solver by replacing module and class attributes
 with timing wrappers, and clears the corrector's template caches before
-every run.  Its self-tests run only under `python3 -m pytest perfbench`, so
-these tests guard, on every suite run, that each attribute it wraps exists,
-that a step still takes the arguments it passes, that the caches it clears
-are still `lru_cache` functions, and that a traced run reaches every layer
+every run; the solver keeps those two caches only for it.  Its self-tests
+run only under `python3 -m pytest perfbench`, so these tests guard, on
+every suite run, that each attribute it wraps exists, that a step still
+takes the arguments it passes, that the caches it clears are still
+`lru_cache` functions, and that a traced run reaches every layer
 it reports.
 """
 
@@ -80,6 +81,9 @@ def test_a_state_from_the_trusted_constructor_steps(workloads, mode):
 
 
 def test_cleared_caches_are_lru_caches():
+    # the range ends of a correction are worked out once per mask
+    # (corrector.RangePlan); the two template caches stay only because
+    # perfbench clears them before every run and traces `_ldg_template`
     for cache in (corrector._ldg_template, corrector._block_template):
         assert callable(cache.cache_clear) and callable(cache.cache_info)
 
