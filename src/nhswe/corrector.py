@@ -33,10 +33,14 @@ the coefficient stack to the local systems, the banded system and the
 residual, lives in a BandedWorkspace carved from the run's one workspace
 block, whose predictor stage buffers are dead while a correction runs.  So a
 correction allocates only what it returns: the pressure, the momenta and the
-corrected state.  Its cost is therefore the work on the flagged elements,
-plus two parts that do not shrink with them: the copy of the predictor's
-padded array that the corrected state owns, and a fixed count of array
-operations, which dominates on small masks.
+corrected state.  From the assembly to the corrected state the work runs
+node by node, (nodes, elements), the layout of the padded array
+(FlowState.packed): the solution is recovered, and the momenta corrected,
+in whole rows along the elements, with no pass that transposes.  Its cost
+is therefore the work on the flagged elements, plus two parts that do not
+shrink with them: the copy of the predictor's padded array that the
+corrected state owns, and a fixed count of array operations, which
+dominates on small masks.
 """
 
 from __future__ import annotations
@@ -156,9 +160,11 @@ class PressureSolution:
     """Solved pressure and corrected momentum on the assembled elements.
 
     `p` and `hu` hold one row per solved element, in range order, `rows`
-    being their grid rows; `p_nh` is the pressure on the whole grid, zero
-    off the rows, built on first use.  No array of a solution views a
-    workspace, so it keeps its values while the run steps on.
+    being their grid rows: (elements, nodes) views of the node-by-node
+    halves of one array, as the solve recovers them.  `p_nh` is the
+    pressure on the whole grid, zero off the rows, built on first use.  No
+    array of a solution views a workspace, so it keeps its values while the
+    run steps on.
     """
 
     grid: GridSpec
@@ -513,13 +519,15 @@ class BandedWorkspace:
     touched.  In the order a correction uses them:
 
     - the coefficient stack (`stack`), which the solve reads once and then
-      overwrites with its elimination's products; the assembly's
-      `temporaries` live in the local systems' storage, not yet filled;
+      overwrites with the products of its elimination and its recovery;
+      the assembly's `temporaries` live in the local systems' storage, not
+      yet filled;
     - `local`, the local systems entry by entry, reduced in place;
     - the condensed system in the layout of `ab` with its right-hand side
       in the row dgbsv fills in (`band`), the dgbsv work array `ab` and the
       residual check's products (`scratch`); the residual lands in `ab`'s
-      storage, and the momentum update's term (`nodal`) in `band`'s;
+      storage, and the momentum update's term (`nodal`, node by node) in
+      `band`'s;
     - `padded`, the condensed solution after one zero, whose `windows` row
       0 views each element's left neighbour's value and row 1 its own.
     """
@@ -552,7 +560,8 @@ class BandedWorkspace:
 
     def arrays(self, n: int):
         """(products, local, band, ab, scratch, padded, windows) for a system
-        of n elements: `products` is the stack's storage, flat; `local` is
+        of n elements: `products` is the stack's storage, flat, where the
+        elimination and the recovery form their products; `local` is
         entry by entry, (2m + 2, m + 2, n); `band`, Fortran-ordered as
         `ab`, holds the condensed system's right-hand side and then its
         three diagonals as _banded_matvec reads them, (4, n).  The
@@ -566,8 +575,9 @@ class BandedWorkspace:
                 self._scratch, padded, self._windows[:, :n])
 
     def nodal(self, n: int) -> np.ndarray:
-        """The momentum update's pressure term of n elements, (n, m)."""
-        return self._band[:self.m * n].reshape(n, self.m)
+        """The momentum update's pressure term of n elements, node by node,
+        (m, n)."""
+        return self._band[:self.m * n].reshape(self.m, n)
 
 
 def _banded_matvec(ab: np.ndarray, band: int, x: np.ndarray, scratch: np.ndarray,
@@ -607,9 +617,11 @@ def _solve_batched(coeffs: EllipticCoefficients, outer_hu: np.ndarray,
 
     `outer_hu` holds the outer momentum trace just right of each range.
     Returns nodal (p, hu) arrays, (flagged elements, nodes) in range order:
-    the two halves of one fresh array.  The solve runs on p / rho, so the
-    corrected momenta are exactly invariant under a change of density; the
-    pressure rows are scaled back before their values are taken.
+    transposed views of the two halves of one fresh (2, nodes, elements)
+    array, which the recovery fills node by node.  The solve runs on
+    p / rho, so the corrected momenta are exactly invariant under a change
+    of density; the pressure rows are scaled back before their values are
+    taken.
     """
     ranges, plan = coeffs.ranges, coeffs.plan
     _, m, n = coeffs.stack.shape
@@ -689,17 +701,19 @@ def _solve_batched(coeffs: EllipticCoefficients, outer_hu: np.ndarray,
                 f"elliptic solve residual {rel:.3e} exceeds {_MAX_RESIDUAL:.1e} "
                 f"on {ranges} (likely ill-conditioned)")
 
-    # the value of every other row from x = -P at the last nodes, element
-    # by element: the m pressures, scaled to p by their rows, then the m
-    # momenta, formed entry by entry in the products' storage and laid out
-    # element by element, in one array, as the difference is taken
+    # the value of every other row from x = -P at the last nodes, node by
+    # node into one fresh array: the m pressures, scaled to p by their rows,
+    # then the m momenta.  A row's value is its product with -P_k-1,m plus
+    # its product with -P_k,m, formed in the products' storage, less its
+    # constant
     local[:m, m - 1:] *= coeffs.rho
-    sums = stack[:2 * m * n].reshape(2 * m, n)
-    np.einsum("rcn,cn->rn", local[:2 * m, m:], windows, out=sums)
-    values = np.empty((2, n, m))
-    np.subtract(sums.reshape(2, m, n), local[:2 * m, m - 1].reshape(2, m, n),
-                out=values.transpose(0, 2, 1))
-    return values[0], values[1]
+    values = np.empty((2, m, n))
+    rows = values.reshape(2 * m, n)
+    np.multiply(local[:2 * m, m], windows[0], out=rows)
+    products = stack[:2 * m * n].reshape(2 * m, n)
+    rows += np.multiply(local[:2 * m, m + 1], windows[1], out=products)
+    rows -= local[:2 * m, m - 1]
+    return values[0].T, values[1].T
 
 
 def ldg_solve(coeffs: EllipticCoefficients, elements: tuple[int, int],
@@ -773,29 +787,34 @@ def correct_momentum(predictor: FlowState, coeffs: EllipticCoefficients,
 
     The solution names the solved elements: only they receive new momenta,
     copies of the predictor's everywhere else.  The corrected state owns a
-    copy of the predictor's padded array (`FlowState.packed`).  The vertical
-    update reads dt, rho, the forcing and the slope from `coeffs` and builds
-    its pressure term in `workspace`, the run's, where it is given.
+    copy of the predictor's padded array (`FlowState.packed`), whose
+    momentum rows, contiguous along the elements, take the solution node by
+    node.  The vertical update reads dt, rho, the forcing and the slope from
+    `coeffs` and builds its pressure term, (nodes, elements), in
+    `workspace`, the run's, where it is given.
     """
-    grid = predictor.grid
-    rows, p = sol.rows, sol.p
-    term = np.empty(p.shape) if workspace is None else workspace.nodal(len(p))
+    grid, plan = predictor.grid, coeffs.plan
+    # node by node, (nodes, elements), as the solution and the padded array
+    p = sol.p.T
+    term = np.empty(p.shape) if workspace is None else workspace.nodal(p.shape[1])
     if coeffs.d_x is not None:
-        hp_x = _central_derivative_on_ranges(grid, predictor.h.values[rows] * p, coeffs.plan)
-        np.divide(6.0, coeffs.quad, out=term)
+        hp_x = _central_derivative_on_ranges(grid, predictor.h.values[sol.rows] * sol.p, plan)
+        quad = coeffs.quad.T
+        np.divide(6.0, quad, out=term)
         term *= p
-        term += coeffs.d_x / coeffs.quad * hp_x
+        term += coeffs.d_x.T / quad * hp_x.T
     else:
         # flat stretch: the slope-weighted (h p)_x term drops out exactly
         np.multiply(p, 1.5, out=term)
     if coeffs.phi is not None:
-        term += coeffs.phi
+        term += coeffs.phi.T
     term *= coeffs.dt / coeffs.rho
 
-    corrected = FlowState._from_packed(grid, predictor.packed.copy(), predictor.time)
-    corrected.hu.values[rows] = sol.hu
-    corrected.hw.values[rows] += term
-    return corrected
+    packed = predictor.packed.copy()
+    at = plan.index(1)
+    packed[1][:, at] = sol.hu.T
+    packed[2][:, at] += term
+    return FlowState._from_packed(grid, packed, predictor.time)
 
 
 def apply_correction(predictor: FlowState, bottom: BottomSample, dt: float,

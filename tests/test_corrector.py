@@ -473,32 +473,34 @@ def test_subrange_covering_forcing_support_matches_global():
 
 @pytest.mark.parametrize("ranges", [((5, 44),), ((0, 4), (10, 12), (30, 49))])
 def test_momentum_update_round_trip(ranges):
-    grid = GridSpec(0.0, 100.0, 50, 1)
-    state = smooth_state(grid)
-    before = [f.values.copy() for f in (state.h, state.hu, state.hw)]
-    bathy = FlatBottom(10.0)
-    dt = 0.1
-    corrected, sol = apply_correction(state, bottom_at(state, bathy), dt, ranges, WALLS)
-    rows = np.concatenate([np.arange(e0, e1 + 1) for e0, e1 in ranges])
-    off = np.setdiff1d(np.arange(50), rows)
-    # recompute the vertical update independently from its definition, on
-    # the whole grid with the pressure zero off the ranges
-    p = sol.p_nh.values
-    hp_x = central_derivative_values(grid, state.h.values * p)
-    d_x = np.zeros_like(hp_x)
-    quad = 4.0 + d_x ** 2
-    bp = 6.0 / quad * p + d_x / quad * hp_x
-    expected = state.hw.values[rows] + dt / RHO_WATER * bp[rows]
-    assert np.allclose(corrected.hw.values[rows], expected, atol=1e-8)
-    assert corrected.hu.values[rows].tobytes() == sol.hu.tobytes()
-    # mass and time are untouched; momenta off the ranges pass through
-    assert corrected.h.values.tobytes() == state.h.values.tobytes()
-    assert corrected.time == state.time
-    for new, old in ((corrected.hu, state.hu), (corrected.hw, state.hw)):
-        assert new.values[off].tobytes() == old.values[off].tobytes()
-    # the corrected momenta are copies: the predictor is left as it was
-    for f, copy in zip((state.h, state.hu, state.hw), before):
-        assert f.values.tobytes() == copy.tobytes()
+    # at P2 an element's recovery has three rows per half
+    for order in (1, 2):
+        grid = GridSpec(0.0, 100.0, 50, order)
+        state = smooth_state(grid)
+        before = [f.values.copy() for f in (state.h, state.hu, state.hw)]
+        bathy = FlatBottom(10.0)
+        dt = 0.1
+        corrected, sol = apply_correction(state, bottom_at(state, bathy), dt, ranges, WALLS)
+        rows = np.concatenate([np.arange(e0, e1 + 1) for e0, e1 in ranges])
+        off = np.setdiff1d(np.arange(50), rows)
+        # recompute the vertical update independently from its definition, on
+        # the whole grid with the pressure zero off the ranges
+        p = sol.p_nh.values
+        hp_x = central_derivative_values(grid, state.h.values * p)
+        d_x = np.zeros_like(hp_x)
+        quad = 4.0 + d_x ** 2
+        bp = 6.0 / quad * p + d_x / quad * hp_x
+        expected = state.hw.values[rows] + dt / RHO_WATER * bp[rows]
+        assert np.allclose(corrected.hw.values[rows], expected, atol=1e-8)
+        assert corrected.hu.values[rows].tobytes() == sol.hu.tobytes()
+        # mass and time are untouched; momenta off the ranges pass through
+        assert corrected.h.values.tobytes() == state.h.values.tobytes()
+        assert corrected.time == state.time
+        for new, old in ((corrected.hu, state.hu), (corrected.hw, state.hw)):
+            assert new.values[off].tobytes() == old.values[off].tobytes()
+        # the corrected momenta are copies: the predictor is left as it was
+        for f, copy in zip((state.h, state.hu, state.hw), before):
+            assert f.values.tobytes() == copy.tobytes()
 
 
 @pytest.mark.parametrize("ranges", [((0, 4), (5, 9), (20, 30), (40, 49)),
@@ -511,38 +513,40 @@ def test_momentum_update_on_a_sloped_bottom(ranges):
     # and at a domain end it is one-sided, the window of the ranges being
     # clipped there
     from nhswe.corrector import _central_derivative_on_ranges
-    grid = GridSpec(0.0, 10.0, 50, 1)
-    rows = np.concatenate([np.arange(e0, e1 + 1) for e0, e1 in ranges])
-    values = np.random.default_rng(5).normal(size=(len(rows), 2))
-    padded = np.zeros((50, 2))
-    padded[rows] = values
-    plan = RangePlan.checked(ranges, 50)
-    assert np.allclose(_central_derivative_on_ranges(grid, values, plan),
-                       central_derivative_values(grid, padded)[rows],
-                       rtol=0.0, atol=1e-12)
+    # at P2 an element's recovery has three rows per half
+    for order in (1, 2):
+        grid = GridSpec(0.0, 10.0, 50, order)
+        rows = np.concatenate([np.arange(e0, e1 + 1) for e0, e1 in ranges])
+        values = np.random.default_rng(5).normal(size=(len(rows), order + 1))
+        padded = np.zeros((50, order + 1))
+        padded[rows] = values
+        plan = RangePlan.checked(ranges, 50)
+        assert np.allclose(_central_derivative_on_ranges(grid, values, plan),
+                           central_derivative_values(grid, padded)[rows],
+                           rtol=0.0, atol=1e-12)
 
-    motion = SlideMotion(1.5, 0.327, 0.218, 2.218, 2.436)
-    bathy = WhittakerSlide(1.0, 0.3, 14.0, motion, x_start=5.0)
-    t, dt = 0.3, 0.01
-    x = grid.nodes
-    h = bathy.sample(grid.sample_nodes, t).d + 0.02 * np.sin(0.7 * x)
-    state = FlowState(NodalField(grid, h), NodalField(grid, 0.1 * h * np.cos(0.4 * x)),
-                      NodalField(grid, 0.01 * h * np.sin(0.9 * x)), t)
-    corrected, sol = apply_correction(state, bottom_at(state, bathy), dt, ranges, WALLS)
-    # the vertical update from its definition, on the whole grid with the
-    # pressure zero off the ranges
-    sample = bottom_at(state, bathy)
-    co = assemble_coefficients(state, sample, dt)
-    d_x = sample.d_x
-    assert np.all(d_x != 0.0)
-    p = sol.p_nh.values
-    quad = 4.0 + d_x ** 2
-    hp_x = central_derivative_values(grid, state.h.values * p)
-    bp = 6.0 / quad * p + d_x / quad * hp_x + co.phi
-    expected = state.hw.values.copy()
-    expected[rows] += dt / RHO_WATER * bp[rows]
-    assert np.allclose(corrected.hw.values, expected, rtol=0.0,
-                       atol=1e-12 * np.abs(expected).max())
+        motion = SlideMotion(1.5, 0.327, 0.218, 2.218, 2.436)
+        bathy = WhittakerSlide(1.0, 0.3, 14.0, motion, x_start=5.0)
+        t, dt = 0.3, 0.01
+        x = grid.nodes
+        h = bathy.sample(grid.sample_nodes, t).d + 0.02 * np.sin(0.7 * x)
+        state = FlowState(NodalField(grid, h), NodalField(grid, 0.1 * h * np.cos(0.4 * x)),
+                          NodalField(grid, 0.01 * h * np.sin(0.9 * x)), t)
+        corrected, sol = apply_correction(state, bottom_at(state, bathy), dt, ranges, WALLS)
+        # the vertical update from its definition, on the whole grid with the
+        # pressure zero off the ranges
+        sample = bottom_at(state, bathy)
+        co = assemble_coefficients(state, sample, dt)
+        d_x = sample.d_x
+        assert np.all(d_x != 0.0)
+        p = sol.p_nh.values
+        quad = 4.0 + d_x ** 2
+        hp_x = central_derivative_values(grid, state.h.values * p)
+        bp = 6.0 / quad * p + d_x / quad * hp_x + co.phi
+        expected = state.hw.values.copy()
+        expected[rows] += dt / RHO_WATER * bp[rows]
+        assert np.allclose(corrected.hw.values, expected, rtol=0.0,
+                           atol=1e-12 * np.abs(expected).max())
 
 
 def test_density_invariance_of_corrected_flow():
@@ -608,8 +612,9 @@ def test_correction_rejects_unsorted_ranges():
 # by a mask as a step plans them.  A count is deterministic where wall-time
 # ratios drift by several percent between runs, so it guards the fixed cost
 # of a correction, which dominates on small masks.  The bounds are the
-# counts measured when the plan was introduced
-CORRECTION_CALLS = {"solitary": (88, 89), "whittaker": (118, 124), "hammack_up": (100, 103)}
+# counts measured when the solution's recovery and the momentum update went
+# node by node
+CORRECTION_CALLS = {"solitary": (80, 81), "whittaker": (110, 116), "hammack_up": (92, 95)}
 
 
 @pytest.fixture(scope="module")

@@ -16,7 +16,7 @@ from nhswe.corrector import apply_correction
 from nhswe.driver import simulate, step_times
 from nhswe.grid import GridSpec
 from nhswe.hydrostatic import heun_step
-from nhswe.scenarios import build_scenario
+from nhswe.scenarios import SCENARIOS as SCENARIO_BUILDERS, build_scenario
 
 # the plate moves and the bump slides from the first step, so a few steps
 # flag elements and run the correction on one or more ranges
@@ -118,6 +118,37 @@ def test_nothing_a_step_returns_views_the_workspace(name, mode):
             corrected += 1
         assert not any(np.shares_memory(a, stepper.block) for a in returned)
     assert corrected if mode != "hydrostatic" else not corrected
+
+
+@pytest.mark.parametrize("mode", ["global", "adaptive"])
+@pytest.mark.parametrize("name", sorted(SCENARIO_BUILDERS))
+def test_a_step_reads_nothing_the_workspace_held_before_it(name, mode):
+    # every stage of a step writes the block before it reads it, the
+    # correction reusing the storage of the coefficient stack and of the
+    # band: so a run whose block is filled with NaN before every step
+    # reaches the outputs of an untouched run bit for bit
+    spec, init = short_run(name, 12)
+    crit = SCENARIOS.get(name, Criterion("eta_over_d", 1e-3)) if mode == "adaptive" else None
+    run = simulate(spec, init, mode, crit)
+    stepper = Stepper(spec.grid, mode, crit)
+    # the gauges' (element, node) pairs, as the driver reads them
+    at = tuple(np.array([spec.grid.nearest_node(x) for x in spec.gauges], dtype=int)
+               .reshape(-1, 2).T)
+    state, bottom, masks, gauges = init, None, [], []
+    for _ in range(spec.n_steps):
+        stepper.block.fill(np.nan)
+        step = adaptive_step(state, spec.dt, spec.bathymetry, spec.bcs, mode=mode, crit=crit,
+                             bottom=bottom, stepper=stepper)
+        state, bottom = step.state, step.bottom
+        masks.append(step.mask.ranges)
+        gauges.append(state.h.values[at] - bottom.d[at])
+    for ours, theirs in zip(fields(state), fields(run.final_state)):
+        assert ours.tobytes() == theirs.tobytes()
+    assert step.p_nh.values.tobytes() == run.final_p.values.tobytes()
+    assert np.array(gauges).tobytes() == run.gauge_eta[1:].tobytes()
+    if mode == "adaptive":
+        assert masks == [ranges for _, _, ranges in run.mask_history]
+        assert any(masks)
 
 
 @pytest.mark.parametrize("order", [1, 2])
