@@ -1,10 +1,10 @@
 """Locally adaptive non-hydrostatic shallow water solver (1D)."""
 
-from .adaptivity import Criterion, NonHydroMask, Stepper, adaptive_step, evaluate_criterion
+from .adaptivity import Criterion, Stepper, adaptive_step, evaluate_criterion
 from .bathymetry import (FlatBottom, HammackPlate, SlideMotion, WhittakerSlide,
                          GRAVITY, RHO_WATER)
-from .corrector import (EllipticSolveError, PressureSolution, assemble_coefficients,
-                        correct_momentum, ldg_solve)
+from .corrector import (EllipticSolveError, NonHydroMask, PressureSolution,
+                        assemble_coefficients, correct_momentum, ldg_solve)
 from .driver import RunResult, simulate
 from .grid import FlowState, GridSpec, NodalField
 from .hydrostatic import (ABSORBING, WALL, BoundaryCondition, BoundaryPair,

@@ -1,10 +1,11 @@
 """Adaptive selection of the elements receiving the pressure correction.
 
 Six predictor-based indicators are supported; an element is flagged when the
-maximum nodal value of the indicator exceeds the threshold k_nh.  Flagged
-elements are decomposed into maximal contiguous ranges, each solved as an
-independent elliptic problem.  An optional enlargement grows the flagged set
-by one element on each side, which removes isolated single-element ranges.
+maximum nodal value of the indicator exceeds the threshold k_nh.  The flags
+make a corrector.NonHydroMask, whose maximal contiguous ranges are each
+solved as an independent elliptic problem; the step hands the mask itself
+to the correction.  An optional enlargement grows the flagged set by one
+element on each side, which removes isolated single-element ranges.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from functools import reduce
 import numpy as np
 
 from .bathymetry import BathymetryModel, BottomSample
-from .corrector import BandedWorkspace, PressureSolution, RangePlan, apply_correction
+from .corrector import BandedWorkspace, NonHydroMask, PressureSolution, apply_correction
 from .grid import FlowState, GridSpec, NodalField, carve, carved_size, derivative_values
 from .hydrostatic import BoundaryPair, StageBuffers, heun_step
 
@@ -44,47 +45,6 @@ class Criterion:
             raise ValueError(f"unknown criterion kind {self.kind!r}")
         if not 0 < self.k_nh < np.inf:
             raise ValueError("threshold k_nh must be positive and finite")
-
-
-@dataclass(frozen=True)
-class NonHydroMask:
-    """Per-element flags plus the plan of their correction (RangePlan), made
-    once by `from_flags` from their contiguous ranges; None where no element
-    is flagged."""
-
-    flags: np.ndarray
-    plan: RangePlan | None
-
-    @classmethod
-    def from_flags(cls, flags: np.ndarray) -> "NonHydroMask":
-        flags = np.asarray(flags, dtype=bool)
-        ranges = contiguous_ranges(flags)
-        return cls(flags, RangePlan.from_flags(flags, ranges) if ranges else None)
-
-    @property
-    def ranges(self) -> tuple[tuple[int, int], ...]:
-        return () if self.plan is None else self.plan.ranges
-
-    @property
-    def empty(self) -> bool:
-        return self.plan is None
-
-    @property
-    def fraction(self) -> float:
-        return np.count_nonzero(self.flags) / self.flags.size
-
-
-def contiguous_ranges(flags: np.ndarray) -> tuple[tuple[int, int], ...]:
-    """Maximal runs of True as (first, last) inclusive index pairs."""
-    if not len(flags):
-        return ()
-    # runs start after each rise and end at each fall; .nonzero() skips flatnonzero's wrapper
-    edges = ((flags[1:] != flags[:-1]).nonzero()[0] + 1).tolist()
-    if flags[0]:
-        edges.insert(0, 0)
-    if flags[-1]:
-        edges.append(len(flags))
-    return tuple(zip(edges[::2], [b - 1 for b in edges[1::2]]))
 
 
 def criterion_values(predictor: FlowState, bottom: BottomSample, kind: str,
@@ -137,10 +97,6 @@ def evaluate_criterion(predictor: FlowState, bottom: BottomSample, crit: Criteri
     return NonHydroMask.from_flags(flags)
 
 
-def full_mask(n_elements: int) -> NonHydroMask:
-    return NonHydroMask.from_flags(np.ones(n_elements, dtype=bool))
-
-
 class Stepper:
     """Everything the steps of one run write and no caller keeps.
 
@@ -152,7 +108,7 @@ class Stepper:
     turns: `heun_step` returns before the criterion runs, and the criterion
     before the correction starts.  The stepper also holds the masks that
     flag no element and every element, which every step of a mode that uses
-    them returns, so a global run plans its correction once.  Everything
+    them returns, so a global run builds its mask once.  Everything
     else a step returns is its own and views no part of the block, so no
     later step writes it: the new state, the bottom sample, a criterion's
     mask and the solution.  The one exception holds no
@@ -176,7 +132,7 @@ class Stepper:
         self.criterion_buffers = carve(criterion, self.block)
         self.banded = None if mode == "hydrostatic" else BandedWorkspace(m, n, self.block)
         self.flag_none = NonHydroMask.from_flags(np.zeros(n, dtype=bool))
-        self.flag_all = full_mask(n)
+        self.flag_all = NonHydroMask.from_flags(np.ones(n, dtype=bool))
 
 
 @dataclass(frozen=True)
@@ -236,6 +192,6 @@ def adaptive_step(state: FlowState, dt: float, bathy: BathymetryModel,
     if mask.empty:
         return StepResult(predictor, mask, None, new_bottom)
 
-    corrected, sol = apply_correction(predictor, new_bottom, dt, mask.plan, bcs,
+    corrected, sol = apply_correction(predictor, new_bottom, dt, mask, bcs,
                                       workspace=stepper.banded)
     return StepResult(corrected, mask, sol, new_bottom)

@@ -26,7 +26,7 @@ follow element by element (see the banded layout notes below).
 
 Coefficients are assembled, and the local systems are filled, condensed and
 solved, on the flagged elements only.  That element set is worked out once,
-where the mask is made, as a RangePlan, which every stage reads; p and hu
+where the mask is made: the NonHydroMask, which every stage reads; p and hu
 stay on those elements until the momentum update or a caller needs them on
 the whole grid.  Everything a correction writes and does not return, from
 the coefficient stack to the local systems, the banded system and the
@@ -48,6 +48,7 @@ from __future__ import annotations
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property, lru_cache
 from math import isfinite, sqrt
+from operator import sub
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
@@ -93,11 +94,11 @@ class EllipticCoefficients:
     """Nodal coefficient and forcing fields of the elliptic system.
 
     The arrays hold one row per element of `ranges`, in range order; `ranges`
-    None stands for the whole grid.  `plan`, their RangePlan, is the element
-    set every later stage of the correction reads.  `phi` is None where the
-    moving-bottom forcing vanishes.  `bottom`, the bottom sample on the whole
-    grid at the predictor time, is not kept: `d_x` is its slope on the rows
-    and `quad` = 4 + d_x^2, both None on a flat stretch.
+    None stands for the whole grid.  `mask`, their NonHydroMask, is the
+    element set every later stage of the correction reads.  `phi` is None
+    where the moving-bottom forcing vanishes.  `bottom`, the bottom sample on
+    the whole grid at the predictor time, is not kept: `d_x` is its slope on
+    the rows and `quad` = 4 + d_x^2, both None on a flat stretch.
     """
 
     grid: GridSpec
@@ -112,7 +113,7 @@ class EllipticCoefficients:
     dt: float
     rho: float
     ranges: tuple[tuple[int, int], ...] | None = None
-    plan: RangePlan = field(init=False, repr=False, compare=False)
+    mask: NonHydroMask = field(init=False, repr=False, compare=False)
     # the nodal features of the pressure system, rows _T ... _R, node by
     # node: shape (7, nodes, elements); assemble_coefficients computes them
     # directly and stores only them, the s- and f-fields being derived from
@@ -124,8 +125,8 @@ class EllipticCoefficients:
     quad: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self, bottom: BottomSample):
-        plan = RangePlan.checked(self.ranges, self.grid.n_elements)
-        ranges, count = plan.ranges, sum(plan.lengths)
+        mask = NonHydroMask.checked(self.ranges, self.grid.n_elements)
+        ranges, count = mask.ranges, sum(mask.lengths)
         for name in ("s11", "s12", "s21", "s22", "f1", "f2", "phi"):
             value = getattr(self, name)
             if value is not None and len(value) != count:
@@ -141,8 +142,8 @@ class EllipticCoefficients:
         stack = np.stack([a.T for a in (t / c, self.s11 * t, c * self.s11 * self.s11 * t,
                                         c * self.rho * self.s22, np.ones_like(t), g,
                                         c * (self.f2 + self.s11 * g))])
-        d_x = _active_rows(bottom, "d_x", plan)
-        vars(self).update(ranges=ranges, plan=plan, stack=stack,
+        d_x = _active_rows(bottom, "d_x", mask)
+        vars(self).update(ranges=ranges, mask=mask, stack=stack,
                           d_x=None if d_x is None else d_x.T,
                           quad=None if d_x is None else (4.0 + d_x * d_x).T)
 
@@ -180,28 +181,28 @@ class PressureSolution:
         return NodalField._wrap(grid, p_full)
 
 
-def _active_rows(bottom: BottomSample, channel: str, plan: RangePlan) -> np.ndarray | None:
-    """The planned rows of one bottom channel node by node, (nodes, rows),
+def _active_rows(bottom: BottomSample, channel: str, mask: NonHydroMask) -> np.ndarray | None:
+    """The mask's rows of one bottom channel node by node, (nodes, rows),
     or None where the channel vanishes there."""
     if channel not in bottom.active:
         return None
-    part = plan.gather(getattr(bottom, channel)).T
+    part = mask.gather(getattr(bottom, channel)).T
     return part if np.count_nonzero(part) else None
 
 
 def _phi_values(grid: GridSpec, h: np.ndarray, hu: np.ndarray,
-                bottom: BottomSample, plan: RangePlan, rho: float,
+                bottom: BottomSample, mask: NonHydroMask, rho: float,
                 d_x: np.ndarray | None) -> np.ndarray | None:
-    """Moving-bottom forcing on the planned rows, or None where it vanishes.
+    """Moving-bottom forcing on the mask's rows, or None where it vanishes.
 
     Arrays are node by node, (nodes, rows); `d_x` is the slope on the rows
     (None on a flat stretch).  Only the bottom channels that are active on
     the rows enter the sum.
     """
-    d_tt = _active_rows(bottom, "d_tt", plan)
+    d_tt = _active_rows(bottom, "d_tt", mask)
     inner = -d_tt if d_tt is not None else None
-    d_xt = _active_rows(bottom, "d_xt", plan)
-    d_xx = _active_rows(bottom, "d_xx", plan)
+    d_xt = _active_rows(bottom, "d_xt", mask)
+    d_xx = _active_rows(bottom, "d_xx", mask)
     if d_xt is not None or d_xx is not None:
         zero = np.zeros_like(h)
         d_xt = zero if d_xt is None else d_xt
@@ -210,7 +211,7 @@ def _phi_values(grid: GridSpec, h: np.ndarray, hu: np.ndarray,
         drag = -2.0 * u * d_xt - u * u * d_xx
         inner = drag if inner is None else inner + drag
     if d_x is not None:
-        eta_x = derivative_values(grid, (h - plan.gather(bottom.d).T).T).T
+        eta_x = derivative_values(grid, (h - mask.gather(bottom.d).T).T).T
         slope = (GRAVITY * d_x) * eta_x
         inner = slope if inner is None else inner + slope
         return (rho * h / (4.0 + d_x * d_x)) * inner
@@ -225,10 +226,10 @@ def assemble_coefficients(predictor: FlowState, bottom: BottomSample, dt: float,
     """Nodal s- and f-fields of the elliptic system from the predictor state
     and the bottom sampled at the grid's sample nodes at its time.
 
-    With `ranges`, a RangePlan or sorted, disjoint (first, last) pairs, the
-    fields are computed on the elements of those ranges only; otherwise on
-    the whole grid.  The coefficients keep the plan, the element set every
-    later stage of the correction reads.  The work runs node by
+    With `ranges`, a NonHydroMask or sorted, disjoint (first, last) pairs,
+    the fields are computed on the elements of those ranges only; otherwise
+    on the whole grid.  The coefficients keep the mask, the element set
+    every later stage of the correction reads.  The work runs node by
     node, (nodes, elements), and yields the features of
     EllipticCoefficients.stack; the fields are derived from them when asked
     for.  The stack and the temporaries are `workspace`'s, the run's; without
@@ -242,15 +243,18 @@ def assemble_coefficients(predictor: FlowState, bottom: BottomSample, dt: float,
     the features at no extra cost.
     """
     grid = predictor.grid
-    plan = ranges if isinstance(ranges, RangePlan) else RangePlan.checked(ranges, grid.n_elements)
-    h, hu, hw = plan.gather(predictor.packed, axis=2, shift=1)
+    mask = (ranges if isinstance(ranges, NonHydroMask)
+            else NonHydroMask.checked(ranges, grid.n_elements))
+    if not mask.ranges:
+        raise ValueError("no element to correct: the mask flags none")
+    h, hu, hw = mask.gather(predictor.packed, axis=2, shift=1)
     if workspace is None:
         workspace = BandedWorkspace(grid.poly_order + 1, h.shape[1])
     stack = workspace.stack(h.shape[1])
     c_h, c_s11, term, h_x = workspace.temporaries(h.shape[1])
     h_x = derivative_values(grid, h.T, out=h_x.reshape(h.T.shape)).T
-    d_x = _active_rows(bottom, "d_x", plan)
-    phi = _phi_values(grid, h, hu, bottom, plan, rho, d_x)
+    d_x = _active_rows(bottom, "d_x", mask)
+    phi = _phi_values(grid, h, hu, bottom, mask, rho, d_x)
     c = 0.5 * grid.dx
     np.divide(c, h, out=c_h)
     t, a, g, r = stack[_T], stack[_A], stack[_G], stack[_R]
@@ -275,7 +279,7 @@ def assemble_coefficients(predictor: FlowState, bottom: BottomSample, dt: float,
             np.multiply(phi, 2.0 * dt / rho, out=term)
             term *= c_h
             r -= term
-    d_t = _active_rows(bottom, "d_t", plan)
+    d_t = _active_rows(bottom, "d_t", mask)
     if d_t is not None:
         r -= np.multiply(d_t, 2.0 * c, out=term)
     if t.min() <= 0.0:
@@ -287,7 +291,7 @@ def assemble_coefficients(predictor: FlowState, bottom: BottomSample, dt: float,
     # s21 = -s11 holds by construction, so the checked constructor is skipped
     coeffs = object.__new__(EllipticCoefficients)
     vars(coeffs).update(grid=grid, phi=None if phi is None else phi.T,
-                        dt=dt, rho=rho, ranges=plan.ranges, plan=plan,
+                        dt=dt, rho=rho, ranges=mask.ranges, mask=mask,
                         stack=stack, d_x=None if d_x is None else d_x.T,
                         quad=None if quad is None else quad.T)
     return coeffs
@@ -452,14 +456,16 @@ def _ldg_template(lengths: tuple[int, ...]):
 
 
 @dataclass(frozen=True, eq=False)
-class RangePlan:
-    """The element set of a correction, worked out once where its ranges are
-    found: the sorted, disjoint (first, last) `ranges` and their `lengths`;
-    their grid `rows` in order, a slice for one range and an index array for
-    several, which `gather` reads; the range ends as _ldg_template gives
-    them; and `outer`, the columns of a padded array (FlowState.packed) just
-    right of each range, the right ghost's at the grid's end."""
+class NonHydroMask:
+    """The elements that receive the pressure correction, worked out once,
+    where the mask is made: the per-element `flags`; their sorted, disjoint
+    (first, last) `ranges` and `lengths`; their grid `rows` in order, a
+    slice for one range and an index array for several, which `gather`
+    reads; the range ends as _ldg_template gives them; and `outer`, the
+    columns of a padded array (FlowState.packed) just right of each range,
+    the right ghost's at the grid's end.  An empty mask has empty fields."""
 
+    flags: np.ndarray
     ranges: tuple[tuple[int, int], ...]
     rows: slice | np.ndarray
     lengths: tuple[int, ...]
@@ -469,27 +475,52 @@ class RangePlan:
     outer: np.ndarray
 
     @classmethod
-    def from_flags(cls, flags: np.ndarray, ranges: tuple) -> RangePlan:
-        """The plan of the flagged elements, whose maximal runs are `ranges`."""
-        lengths = tuple([e1 - e0 + 1 for e0, e1 in ranges])
-        rows = slice(ranges[0][0], ranges[0][1] + 1) if len(ranges) == 1 else flags.nonzero()[0]
-        # a mask makes one per step: skip the frozen __init__, as slow as all the rest
-        plan, (ends, kinds, lasts) = object.__new__(cls), _ldg_template(lengths)
-        vars(plan).update(ranges=ranges, rows=rows, lengths=lengths, ends=ends, kinds=kinds,
-                          lasts=lasts, outer=np.array([e1 + 2 for _, e1 in ranges]))
-        return plan
+    def from_flags(cls, flags: np.ndarray) -> NonHydroMask:
+        """The mask of per-element flags, whose maximal runs are its ranges."""
+        flags = np.asarray(flags, dtype=bool)
+        # one scan of the flags between two unflagged ones: each run starts
+        # at a rise and stops at the fall that follows
+        bounded = np.zeros(flags.size + 2, dtype=bool)
+        bounded[1:-1] = flags
+        return cls._of(flags, (bounded[1:] != bounded[:-1]).nonzero()[0])
 
     @classmethod
-    def checked(cls, ranges, n_elements: int) -> RangePlan:
-        """The plan of raw, sorted and disjoint (first, last) ranges, None
-        standing for the whole grid."""
+    def checked(cls, ranges, n_elements: int) -> NonHydroMask:
+        """The mask of raw, sorted and disjoint (first, last) ranges, None
+        standing for the whole grid.  Ranges that meet stay apart."""
         ranges = ((0, n_elements - 1),) if ranges is None else tuple(map(tuple, ranges))
         flags, last = np.zeros(n_elements, dtype=bool), -1
         for e0, e1 in ranges:
             if e0 > e1 or e0 <= last or e1 >= n_elements:
                 raise ValueError(f"invalid element range {(e0, e1)}")
             flags[e0:e1 + 1], last = True, e1
-        return cls.from_flags(flags, ranges)
+        edges = np.array([(e0, e1 + 1) for e0, e1 in ranges], dtype=np.intp)
+        return cls._of(flags, edges.ravel())
+
+    @classmethod
+    def _of(cls, flags: np.ndarray, edges: np.ndarray) -> NonHydroMask:
+        """The mask of `flags`, whose ranges start and stop at alternate
+        `edges`, every field filled from them at once."""
+        bounds = edges.tolist()
+        starts, stops = bounds[::2], bounds[1::2]
+        ranges = tuple(zip(starts, [stop - 1 for stop in stops]))
+        lengths = tuple(map(sub, stops, starts))
+        rows = slice(starts[0], stops[0]) if len(ranges) == 1 else flags.nonzero()[0]
+        # an empty mask has no edges, nor range ends, kinds or last positions
+        ends, kinds, lasts = _ldg_template(lengths) if ranges else (edges,) * 3
+        # a mask is made every step: skip the frozen __init__, as slow as all the rest
+        mask = object.__new__(cls)
+        mask.__dict__.update(flags=flags, ranges=ranges, rows=rows, lengths=lengths, ends=ends,
+                             kinds=kinds, lasts=lasts, outer=edges[1::2] + 1)
+        return mask
+
+    @property
+    def empty(self) -> bool:
+        return not self.ranges
+
+    @property
+    def fraction(self) -> float:
+        return np.count_nonzero(self.flags) / self.flags.size
 
     def index(self, shift: int = 0) -> slice | np.ndarray:
         """The rows in an array that holds grid element e at e + shift."""
@@ -602,8 +633,8 @@ def _banded_matvec(ab: np.ndarray, band: int, x: np.ndarray, scratch: np.ndarray
 def _singular(coeffs: EllipticCoefficients, what: str, k: int, node: int,
               info: str = "") -> EllipticSolveError:
     """The error of a zero pivot at node `node` of the k-th solved element."""
-    i = int(np.searchsorted(coeffs.plan.lasts, k))  # the range holding k
-    element = coeffs.ranges[i][1] - int(coeffs.plan.lasts[i] - k)
+    i = int(np.searchsorted(coeffs.mask.lasts, k))  # the range holding k
+    element = coeffs.ranges[i][1] - int(coeffs.mask.lasts[i] - k)
     return EllipticSolveError(f"singular elliptic system on {coeffs.ranges}: {what} "
                               f"at element {element}, node {node}{info}")
 
@@ -623,7 +654,7 @@ def _solve_batched(coeffs: EllipticCoefficients, outer_hu: np.ndarray,
     of density; the pressure rows are scaled back before their values are
     taken.
     """
-    ranges, plan = coeffs.ranges, coeffs.plan
+    ranges, mask = coeffs.ranges, coeffs.mask
     _, m, n = coeffs.stack.shape
     features = coeffs.stack.reshape(7 * m, n)
     local_of = _couplings(m)
@@ -635,8 +666,8 @@ def _solve_batched(coeffs: EllipticCoefficients, outer_hu: np.ndarray,
     # ends as what they are
     entries = local.reshape(-1, n)
     np.matmul(local_of[_INNER], features, out=entries)
-    entries[:, plan.ends] = np.matmul(local_of.take(plan.kinds, axis=0),
-                                      features.take(plan.ends, axis=1).T[:, :, None])[:, :, 0].T
+    entries[:, mask.ends] = np.matmul(local_of.take(mask.kinds, axis=0),
+                                      features.take(mask.ends, axis=1).T[:, :, None])[:, :, 0].T
 
     # Gauss-Jordan passes over the interior pressures: the pivot row is
     # scaled to a unit pivot and subtracted from every other row but the
@@ -673,7 +704,7 @@ def _solve_batched(coeffs: EllipticCoefficients, outer_hu: np.ndarray,
     # column lies outside the matrix and is not read
     band[3] = flat[own + 1:own + 1 + n]
     mat, rhs = band[1:], band[0]
-    rhs[plan.lasts] += outer_hu
+    rhs[mask.lasts] += outer_hu
     ab[...] = band
     x = padded[1:]
     x[...] = rhs
@@ -745,10 +776,10 @@ def solve_on_ranges(predictor: FlowState, coeffs: EllipticCoefficients,
     packed = predictor.packed
     packed[1, 0, -1] = bcs.right.signs[1, 0] * packed[1, -1, -2]
     try:
-        p, hu = _solve_batched(coeffs, packed[1, 0].take(coeffs.plan.outer), workspace)
+        p, hu = _solve_batched(coeffs, packed[1, 0].take(coeffs.mask.outer), workspace)
     except EllipticSolveError as exc:
         raise EllipticSolveError(f"{exc} at t={predictor.time:.6g}") from None
-    return PressureSolution(coeffs.grid, coeffs.plan.rows, p, hu)
+    return PressureSolution(coeffs.grid, coeffs.mask.rows, p, hu)
 
 
 def central_derivative_values(grid: GridSpec, values: np.ndarray) -> np.ndarray:
@@ -766,15 +797,15 @@ def central_derivative_values(grid: GridSpec, values: np.ndarray) -> np.ndarray:
 
 
 def _central_derivative_on_ranges(grid: GridSpec, values: np.ndarray,
-                                  plan: RangePlan) -> np.ndarray:
+                                  mask: NonHydroMask) -> np.ndarray:
     """central_derivative_values over the grid, of a field that is zero off
-    the planned rows, on those rows, where `values` holds it in order.  The
+    the mask's rows, on those rows, where `values` holds it in order.  The
     field is laid into a zeroed window one element wider than the rows on
     each side, clipped at the domain ends, where the derivative is one-sided.
     """
-    first, stop = plan.ranges[0][0], plan.ranges[-1][1] + 1
+    first, stop = mask.ranges[0][0], mask.ranges[-1][1] + 1
     lo = max(first - 1, 0)
-    at = plan.index(-lo)
+    at = mask.index(-lo)
     window = np.zeros((min(stop + 1, grid.n_elements) - lo, values.shape[1]))
     window[at] = values
     return central_derivative_values(grid, window)[at]
@@ -793,12 +824,12 @@ def correct_momentum(predictor: FlowState, coeffs: EllipticCoefficients,
     `coeffs` and builds its pressure term, (nodes, elements), in
     `workspace`, the run's, where it is given.
     """
-    grid, plan = predictor.grid, coeffs.plan
+    grid, mask = predictor.grid, coeffs.mask
     # node by node, (nodes, elements), as the solution and the padded array
     p = sol.p.T
     term = np.empty(p.shape) if workspace is None else workspace.nodal(p.shape[1])
     if coeffs.d_x is not None:
-        hp_x = _central_derivative_on_ranges(grid, predictor.h.values[sol.rows] * sol.p, plan)
+        hp_x = _central_derivative_on_ranges(grid, predictor.h.values[sol.rows] * sol.p, mask)
         quad = coeffs.quad.T
         np.divide(6.0, quad, out=term)
         term *= p
@@ -811,7 +842,7 @@ def correct_momentum(predictor: FlowState, coeffs: EllipticCoefficients,
     term *= coeffs.dt / coeffs.rho
 
     packed = predictor.packed.copy()
-    at = plan.index(1)
+    at = mask.index(1)
     packed[1][:, at] = sol.hu.T
     packed[2][:, at] += term
     return FlowState._from_packed(grid, packed, predictor.time)
@@ -824,7 +855,7 @@ def apply_correction(predictor: FlowState, bottom: BottomSample, dt: float,
     """Full correction pipeline on the elements of the flagged ranges, over
     the bottom sampled at the grid's sample nodes at the predictor's time,
     every stage working in `workspace`, the run's (see BandedWorkspace).
-    `ranges` is a mask's RangePlan, or sorted, disjoint (first, last) pairs,
+    `ranges` is a NonHydroMask, or sorted, disjoint (first, last) pairs,
     which assemble_coefficients checks."""
     coeffs = assemble_coefficients(predictor, bottom, dt, rho, ranges=ranges,
                                    workspace=workspace)

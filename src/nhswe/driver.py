@@ -7,8 +7,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adaptivity import Criterion, NonHydroMask, Stepper, adaptive_step
+from .adaptivity import Criterion, Stepper, adaptive_step
 from .bathymetry import BottomSample
+from .corrector import NonHydroMask
 from .grid import FlowState, NodalField
 from .scenarios import ScenarioSpec
 

@@ -234,9 +234,11 @@ def heun_step(state: FlowState, dt: float, bathy: BathymetryModel,
     taken here.  `buffers` are the run's stage buffers; without them the
     step builds its own.  The new state owns a fresh padded array, which
     the next step reads in place.  Warns when the advisory CFL number of
-    the step's first stage, max(|u| + sqrt(g h)) dt / dx, exceeds the
-    linear stability limit 1 / (2p + 1) of degree-p RKDG with Heun's
-    scheme: 1/3 for linear elements.
+    the step's first stage, max(|u| + sqrt(g h)) dt / dx, exceeds
+    1 / (2p + 1).  That is the linear stability limit of degree-p RKDG
+    with an RK scheme of order p + 1 (Cockburn & Shu 2001), so it is
+    Heun's own limit only for linear elements, 1/3.  For p >= 2 Heun's
+    scheme has no stable Courant number, and the limit is a guide only.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")

@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from nhswe.adaptivity import (Criterion, NonHydroMask, adaptive_step,
-                              contiguous_ranges, criterion_values,
-                              enlarge_flags, evaluate_criterion, full_mask)
+from nhswe.adaptivity import (Criterion, adaptive_step, criterion_values,
+                              enlarge_flags, evaluate_criterion)
 from nhswe.bathymetry import FlatBottom
-from nhswe.corrector import RangePlan
+from nhswe.corrector import NonHydroMask
 from nhswe.grid import FlowState, GridSpec, NodalField
 from nhswe.hydrostatic import WALL, BoundaryPair, PositivityError, heun_step
 from nhswe.scenarios import (SOLITARY_A, SOLITARY_D, build_scenario, build_solitary,
@@ -25,31 +24,38 @@ def test_criterion_validation():
             Criterion("u", k_nh=bad)
 
 
-def test_contiguous_ranges_hand_cases():
-    assert contiguous_ranges(np.array([], dtype=bool)) == ()
-    assert contiguous_ranges(np.array([0, 0, 0], dtype=bool)) == ()
-    assert contiguous_ranges(np.array([1, 1, 0, 1], dtype=bool)) == ((0, 1), (3, 3))
-    assert contiguous_ranges(np.ones(4, dtype=bool)) == ((0, 3),)
+def ranges_of(bits):
+    return NonHydroMask.from_flags(np.array(bits, dtype=bool)).ranges
+
+
+def test_mask_ranges_hand_cases():
+    assert ranges_of([]) == ()
+    assert ranges_of([0, 0, 0]) == ()
+    assert ranges_of([1, 1, 0, 1]) == ((0, 1), (3, 3))
+    assert ranges_of(np.ones(4, dtype=bool)) == ((0, 3),)
 
 
 @given(st.lists(st.booleans(), min_size=1, max_size=60))
-def test_contiguous_ranges_roundtrip(bits):
+def test_mask_ranges_roundtrip(bits):
     flags = np.array(bits, dtype=bool)
     rebuilt = np.zeros_like(flags)
-    for e0, e1 in contiguous_ranges(flags):
+    for e0, e1 in ranges_of(flags):
         assert e0 <= e1
         rebuilt[e0:e1 + 1] = True
     assert np.array_equal(rebuilt, flags)
 
 
-@given(st.lists(st.booleans(), min_size=2, max_size=60).filter(any))
+@given(st.lists(st.booleans(), min_size=1, max_size=60))
 def test_a_mask_plans_as_the_checked_constructor_plans_its_ranges(bits):
     # a mask works out its correction's element set from its flags; raw
-    # ranges go through the checked constructor, which must plan them alike
+    # ranges go through the checked constructor, which must plan them alike,
+    # an empty mask included
     flags = np.array(bits, dtype=bool)
-    ours = NonHydroMask.from_flags(flags).plan
-    theirs = RangePlan.checked(contiguous_ranges(flags), len(flags))
+    ours = NonHydroMask.from_flags(flags)
+    theirs = NonHydroMask.checked(ours.ranges, len(flags))
     assert ours.ranges == theirs.ranges and ours.lengths == theirs.lengths
+    assert ours.flags.tobytes() == theirs.flags.tobytes() == flags.tobytes()
+    assert ours.empty == theirs.empty == (not flags.any())
     assert type(ours.rows) is type(theirs.rows)
     everything = np.arange(len(flags))
     assert everything[ours.rows].tobytes() == everything[theirs.rows].tobytes()
@@ -58,6 +64,34 @@ def test_a_mask_plans_as_the_checked_constructor_plans_its_ranges(bits):
         a, b = getattr(ours, name), getattr(theirs, name)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
     assert ours.outer.tolist() == [e1 + 2 for _, e1 in ours.ranges]
+
+
+# Python-level calls (cProfile's total_calls) of building a mask from 1000
+# flags holding one range, and six.  Counted, as the corrections' calls are
+# in tests/test_corrector.py, because a count does not drift as wall time
+# does; the bounds are the counts of one edge scan that fills every field
+MASK_CALLS = {1: 11, 6: 12}
+
+
+@pytest.mark.parametrize("count", sorted(MASK_CALLS))
+def test_building_a_mask_makes_a_bounded_number_of_calls(count):
+    import cProfile
+    import gc
+    import pstats
+    flags = np.zeros(1000, dtype=bool)
+    for k in range(count):
+        flags[100 + 150 * k:120 + 150 * k + k] = True
+    assert len(ranges_of(flags)) == count
+    # no collection runs while counting, whose finalizers of other tests'
+    # objects would count
+    profile = cProfile.Profile()
+    gc.collect()
+    gc.disable()
+    try:
+        profile.runcall(NonHydroMask.from_flags, flags)
+    finally:
+        gc.enable()
+    assert pstats.Stats(profile).total_calls <= MASK_CALLS[count]
 
 
 def test_enlarge_flags():
@@ -177,7 +211,7 @@ def test_adaptive_step_argument_validation():
 
 
 def test_mask_helpers():
-    m = full_mask(6)
+    m = NonHydroMask.from_flags(np.ones(6, dtype=bool))
     assert m.fraction == 1.0 and m.ranges == ((0, 5),)
     empty = NonHydroMask.from_flags(np.zeros(6, dtype=bool))
     assert empty.empty and empty.fraction == 0.0

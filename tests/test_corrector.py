@@ -7,11 +7,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from nhswe.bathymetry import (FlatBottom, GRAVITY, HammackPlate, RHO_WATER,
                               SlideMotion, WhittakerSlide)
-from nhswe.corrector import (_S, EllipticCoefficients, EllipticSolveError, RangePlan,
+from nhswe.corrector import (_S, EllipticCoefficients, EllipticSolveError, NonHydroMask,
                              _banded_matvec, apply_correction,
                              assemble_coefficients, central_derivative_values,
                              ldg_solve, solve_on_ranges)
@@ -520,8 +520,8 @@ def test_momentum_update_on_a_sloped_bottom(ranges):
         values = np.random.default_rng(5).normal(size=(len(rows), order + 1))
         padded = np.zeros((50, order + 1))
         padded[rows] = values
-        plan = RangePlan.checked(ranges, 50)
-        assert np.allclose(_central_derivative_on_ranges(grid, values, plan),
+        mask = NonHydroMask.checked(ranges, 50)
+        assert np.allclose(_central_derivative_on_ranges(grid, values, mask),
                            central_derivative_values(grid, padded)[rows],
                            rtol=0.0, atol=1e-12)
 
@@ -547,6 +547,43 @@ def test_momentum_update_on_a_sloped_bottom(ranges):
         expected[rows] += dt / RHO_WATER * bp[rows]
         assert np.allclose(corrected.hw.values, expected, rtol=0.0,
                            atol=1e-12 * np.abs(expected).max())
+
+
+def flagged(n, *elements):
+    flags = [False] * n
+    for e in elements:
+        flags[e] = True
+    return flags
+
+
+@settings(max_examples=40, deadline=None)
+@given(flags=st.lists(st.booleans(), min_size=40, max_size=40).filter(any),
+       order=st.sampled_from([1, 2]), sloped=st.booleans())
+@example(flags=flagged(40, 0), order=1, sloped=True)
+@example(flags=flagged(40, 39), order=2, sloped=True)
+@example(flags=flagged(40, 0, 1, 17, 38, 39), order=2, sloped=False)
+@example(flags=[True] * 40, order=1, sloped=True)
+def test_a_correction_writes_only_its_masks_rows(flags, order, sloped):
+    # whatever runs the flags hold, single elements and runs at a wall
+    # among them, a correction leaves the depth and every unflagged
+    # element's momenta as the predictor has them, and puts no pressure there
+    grid = GridSpec(0.0, 10.0, 40, order)
+    if sloped:
+        bathy = WhittakerSlide(1.0, 0.3, 14.0, SlideMotion(1.5, 0.327, 0.218, 2.218, 2.436),
+                               x_start=5.0)
+    else:
+        bathy = FlatBottom(1.0)
+    t, x = 0.3, grid.nodes
+    h = bathy.sample(grid.sample_nodes, t).d + 0.02 * np.sin(0.7 * x)
+    state = FlowState(NodalField(grid, h), NodalField(grid, 0.1 * h * np.cos(0.4 * x)),
+                      NodalField(grid, 0.01 * h * np.sin(0.9 * x)), t)
+    mask = NonHydroMask.from_flags(np.array(flags))
+    corrected, sol = apply_correction(state, bottom_at(state, bathy), 0.01, mask, WALLS)
+    off = ~mask.flags
+    assert corrected.h.values.tobytes() == state.h.values.tobytes()
+    for new, old in ((corrected.hu, state.hu), (corrected.hw, state.hw)):
+        assert new.values[off].tobytes() == old.values[off].tobytes()
+    assert not sol.p_nh.values[off].any()
 
 
 def test_density_invariance_of_corrected_flow():
@@ -607,6 +644,16 @@ def test_correction_rejects_unsorted_ranges():
         apply_correction(state, bottom_at(state, FlatBottom(1.0)), 0.01, [(4, 6), (1, 2)], WALLS)
 
 
+def test_a_correction_refuses_an_empty_mask():
+    # an empty mask, or no ranges, leaves nothing to solve: the assembly
+    # says so rather than failing later on an empty array
+    grid = GridSpec(0.0, 10.0, 10, 1)
+    state = smooth_state(grid, d0=1.0, amp=0.01, u0=0.01)
+    for empty in (NonHydroMask.from_flags(np.zeros(10, dtype=bool)), ()):
+        with pytest.raises(ValueError, match="no element to correct"):
+            apply_correction(state, bottom_at(state, FlatBottom(1.0)), 0.01, empty, WALLS)
+
+
 # Python-level calls (cProfile's total_calls) of a correction on one
 # element, and on three ranges, of a mid-run state, with the ranges planned
 # by a mask as a step plans them.  A count is deterministic where wall-time
@@ -641,7 +688,6 @@ def test_a_small_correction_makes_a_bounded_number_of_calls(mid_run, name):
     import cProfile
     import gc
     import pstats
-    from nhswe.adaptivity import NonHydroMask
     spec, stepper, predictor, bottom = mid_run[name]
     n = spec.grid.n_elements
     for ranges, bound in zip(([(n // 2, n // 2)], [(10, 20), (50, 60), (100, 120)]),
@@ -649,7 +695,7 @@ def test_a_small_correction_makes_a_bounded_number_of_calls(mid_run, name):
         flags = np.zeros(n, dtype=bool)
         for e0, e1 in ranges:
             flags[e0:e1 + 1] = True
-        args = (predictor, bottom, spec.dt, NonHydroMask.from_flags(flags).plan, spec.bcs)
+        args = (predictor, bottom, spec.dt, NonHydroMask.from_flags(flags), spec.bcs)
         # the first call fills the caches of the reference-element tensors;
         # no collection runs during the second, whose finalizers of other
         # tests' objects would count

@@ -81,9 +81,10 @@ def test_a_state_from_the_trusted_constructor_steps(workloads, mode):
 
 
 def test_cleared_caches_are_lru_caches():
-    # the range ends of a correction are worked out once per mask
-    # (corrector.RangePlan); the two template caches stay only because
-    # perfbench clears them before every run and traces `_ldg_template`
+    # the range ends of a correction are worked out once, where the mask is
+    # made (corrector.NonHydroMask.from_flags); the two template caches stay
+    # only because perfbench clears them before every run and traces
+    # `_ldg_template`
     for cache in (corrector._ldg_template, corrector._block_template):
         assert callable(cache.cache_clear) and callable(cache.cache_info)
 
