@@ -116,9 +116,12 @@ class GridSpec:
         # M^{-1} e_first / e_last, flux lifting vectors
         set_(self, "lift_left", mass_inv[:, 0].copy())
         set_(self, "lift_right", mass_inv[:, -1].copy())
-        # both lifts as one operator on the (left, right) face fluxes of an
-        # element, with the sign of an outward flux
-        set_(self, "lift", np.stack((mass_inv[:, 0], -mass_inv[:, -1]), axis=1))
+        # [W | lift / 2]: the volume operator and both lifts, with the sign
+        # of an outward flux, as one operator on an element's m nodal fluxes
+        # and its (left, right) face fluxes, which the predictor writes
+        # unhalved; the halving is exact, so it costs no round-off here
+        set_(self, "element_operator",
+             np.column_stack((self.weak_div, 0.5 * self.lift_left, -0.5 * self.lift_right)))
 
     @property
     def n_nodes(self) -> int:

@@ -9,7 +9,10 @@ wave speeds and the three flux components in one pass rather than once per
 field.  Every state owns such an array (`FlowState.packed`), which the step
 reads in place, and the state it returns owns a fresh one; every stage
 temporary is one of the run's StageBuffers, written with `out=`.  So a step
-allocates nothing else of the grid's size.
+allocates nothing else of the grid's size.  A stage writes the nodal fluxes
+and the unhalved flux through each element's two faces into one operand,
+and its tendency is one matmul of the element operator [W | lift / 2]
+(`GridSpec.element_operator`) over it, plus the bottom source.
 """
 
 from __future__ import annotations
@@ -80,14 +83,15 @@ def _flux(q, u, out=None, scratch=None):
 
 
 def _rusanov(qL, qR, fL, fR, speed, out=None, scratch=None):
-    """Rusanov interface flux from the states and physical fluxes on either
-    side and the largest wave speed at the interface; written into `out`,
-    with `scratch` shaped as qL for the state jump, where they are given."""
+    """Twice the Rusanov interface flux, fL + fR - speed (qR - qL), from the
+    states and physical fluxes on either side and the largest wave speed at
+    the interface; written into `out`, with `scratch` shaped as qL for the
+    state jump, where they are given.  The halving is left to the element
+    operator (`GridSpec.element_operator`), where it is exact."""
     face = np.add(fL, fR, out=out)
     jump = np.subtract(qR, qL, out=scratch)
     jump *= speed
     face -= jump
-    face *= 0.5
     return face
 
 
@@ -102,8 +106,15 @@ def _speed(u, h, out=None, scratch=None):
 
 class StageBuffers:
     """The arrays a predictor step writes and no caller keeps, for one grid:
-    rhs_operator's stage temporaries, the two stage tendencies `k1` and
-    `k2`, and the first stage's padded state `star`.
+    rhs_operator's stage temporaries, among them the `operand` of its
+    element operator, the two stage tendencies `k1` and `k2`, and the first
+    stage's padded state `star`.
+
+    `operand`, shape (3, m + 2, n_elements + 2), holds per padded element
+    the physical flux at its m nodes (rows 0 to m - 1), then twice the flux
+    through its left face (row m) and through its right face (row m + 1).
+    One matmul of `GridSpec.element_operator` over its grid columns is the
+    whole tendency but the bottom source.
 
     They are carved from `block` (see `carve`), the run's workspace, which
     the correction reuses once the step has returned: nothing the step
@@ -113,8 +124,8 @@ class StageBuffers:
     """
 
     def __init__(self, grid: GridSpec, block: np.ndarray | None = None):
-        (self.u, self.speed, self.scratch, self.f, self.face_speed, self.face,
-         self.jump, self.faces, self.k1, self.k2, self.star) = carve(self.shapes(grid), block)
+        (self.u, self.speed, self.scratch, self.operand, self.face_speed, self.jump,
+         self.k1, self.k2, self.star) = carve(self.shapes(grid), block)
 
     @staticmethod
     def shapes(grid: GridSpec) -> list[tuple[int, ...]]:
@@ -123,24 +134,27 @@ class StageBuffers:
         source."""
         m, n = grid.poly_order + 1, grid.n_elements
         padded, interior = (m, n + 2), (3, m, n)
-        return [padded, padded, padded, (3,) + padded, (n + 1,), (3, n + 1),
-                (3, n + 1), (3, 2, n), interior, interior, (3,) + padded]
+        return [padded, padded, padded, (3, m + 2, n + 2), (n + 1,), (3, n + 1),
+                interior, interior, (3,) + padded]
 
 
-def _step_faces(q: np.ndarray, faces: np.ndarray, d: np.ndarray, interfaces) -> None:
-    """Write into `faces` the hydrostatic-reconstruction fluxes received on
-    either side of each of the element `interfaces` where the bottom depth
-    `d`, sampled at the element nodes, jumps.
+def _step_faces(q: np.ndarray, operand: np.ndarray, d: np.ndarray, interfaces) -> None:
+    """Write into the face rows of the element operand (`StageBuffers`) the
+    hydrostatic-reconstruction fluxes received on either side of each of the
+    element `interfaces` where the bottom depth `d`, sampled at the element
+    nodes, jumps; unhalved, as the operand holds every face flux.
 
     Interface k lies between elements k - 1 and k, which are the padded
-    elements k and k + 1 of the state `q`.  Where its two bottom edges
-    agree, the plain flux already in `faces` stands.  Both traces are remeasured from the higher bottom edge: depths
-    and vertical momenta shrink, velocities stay.  The two sides receive the
-    Rusanov flux (`_flux`, `_speed`, `_rusanov`) of the remeasured traces,
-    each shifted by the pressure on its own exposed bottom step.  A model
-    declares few jumps, so they are taken one by one in plain floats: ~3.5 us
-    a jump, where one numpy pass over all of them costs ~50 us in its
-    thirty-odd calls.
+    elements k and k + 1 of the state `q`; the flux it passes is the right
+    face row (the last) of padded element k and the left face row (the one
+    before) of padded element k + 1.  Where its two bottom edges agree, the
+    plain flux already in the operand stands.  Both traces are remeasured
+    from the higher bottom edge: depths and vertical momenta shrink,
+    velocities stay.  The two sides receive the Rusanov flux of the
+    remeasured traces, each shifted by the pressure on its own exposed
+    bottom step.  A model declares few jumps, so they are taken one by one
+    in plain floats: ~3.5 us a jump, where one numpy pass over all of them
+    costs ~50 us in its thirty-odd calls.
     """
     g, half_g = GRAVITY, 0.5 * GRAVITY
     for k in interfaces:
@@ -158,12 +172,12 @@ def _step_faces(q: np.ndarray, faces: np.ndarray, d: np.ndarray, interfaces) -> 
         mL, mR = hsL * uL, hsR * uR
         wL, wR = (hsL / hL) * hwL, (hsR / hR) * hwR
         speed = max(abs(uL) + sqrt(g * hsL), abs(uR) + sqrt(g * hsR))
-        f0 = 0.5 * ((mL + mR) - speed * (hsR - hsL))
-        f1 = 0.5 * (((mL * uL + (half_g * hsL) * hsL) + (mR * uR + (half_g * hsR) * hsR))
-                    - speed * (mR - mL))
-        f2 = 0.5 * ((wL * uL + wR * uR) - speed * (wR - wL))
-        faces[:, 1, k - 1] = f0, f1 + half_g * (hL * hL - hsL * hsL), f2
-        faces[:, 0, k] = f0, f1 + half_g * (hR * hR - hsR * hsR), f2
+        f0 = (mL + mR) - speed * (hsR - hsL)
+        f1 = (((mL * uL + (half_g * hsL) * hsL) + (mR * uR + (half_g * hsR) * hsR))
+              - speed * (mR - mL))
+        f2 = (wL * uL + wR * uR) - speed * (wR - wL)
+        operand[:, -1, k] = f0, f1 + g * (hL * hL - hsL * hsL), f2
+        operand[:, -2, k + 1] = f0, f1 + g * (hR * hR - hsR * hsR), f2
 
 
 def rhs_operator(q: np.ndarray, t: float, grid: GridSpec, bottom: BottomSample,
@@ -181,6 +195,11 @@ def rhs_operator(q: np.ndarray, t: float, grid: GridSpec, bottom: BottomSample,
     largest characteristic speed |u| + sqrt(g h) at every node of q, which
     the next call overwrites.
 
+    The physical flux and, unhalved, the flux through each element's two
+    faces are written into one operand (`StageBuffers.operand`), and one
+    matmul of the element operator [W | lift / 2] (`GridSpec.element_operator`)
+    writes the tendency from it; only the bottom source is added after.
+
     Interface fluxes are plain Rusanov fluxes, except at the interfaces
     nearest the positions `jumps` where the model declares that its bottom
     may jump (`BathymetryModel.jumps`).  Where the sampled bottom does jump
@@ -197,25 +216,20 @@ def rhs_operator(q: np.ndarray, t: float, grid: GridSpec, bottom: BottomSample,
     np.multiply(q[:, 0, 1:2], bcs.left.signs, out=q[:, :, 0])
     np.multiply(q[:, -1, -2:-1], bcs.right.signs, out=q[:, :, -1])
 
+    operand = buffers.operand
     u = np.divide(q[1], q[0], out=buffers.u)
-    f = _flux(q, u, buffers.f, buffers.scratch)
+    f = _flux(q, u, operand[:, :-2], buffers.scratch)
     speed = _speed(u, q[0], buffers.speed, scratch=u)
-    # interface i lies between padded elements i and i + 1; the bottom is
-    # continuous across the two domain ends
-    face = _rusanov(q[:, -1, :-1], q[:, 0, 1:], f[:, -1, :-1], f[:, 0, 1:],
-                    np.maximum(speed[-1, :-1], speed[0, 1:], out=buffers.face_speed),
-                    buffers.face, buffers.jump)
+    # interface i lies between padded elements i and i + 1, and its flux is
+    # the left face row of element i + 1 and the right face row of element
+    # i; the bottom is continuous across the two domain ends
+    _rusanov(q[:, -1, :-1], q[:, 0, 1:], f[:, -1, :-1], f[:, 0, 1:],
+             np.maximum(speed[-1, :-1], speed[0, 1:], out=buffers.face_speed),
+             operand[:, -2, 1:], buffers.jump)
+    operand[:, -1, 1:-1] = operand[:, -2, 2:]
+    _step_faces(q, operand, bottom.d, grid.interfaces_near(jumps))
 
-    # the flux through the left and the right face of each element
-    faces = buffers.faces
-    faces[:, 0] = face[:, :-1]
-    faces[:, 1] = face[:, 1:]
-    _step_faces(q, faces, bottom.d, grid.interfaces_near(jumps))
-
-    tend = np.matmul(grid.weak_div, f[:, :, 1:-1], out=out)
-    # the flux is read for the last time above, so its storage takes the
-    # lift product
-    tend += np.matmul(grid.lift, faces, out=f.reshape(-1)[:out.size].reshape(out.shape))
+    tend = np.matmul(grid.element_operator, operand[:, :, 1:-1], out=out)
     if "d_x" in bottom.active:
         source = np.multiply(h, GRAVITY, out=buffers.scratch[:, 1:-1])
         source *= bottom.d_x.T

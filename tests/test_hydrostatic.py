@@ -4,12 +4,14 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nhswe.bathymetry import (BathymetryModel, BottomSample, FlatBottom, GRAVITY,
-                              HammackPlate)
+                              HammackPlate, SlideMotion, WhittakerSlide)
 from nhswe.grid import FlowState, GridSpec, NodalField
 from nhswe.hydrostatic import (ABSORBING, WALL, BoundaryCondition, BoundaryPair,
-                               PositivityError, _flux, _rusanov, _speed, heun_step)
+                               PositivityError, StageBuffers, _flux, _rusanov, _speed,
+                               heun_step, rhs_operator)
 
 WALLS = BoundaryPair(WALL, WALL)
 
@@ -28,10 +30,11 @@ def total_mass(state):
 
 
 def interface_flux(qL, qR):
-    """The Rusanov flux rhs_operator computes between the traces qL and qR."""
+    """The Rusanov flux between the traces qL and qR, the half of what
+    rhs_operator's `_rusanov` writes into its operand."""
     uL, uR = qL[1] / qL[0], qR[1] / qR[0]
     speed = max(_speed(uL, qL[0]), _speed(uR, qR[0]))
-    return _rusanov(qL, qR, _flux(qL, uL), _flux(qR, uR), speed)
+    return 0.5 * _rusanov(qL, qR, _flux(qL, uL), _flux(qR, uR), speed)
 
 
 def test_physical_flux_hand_values():
@@ -132,6 +135,152 @@ def test_mass_conservation_with_walls():
     for _ in range(200):
         state = heun_step(state, 0.005, bathy, WALLS)
     assert abs(total_mass(state) - m0) / m0 < 1e-10
+
+
+def smooth_state(grid, bathy, t, eta, u, w):
+    """h = d + eta, hu = h u and hw = h w at the grid's nodes, from the
+    bottom at time t and the three functions of x."""
+    x = grid.nodes
+    h = bathy.sample(grid.sample_nodes, t).d + eta(x)
+    return FlowState(NodalField(grid, h), NodalField(grid, h * u(x)),
+                     NodalField(grid, h * w(x)), t)
+
+
+def unfused_tendency(state, bottom, jumps, bcs):
+    """The semi-discrete tendency, term by term: the volume term W f, the
+    lift of the Rusanov flux through each face, one interface at a time,
+    with hydrostatic reconstruction where the sampled bottom jumps at an
+    interface nearest a declared jump, and the bottom source g h d_x."""
+    grid = state.grid
+    n = grid.n_elements
+    # the grid's elements, with a ghost at each end whose every node holds
+    # the boundary trace reflected by the end's rule
+    inner = state.packed[:, :, 1:-1]
+    q = np.empty(state.packed.shape)
+    q[:, :, 1:-1] = inner
+    q[:, :, 0] = inner[:, 0, :1] * bcs.left.signs
+    q[:, :, -1] = inner[:, -1, -1:] * bcs.right.signs
+    f = _flux(q, q[1] / q[0])
+    # faces[:, i] is the flux through interface i, between padded elements
+    # i and i + 1; left[:, e] and right[:, e] those through element e's faces
+    faces = np.stack([interface_flux(q[:, -1, i], q[:, 0, i + 1]) for i in range(n + 1)],
+                     axis=1)
+    left, right = faces[:, :-1].copy(), faces[:, 1:].copy()
+    for k in grid.interfaces_near(jumps):
+        dL, dR = bottom.d[k - 1, -1], bottom.d[k, 0]
+        if dL == dR:
+            continue
+        qL, qR = q[:, -1, k], q[:, 0, k + 1]
+        hsL, hsR = qL[0] - (dL - min(dL, dR)), qR[0] - (dR - min(dL, dR))
+        flux = interface_flux(qL * hsL / qL[0], qR * hsR / qR[0])
+        right[:, k - 1] = flux + [0.0, 0.5 * GRAVITY * (qL[0] ** 2 - hsL ** 2), 0.0]
+        left[:, k] = flux + [0.0, 0.5 * GRAVITY * (qR[0] ** 2 - hsR ** 2), 0.0]
+    tend = (np.einsum("ij,cje->cie", grid.weak_div, f[:, :, 1:-1])
+            + grid.mass_inv[:, :1] * left[:, None, :]
+            - grid.mass_inv[:, -1:] * right[:, None, :])
+    tend[1] += GRAVITY * state.packed[0, :, 1:-1] * bottom.d_x.T
+    return tend
+
+
+SLIDE = WhittakerSlide(0.175, 0.026, 0.5, SlideMotion(1.5, 0.327, 0.218, 2.218, 2.436),
+                       x_start=5.0)
+# (model, grid, time, boundary conditions, surface amplitude, whether the
+# sampled bottom jumps at a declared interface)
+TENDENCY_CASES = {
+    "flat": (FlatBottom(1.0), (0.0, 10.0, 40), 0.0, WALLS, 0.05, False),
+    "slide": (SLIDE, (3.0, 9.0, 60), 1.0, BoundaryPair(ABSORBING, WALL), 0.01, False),
+    "staircase": (Staircase(), (0.0, 10.0, 50), 0.0, WALLS, 0.05, True),
+    "plate": (HammackPlate(0.05, 0.005, 0.6, 0.13), (0.0, 5.0, 200), 0.05,
+              BoundaryPair(WALL, ABSORBING), 0.002, True),
+}
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("case", sorted(TENDENCY_CASES))
+def test_the_fused_tendency_is_the_unfused_one(case, order):
+    # one matmul of [W | lift / 2] over the operand of nodal and unhalved
+    # face fluxes equals W f plus the lifted Rusanov and reconstructed face
+    # fluxes, summed apart, to round-off
+    bathy, (x0, x1, n), t, bcs, amp, jumps_apart = TENDENCY_CASES[case]
+    grid = GridSpec(x0, x1, n, order)
+    mid, width = 0.5 * (x0 + x1), 0.25 * (x1 - x0)
+    state = smooth_state(grid, bathy, t, lambda x: amp * np.exp(-((x - mid) / width) ** 2),
+                         lambda x: 0.2 * np.sin(x), lambda x: 0.05 * np.cos(2.0 * x))
+    bottom = bathy.sample(grid.sample_nodes, t)
+    d = bottom.d
+    apart = [k for k in grid.interfaces_near(bathy.jumps(t)) if d[k - 1, -1] != d[k, 0]]
+    assert bool(apart) == jumps_apart
+    assert ("d_x" in bottom.active) == (case == "slide")
+    expected = unfused_tendency(state, bottom, bathy.jumps(t), bcs)
+    out = np.empty_like(expected)
+    tend, _ = rhs_operator(state.packed, t, grid, bottom, bathy.jumps(t), bcs,
+                           StageBuffers(grid), out)
+    assert tend is out
+    assert np.abs(tend - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
+def smooth_modes(draw_coeffs):
+    """x -> sum of a_k cos(k pi x / 10 + b_k) over the drawn pairs (a_k, b_k)."""
+    return lambda x: sum(a * np.cos(k * np.pi * x / 10.0 + b)
+                         for k, (a, b) in enumerate(draw_coeffs, start=1))
+
+
+coeffs = st.lists(st.tuples(st.floats(-0.03, 0.03), st.floats(0.0, 6.3)),
+                  min_size=1, max_size=4)
+
+
+@settings(max_examples=30, deadline=None)
+@given(order=st.sampled_from([1, 2, 3]), eta=coeffs, u=coeffs, w=coeffs,
+       stairs=st.booleans())
+def test_a_step_between_walls_conserves_mass(order, eta, u, w, stairs):
+    # each interface's flux enters both its neighbours, the left face row
+    # of one and the right face row of the other, and a wall passes no
+    # mass: a step keeps the total mass to round-off, over bottom jumps too
+    grid = GridSpec(0.0, 10.0, 30, order)
+    bathy = Staircase() if stairs else FlatBottom(1.0)
+    state = smooth_state(grid, bathy, 0.0, smooth_modes(eta), smooth_modes(u),
+                         smooth_modes(w))
+    m0 = total_mass(state)
+    after = heun_step(state, 0.005, bathy, WALLS)
+    assert abs(total_mass(after) - m0) <= 1e-13 * m0
+
+
+# Python-level calls (cProfile's total_calls) of one predictor step of a
+# run, on the run's stage buffers and with the step's two bottom samples
+# handed in, counted as the corrector's CORRECTION_CALLS are.  The bounds
+# are the counts measured when one matmul of the element operator became
+# the whole tendency; the hammack plate adds its one reconstructed
+# interface per stage
+PREDICTOR_CALLS = {"solitary": 64, "whittaker": 64, "hammack_up": 88}
+
+
+@pytest.mark.parametrize("name", sorted(PREDICTOR_CALLS))
+def test_a_predictor_step_makes_a_bounded_number_of_calls(name):
+    import cProfile
+    import gc
+    import pstats
+    from nhswe.adaptivity import Stepper, adaptive_step
+    from nhswe.scenarios import build_scenario
+    spec, state = build_scenario(name)
+    stepper = Stepper(spec.grid, "hydrostatic")
+    # a few steps in, the plate has moved and its edge is a bottom jump
+    for _ in range(10):
+        state = adaptive_step(state, spec.dt, spec.bathymetry, spec.bcs,
+                              mode="hydrostatic", stepper=stepper).state
+    bottoms = tuple(spec.bathymetry.sample(spec.grid.sample_nodes, t)
+                    for t in (state.time, state.time + spec.dt))
+    args = (state, spec.dt, spec.bathymetry, spec.bcs, bottoms, stepper.stages)
+    # a warm-up step first; no collection runs during the counted one,
+    # whose finalizers of other tests' objects would count
+    heun_step(*args)
+    profile = cProfile.Profile()
+    gc.collect()
+    gc.disable()
+    try:
+        profile.runcall(heun_step, *args)
+    finally:
+        gc.enable()
+    assert pstats.Stats(profile).total_calls <= PREDICTOR_CALLS[name]
 
 
 # the step is far above the CFL limit on purpose
