@@ -11,12 +11,12 @@ element interfaces nearest those positions, so a model whose bottom can jump
 must list every such position; a smooth model declares none.
 
 Each model evaluates its formula only on its own moving points, in whatever
-order the points come, and gives every other point its still depth `h0` and
-zero channels.  It also names the sample's active channels from the values it
-computed, so no scan of the whole sample runs: the sliding bump from its
-points on the bump, the plate from its rates, the flat bottom none.  Every
-array a model returns is read-only, so a sample can be handed on and shared
-without a reader changing it under another.
+order the points come, and builds its sample one way, `_still_bottom_with`:
+one read-only block of the six channels, every other point having depth
+`h0` and zero channels.  Where no point moves, as on the flat bottom always,
+the block is a broadcast view of that still column and allocates nothing of
+its size.  Its active channels are named from the moving values, so no scan
+of the whole sample runs; being read-only, it can be handed on and shared.
 """
 
 from __future__ import annotations
@@ -34,15 +34,16 @@ CHANNELS = ("d", "d_x", "d_t", "d_tt", "d_xt", "d_xx")
 
 @dataclass(frozen=True)
 class BottomSample:
-    """All bathymetry channels at a set of points for one instant."""
+    """All bathymetry channels at a set of points for one instant: one
+    read-only block of shape (6, *points) in CHANNELS order, whose rows the
+    attributes `d` ... `d_xx` view, set once when the sample is built."""
 
-    d: np.ndarray
-    d_x: np.ndarray
-    d_t: np.ndarray
-    d_tt: np.ndarray
-    d_xt: np.ndarray
-    d_xx: np.ndarray
+    channels: np.ndarray
     active: frozenset[str]      # the derivative channels nonzero somewhere
+
+    def __post_init__(self):
+        channels = self.channels
+        vars(self).update({name: channels[k, ...] for k, name in enumerate(CHANNELS)})
 
 
 class BathymetryModel:
@@ -63,18 +64,23 @@ class BathymetryModel:
         """All channels at the points x at time t, in any order."""
         return self._sample(np.asarray(x, dtype=float), t)
 
-    def _still_bottom_with(self, shape: tuple, where: np.ndarray,
-                           values) -> BottomSample:
-        """A sample of the given shape that is the still bottom, depth h0 and
-        zero channels, except at the flat indices `where`, which take the six
-        channel values; its active channels are those nonzero among them."""
-        moving = np.array(values)
-        channels = np.zeros((len(CHANNELS),) + shape)
-        channels[0] = self.h0
+    def _still_bottom_with(self, shape: tuple, where, values) -> BottomSample:
+        """A sample of points of the given shape: the still bottom, depth h0
+        and zero derivative channels, except at the flat indices `where`,
+        which take the six channel values, six arrays over those points or
+        six numbers for all of them; its active channels are those nonzero
+        among the values.  With no point in `where` it is a read-only view
+        of the still column and allocates nothing of its size."""
+        still = np.array((self.h0, 0.0, 0.0, 0.0, 0.0, 0.0)).reshape((-1,) + (1,) * len(shape))
+        if not len(where):
+            return BottomSample(np.broadcast_to(still, (len(CHANNELS),) + shape), frozenset())
+        moving = np.array(values).reshape(len(CHANNELS), -1)
+        channels = np.empty((len(CHANNELS),) + shape)
+        channels[...] = still
         channels.reshape(len(CHANNELS), -1)[:, where] = moving
         channels.setflags(write=False)
-        return BottomSample(*channels, frozenset(compress(CHANNELS[1:],
-                                                          moving[1:].any(axis=1))))
+        return BottomSample(channels, frozenset(compress(CHANNELS[1:],
+                                                         moving[1:].any(axis=1))))
 
     def _sample(self, x: np.ndarray, t: float) -> BottomSample:
         raise NotImplementedError
@@ -98,10 +104,7 @@ class FlatBottom(BathymetryModel):
             raise ValueError("still depth h0 must be positive")
 
     def _sample(self, x: np.ndarray, t: float) -> BottomSample:
-        d, zero = np.full_like(x, self.h0), np.zeros_like(x)
-        d.setflags(write=False)
-        zero.setflags(write=False)
-        return BottomSample(d, zero, zero, zero, zero, zero, frozenset())
+        return self._still_bottom_with(x.shape, (), ())
 
 
 @dataclass(frozen=True)
@@ -132,20 +135,13 @@ class HammackPlate(BathymetryModel):
         return (-self.b, self.b) if t > 0.0 else ()
 
     def _sample(self, x: np.ndarray, t: float) -> BottomSample:
-        inside = np.abs(x) < self.b
         a = self.alpha
         decay = np.exp(-a * max(t, 0.0))
-        rate, accel = -self.zeta0 * a * decay, self.zeta0 * a * a * decay
-        zero = np.zeros_like(x)
-        d = np.where(inside, self.h0 - self.zeta0 * (1.0 - decay), self.h0)
-        d_t = np.where(inside, rate, 0.0)
-        d_tt = np.where(inside, accel, 0.0)
-        for a in (zero, d, d_t, d_tt):
-            a.setflags(write=False)
-        # the plate top is flat: no spatial variation on it, and its rates
-        # reach the sample only where it lies
-        active = compress(("d_t", "d_tt"), (rate, accel)) if inside.any() else ()
-        return BottomSample(d, zero, d_t, d_tt, zero, zero, frozenset(active))
+        # the plate top is flat and moves as one: no spatial variation on it
+        values = (self.h0 - self.zeta0 * (1.0 - decay), 0.0, -self.zeta0 * a * decay,
+                  self.zeta0 * a * a * decay, 0.0, 0.0)
+        inside = (np.abs(x) < self.b).ravel().nonzero()[0]
+        return self._still_bottom_with(x.shape, inside, values)
 
 
 @dataclass(frozen=True)
@@ -196,7 +192,7 @@ class WhittakerSlide(BathymetryModel):
         s, sp, spp = self.motion.position(t)
         center = self.x_start + s
         xi = 2.0 * (x.reshape(-1) - center) / self.Ls
-        on = np.flatnonzero(np.abs(xi) < 1.0)
+        on = (np.abs(xi) < 1.0).nonzero()[0]
         xi = xi[on]
         xi2, xi3 = xi ** 2, xi ** 3
         c = 2.0 / self.Ls

@@ -53,7 +53,7 @@ from operator import sub
 import numpy as np
 from scipy.linalg import get_lapack_funcs
 
-from .bathymetry import GRAVITY, RHO_WATER, BottomSample
+from .bathymetry import CHANNELS, GRAVITY, RHO_WATER, BottomSample
 from .grid import (FlowState, GridSpec, NodalField, carve, carved_size,
                    derivative_values)
 from .hydrostatic import BoundaryPair
@@ -142,7 +142,7 @@ class EllipticCoefficients:
         stack = np.stack([a.T for a in (t / c, self.s11 * t, c * self.s11 * self.s11 * t,
                                         c * self.rho * self.s22, np.ones_like(t), g,
                                         c * (self.f2 + self.s11 * g))])
-        d_x = _active_rows(bottom, "d_x", mask)
+        d_x = _active_rows(bottom, mask)[1]
         vars(self).update(ranges=ranges, mask=mask, stack=stack,
                           d_x=None if d_x is None else d_x.T,
                           quad=None if d_x is None else (4.0 + d_x * d_x).T)
@@ -181,28 +181,31 @@ class PressureSolution:
         return NodalField._wrap(grid, p_full)
 
 
-def _active_rows(bottom: BottomSample, channel: str, mask: NonHydroMask) -> np.ndarray | None:
-    """The mask's rows of one bottom channel node by node, (nodes, rows),
-    or None where the channel vanishes there."""
-    if channel not in bottom.active:
-        return None
-    part = mask.gather(getattr(bottom, channel)).T
-    return part if np.count_nonzero(part) else None
+_STILL_ROWS = (None,) * len(CHANNELS)
+
+
+def _active_rows(bottom: BottomSample, mask: NonHydroMask) -> tuple[np.ndarray | None, ...]:
+    """The mask's rows of the bottom channels node by node, (nodes, rows), in
+    CHANNELS order, from one gather of the sample's block.  A derivative
+    channel is None where it vanishes on the rows.  A sample with no active
+    channel is not gathered: every row is None then, the depth's too."""
+    if not bottom.active:
+        return _STILL_ROWS
+    rows = mask.gather(bottom.channels, axis=1).transpose(0, 2, 1)
+    nonzero = rows[1:].any(axis=(1, 2)).tolist()
+    return (rows[0], *[rows[k] if on else None for k, on in enumerate(nonzero, 1)])
 
 
 def _phi_values(grid: GridSpec, h: np.ndarray, hu: np.ndarray,
-                bottom: BottomSample, mask: NonHydroMask, rho: float,
-                d_x: np.ndarray | None) -> np.ndarray | None:
+                rows: tuple[np.ndarray | None, ...], rho: float) -> np.ndarray | None:
     """Moving-bottom forcing on the mask's rows, or None where it vanishes.
 
-    Arrays are node by node, (nodes, rows); `d_x` is the slope on the rows
-    (None on a flat stretch).  Only the bottom channels that are active on
+    Arrays are node by node, (nodes, rows); `rows` are the bottom's rows as
+    _active_rows gives them.  Only the bottom channels that are active on
     the rows enter the sum.
     """
-    d_tt = _active_rows(bottom, "d_tt", mask)
+    d, d_x, _, d_tt, d_xt, d_xx = rows
     inner = -d_tt if d_tt is not None else None
-    d_xt = _active_rows(bottom, "d_xt", mask)
-    d_xx = _active_rows(bottom, "d_xx", mask)
     if d_xt is not None or d_xx is not None:
         zero = np.zeros_like(h)
         d_xt = zero if d_xt is None else d_xt
@@ -211,7 +214,7 @@ def _phi_values(grid: GridSpec, h: np.ndarray, hu: np.ndarray,
         drag = -2.0 * u * d_xt - u * u * d_xx
         inner = drag if inner is None else inner + drag
     if d_x is not None:
-        eta_x = derivative_values(grid, (h - mask.gather(bottom.d).T).T).T
+        eta_x = derivative_values(grid, (h - d).T).T
         slope = (GRAVITY * d_x) * eta_x
         inner = slope if inner is None else inner + slope
         return (rho * h / (4.0 + d_x * d_x)) * inner
@@ -253,8 +256,9 @@ def assemble_coefficients(predictor: FlowState, bottom: BottomSample, dt: float,
     stack = workspace.stack(h.shape[1])
     c_h, c_s11, term, h_x = workspace.temporaries(h.shape[1])
     h_x = derivative_values(grid, h.T, out=h_x.reshape(h.T.shape)).T
-    d_x = _active_rows(bottom, "d_x", mask)
-    phi = _phi_values(grid, h, hu, bottom, mask, rho, d_x)
+    rows = _active_rows(bottom, mask)
+    d_x, d_t = rows[1], rows[2]
+    phi = _phi_values(grid, h, hu, rows, rho)
     c = 0.5 * grid.dx
     np.divide(c, h, out=c_h)
     t, a, g, r = stack[_T], stack[_A], stack[_G], stack[_R]
@@ -279,7 +283,6 @@ def assemble_coefficients(predictor: FlowState, bottom: BottomSample, dt: float,
             np.multiply(phi, 2.0 * dt / rho, out=term)
             term *= c_h
             r -= term
-    d_t = _active_rows(bottom, "d_t", mask)
     if d_t is not None:
         r -= np.multiply(d_t, 2.0 * c, out=term)
     if t.min() <= 0.0:

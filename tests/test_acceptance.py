@@ -7,6 +7,7 @@ ratio gates are separate tests so each reports its own pass/fail line.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.signal import find_peaks
 
 from nhswe.adaptivity import CRITERION_KINDS, Criterion, adaptive_step
@@ -17,7 +18,7 @@ from nhswe.driver import simulate
 from nhswe.grid import FlowState, GridSpec, NodalField
 from nhswe.hydrostatic import WALL, BoundaryPair
 from nhswe.metrics import SeriesPair, pearson, rmse
-from nhswe.scenarios import (build_hammack, build_solitary, build_whittaker,
+from nhswe.scenarios import (build_hammack, build_scenario, build_solitary, build_whittaker,
                              solitary_exact, still_water_state)
 
 ETA_CRIT = Criterion("eta_over_d", 0.001)
@@ -220,6 +221,33 @@ def test_criterion_08_full_mask_matches_global():
         for fa, fg in ((state_a.h, state_g.h), (state_a.hu, state_g.hu),
                        (state_a.hw, state_g.hw)):
             assert np.abs(fa.values - fg.values).max() <= 1e-12
+
+
+@pytest.mark.parametrize("poly_order", [1, 2])
+@pytest.mark.parametrize("name", ["solitary", "hammack_up", "whittaker"])
+@settings(max_examples=8, deadline=None)
+@given(amplitude=st.floats(1e-4, 1e-2), waves=st.floats(0.5, 6.0),
+       phase=st.floats(0.0, 2.0 * np.pi))
+def test_criterion_08_a_full_mask_is_bitwise_global_over_every_bottom(name, poly_order,
+                                                                      amplitude, waves, phase):
+    # the flat bottom, the plate and the bump, the last two carrying their
+    # moving-bottom channels from the first step; a smooth positive surface
+    # offset makes the threshold flag every element
+    spec, init = build_scenario(name, poly_order=poly_order)
+    grid, h0 = spec.grid, spec.bathymetry.h0
+    # Heun's advisory CFL limit is 1 / (2p + 1): degree 2 takes 3/5 of the step
+    dt = spec.dt * 3.0 / (2 * poly_order + 1)
+    arc = 2.0 * np.pi * waves * (grid.nodes - grid.x_left) / (grid.x_right - grid.x_left)
+    offset = amplitude * h0 * (1.5 + np.sin(arc + phase))
+    state = FlowState(NodalField(grid, init.h.values + offset), init.hu, init.hw, init.time)
+    ra = adaptive_step(state, dt, spec.bathymetry, spec.bcs, mode="adaptive",
+                       crit=Criterion("eta_over_d", 1e-12))
+    rg = adaptive_step(state, dt, spec.bathymetry, spec.bcs, mode="global")
+    assert ra.mask.fraction == 1.0
+    for field in ("h", "hu", "hw"):
+        a, g = getattr(ra.state, field).values, getattr(rg.state, field).values
+        assert a.tobytes() == g.tobytes(), field
+    assert ra.p_nh.values.tobytes() == rg.p_nh.values.tobytes()
 
 
 def test_criterion_08_density_invariance():

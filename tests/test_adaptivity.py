@@ -74,24 +74,12 @@ MASK_CALLS = {1: 11, 6: 12}
 
 
 @pytest.mark.parametrize("count", sorted(MASK_CALLS))
-def test_building_a_mask_makes_a_bounded_number_of_calls(count):
-    import cProfile
-    import gc
-    import pstats
+def test_building_a_mask_makes_a_bounded_number_of_calls(count, total_calls):
     flags = np.zeros(1000, dtype=bool)
     for k in range(count):
         flags[100 + 150 * k:120 + 150 * k + k] = True
     assert len(ranges_of(flags)) == count
-    # no collection runs while counting, whose finalizers of other tests'
-    # objects would count
-    profile = cProfile.Profile()
-    gc.collect()
-    gc.disable()
-    try:
-        profile.runcall(NonHydroMask.from_flags, flags)
-    finally:
-        gc.enable()
-    assert pstats.Stats(profile).total_calls <= MASK_CALLS[count]
+    assert total_calls(NonHydroMask.from_flags, flags) <= MASK_CALLS[count]
 
 
 def test_enlarge_flags():

@@ -1,5 +1,6 @@
 """Bathymetry models checked against finite-difference oracles."""
 
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -221,8 +222,8 @@ def test_hammack_plate_declares_its_edge_once_it_moves():
 
 @pytest.mark.parametrize("name", ["solitary", "hammack_up", "whittaker"])
 def test_no_channel_of_a_sample_can_be_written(name):
-    # channels share arrays (the flat bottom's five zeros, the plate's
-    # three), and a sample is handed on from step to step
+    # a still sample views one column for all its points, and a sample is
+    # handed on from step to step
     spec, _ = build_scenario(name)
     model, nodes = spec.bathymetry, spec.grid.sample_nodes
     for t in (0.0, spec.dt, 0.5 * spec.t_end):
@@ -277,8 +278,8 @@ class Undeclared(WhittakerSlide):
 
     def _sample(self, x, t):
         full = super()._sample(x, t)
-        return self._still_bottom_with(
-            x.shape, np.arange(x.size), [getattr(full, ch).reshape(-1) for ch in CHANNELS])
+        return self._still_bottom_with(x.shape, np.arange(x.size),
+                                       full.channels.reshape(len(CHANNELS), -1))
 
 
 @pytest.mark.parametrize("kind", [WhittakerSlide, Undeclared])
@@ -294,25 +295,85 @@ def test_a_support_wider_than_the_domain_samples_everything(kind):
         assert_same_sample(sample, windowed(bump, nodes, t, nodes.size))
 
 
+def points_around(model, t):
+    """13 sorted points across the model's moving bottom at time t."""
+    return bump_center(model, t) + np.linspace(-1.0, 1.0, 13)
+
+
+# the layouts of the 13 points as (index, shape): a point on the bump ahead
+# of sorted points off it, strided views and a shuffle, in one and two
+# dimensions, then each point as a 0-d array
+LAYOUTS = [(order, shape)
+           for order in (np.r_[6, 0:6, 7:13], slice(None, None, -1), slice(None, None, 2),
+                         np.random.default_rng(0).permutation(13))
+           for shape in ((-1,), (-1, 1))] + [(k, ()) for k in range(13)]
+
+
 @pytest.mark.parametrize("name", ["solitary", "hammack_up", "whittaker"])
 def test_any_points_give_the_full_evaluation(name):
     spec, _ = build_scenario(name)
     model, t = spec.bathymetry, 0.5
-    center = bump_center(model, t)
-    x = center + np.linspace(-1.0, 1.0, 13)
+    x = points_around(model, t)
     full = model.sample(x, t)
     assert_same_sample(full, windowed(model, x, t))
-    # a point on the bump ahead of sorted points off it, strided views and a
-    # shuffle, in one and two dimensions, then each point as a 0-d array
-    orders = (np.r_[6, 0:6, 7:13], slice(None, None, -1), slice(None, None, 2),
-              np.random.default_rng(0).permutation(13))
-    for order in orders:
-        for shape in ((-1,), (-1, 1)):
-            permuted = {ch: getattr(full, ch)[order].reshape(shape) for ch in CHANNELS}
-            assert_same_sample(model.sample(x[order].reshape(shape), t), permuted)
-    for k in range(13):
-        point = {ch: getattr(full, ch)[k].reshape(()) for ch in CHANNELS}
-        assert_same_sample(model.sample(np.array(x[k]), t), point)
+    for index, shape in LAYOUTS:
+        laid_out = {ch: getattr(full, ch)[index].reshape(shape) for ch in CHANNELS}
+        assert_same_sample(model.sample(x[index].reshape(shape), t), laid_out)
+
+
+@pytest.mark.parametrize("name", ["solitary", "hammack_up", "whittaker"])
+def test_a_sample_is_one_read_only_block(name):
+    # every model builds its sample one way: the named channels are the
+    # rows of one block, on the moving bottom and off it
+    spec, _ = build_scenario(name)
+    model, t = spec.bathymetry, 0.5
+    x = points_around(model, t)
+    for points in [x, x + 100.0] + [x[index].reshape(shape) for index, shape in LAYOUTS]:
+        sample = model.sample(points, t)
+        block = sample.channels
+        assert block.shape == (len(CHANNELS), *np.shape(points))
+        assert not block.flags.writeable
+        for k, channel in enumerate(CHANNELS):
+            row, own = getattr(sample, channel), block[k, ...]
+            assert row.shape == own.shape and row.strides == own.strides, channel
+            assert np.shares_memory(row, own) and row.tobytes() == own.tobytes(), channel
+
+
+@pytest.mark.parametrize("model", [
+    FlatBottom(10.0),
+    WhittakerSlide(0.175, 0.026, 0.5, SlideMotion(1.5, 0.327, 0.218, 2.218, 2.436), x_start=-5.0),
+], ids=["flat", "bump"])
+def test_a_still_bottom_allocates_nothing_of_its_size(model):
+    # where no point moves, here 20,000 elements of degree 1 left of the
+    # bump, a sample views the still column; the bump still finds its points
+    # among them, which takes temporaries of their size
+    nodes = GridSpec(0.0, 800.0, 20000, 1).sample_nodes
+    model.sample(nodes, 0.5)
+    tracemalloc.start()
+    try:
+        sample = model.sample(nodes, 0.5)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sample.active == frozenset() and np.all(sample.d == model.h0)
+    assert held < 4096
+    if isinstance(model, FlatBottom):
+        assert peak < 4096
+
+
+# Python-level calls of one warmed sample of each scenario's model on its
+# grid, counted as the corrections' calls are in tests/test_corrector.py;
+# the bounds are the counts when every model built its sample through
+# _still_bottom_with
+SAMPLE_CALLS = {"solitary": 28, "hammack_up": 29, "whittaker": 28}
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLE_CALLS))
+def test_a_sample_makes_a_bounded_number_of_calls(name, total_calls):
+    spec, _ = build_scenario(name)
+    model, nodes = spec.bathymetry, spec.grid.sample_nodes
+    model.sample(nodes, spec.dt)
+    assert total_calls(model.sample, nodes, spec.dt) <= SAMPLE_CALLS[name]
 
 
 @given(t=st.floats(0.0, 4.0), offset=st.integers(1, 40), side=st.sampled_from([-1, 1]))

@@ -659,9 +659,9 @@ def test_a_correction_refuses_an_empty_mask():
 # by a mask as a step plans them.  A count is deterministic where wall-time
 # ratios drift by several percent between runs, so it guards the fixed cost
 # of a correction, which dominates on small masks.  The bounds are the
-# counts measured when the solution's recovery and the momentum update went
-# node by node
-CORRECTION_CALLS = {"solitary": (80, 81), "whittaker": (110, 116), "hammack_up": (92, 95)}
+# counts measured when a correction first took the bottom's rows in one
+# gather of the sample's block
+CORRECTION_CALLS = {"solitary": (76, 77), "whittaker": (84, 86), "hammack_up": (84, 86)}
 
 
 @pytest.fixture(scope="module")
@@ -684,10 +684,7 @@ def mid_run():
 
 
 @pytest.mark.parametrize("name", sorted(CORRECTION_CALLS))
-def test_a_small_correction_makes_a_bounded_number_of_calls(mid_run, name):
-    import cProfile
-    import gc
-    import pstats
+def test_a_small_correction_makes_a_bounded_number_of_calls(mid_run, name, total_calls):
     spec, stepper, predictor, bottom = mid_run[name]
     n = spec.grid.n_elements
     for ranges, bound in zip(([(n // 2, n // 2)], [(10, 20), (50, 60), (100, 120)]),
@@ -696,18 +693,9 @@ def test_a_small_correction_makes_a_bounded_number_of_calls(mid_run, name):
         for e0, e1 in ranges:
             flags[e0:e1 + 1] = True
         args = (predictor, bottom, spec.dt, NonHydroMask.from_flags(flags), spec.bcs)
-        # the first call fills the caches of the reference-element tensors;
-        # no collection runs during the second, whose finalizers of other
-        # tests' objects would count
+        # the first call fills the caches of the reference-element tensors
         apply_correction(*args, workspace=stepper.banded)
-        profile = cProfile.Profile()
-        gc.collect()
-        gc.disable()
-        try:
-            profile.runcall(apply_correction, *args, workspace=stepper.banded)
-        finally:
-            gc.enable()
-        assert pstats.Stats(profile).total_calls <= bound, ranges
+        assert total_calls(apply_correction, *args, workspace=stepper.banded) <= bound, ranges
 
 
 GLOBAL_STEP_FAULTS = """

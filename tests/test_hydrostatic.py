@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nhswe.bathymetry import (BathymetryModel, BottomSample, FlatBottom, GRAVITY,
+from nhswe.bathymetry import (BathymetryModel, FlatBottom, GRAVITY,
                               HammackPlate, SlideMotion, WhittakerSlide)
 from nhswe.grid import FlowState, GridSpec, NodalField
 from nhswe.hydrostatic import (ABSORBING, WALL, BoundaryCondition, BoundaryPair,
@@ -90,10 +90,13 @@ def test_lake_at_rest_over_bottom_jump():
 class Staircase(BathymetryModel):
     """Still depth stepping up and down at x = 2, 4, 6, 8."""
 
+    h0 = 0.8    # the depth past the last step
+
     def _sample(self, x, t):
-        d = np.select([x < 2.0, x < 4.0, x < 6.0, x < 8.0], [1.0, 0.6, 0.9, 0.5], 0.8)
-        zero = np.zeros_like(x)
-        return BottomSample(d, zero, zero, zero, zero, zero, frozenset())
+        d = np.select([x < 2.0, x < 4.0, x < 6.0, x < 8.0], [1.0, 0.6, 0.9, 0.5], self.h0)
+        zero = np.zeros(x.size)
+        return self._still_bottom_with(x.shape, np.arange(x.size),
+                                       (d.reshape(-1), zero, zero, zero, zero, zero))
 
     def jumps(self, t):
         return (2.0, 4.0, 6.0, 8.0)
