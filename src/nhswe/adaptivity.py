@@ -150,6 +150,15 @@ class StepResult:
         """The step's pressure on the whole grid; None when nothing was corrected."""
         return None if self.solution is None else self.solution.p_nh
 
+    @classmethod
+    def _of(cls, state: FlowState, mask: NonHydroMask, solution: PressureSolution | None,
+            bottom: BottomSample) -> StepResult:
+        """The result of a step; one is made every step, so it skips the
+        frozen __init__, as `corrector.NonHydroMask._of` does."""
+        result = object.__new__(cls)
+        result.__dict__.update(state=state, mask=mask, solution=solution, bottom=bottom)
+        return result
+
 
 def adaptive_step(state: FlowState, dt: float, bathy: BathymetryModel,
                   bcs: BoundaryPair, mode: str = "adaptive",
@@ -182,7 +191,7 @@ def adaptive_step(state: FlowState, dt: float, bathy: BathymetryModel,
                           buffers=stepper.stages)
 
     if mode == "hydrostatic":
-        return StepResult(predictor, stepper.flag_none, None, new_bottom)
+        return StepResult._of(predictor, stepper.flag_none, None, new_bottom)
 
     if mode == "global" or (crit.kind in ("w", "w_x") and not np.any(state.hw.values)):
         mask = stepper.flag_all
@@ -190,8 +199,8 @@ def adaptive_step(state: FlowState, dt: float, bathy: BathymetryModel,
         mask = evaluate_criterion(predictor, new_bottom, crit, stepper.criterion_buffers)
 
     if mask.empty:
-        return StepResult(predictor, mask, None, new_bottom)
+        return StepResult._of(predictor, mask, None, new_bottom)
 
     corrected, sol = apply_correction(predictor, new_bottom, dt, mask, bcs,
                                       workspace=stepper.banded)
-    return StepResult(corrected, mask, sol, new_bottom)
+    return StepResult._of(corrected, mask, sol, new_bottom)

@@ -14,14 +14,17 @@ Each model evaluates its formula only on its own moving points, in whatever
 order the points come, and builds its sample one way, `_still_bottom_with`:
 one read-only block of the six channels, every other point having depth
 `h0` and zero channels.  Where no point moves, as on the flat bottom always,
-the block is a broadcast view of that still column and allocates nothing of
-its size.  Its active channels are named from the moving values, so no scan
-of the whole sample runs; being read-only, it can be handed on and shared.
+the block is one strided view of the model's read-only still column, built
+once per model, and allocates nothing of its size.  Its active channels are
+named from the moving values, so no scan of the whole sample runs; being
+read-only, it can be handed on and shared.  A sample is built every step, so
+its record skips the frozen `__init__` (`BottomSample._of`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import compress
 
 import numpy as np
@@ -42,8 +45,21 @@ class BottomSample:
     active: frozenset[str]      # the derivative channels nonzero somewhere
 
     def __post_init__(self):
-        channels = self.channels
-        vars(self).update({name: channels[k, ...] for k, name in enumerate(CHANNELS)})
+        vars(self).update(vars(self._of(self.channels, self.active)))
+
+    @classmethod
+    def _of(cls, channels: np.ndarray, active: frozenset[str]) -> BottomSample:
+        """The sample of the block `channels`, every field filled at once.
+        A sample is made every step: skip the frozen __init__, as
+        `corrector.NonHydroMask._of` does.  Each row is `channels[k, ...]`,
+        an array even where the points are 0-d."""
+        sample = object.__new__(cls)
+        # the rows in CHANNELS order
+        sample.__dict__.update(channels=channels, active=active, d=channels[0, ...],
+                               d_x=channels[1, ...], d_t=channels[2, ...],
+                               d_tt=channels[3, ...], d_xt=channels[4, ...],
+                               d_xx=channels[5, ...])
+        return sample
 
 
 class BathymetryModel:
@@ -64,23 +80,33 @@ class BathymetryModel:
         """All channels at the points x at time t, in any order."""
         return self._sample(np.asarray(x, dtype=float), t)
 
+    @cached_property
+    def _still(self) -> np.ndarray:
+        """The still column (h0, 0, 0, 0, 0, 0), read-only, built once."""
+        still = np.array((self.h0, 0.0, 0.0, 0.0, 0.0, 0.0))
+        still.setflags(write=False)
+        return still
+
     def _still_bottom_with(self, shape: tuple, where, values) -> BottomSample:
         """A sample of points of the given shape: the still bottom, depth h0
         and zero derivative channels, except at the flat indices `where`,
-        which take the six channel values, six arrays over those points or
-        six numbers for all of them; its active channels are those nonzero
-        among the values.  With no point in `where` it is a read-only view
-        of the still column and allocates nothing of its size."""
-        still = np.array((self.h0, 0.0, 0.0, 0.0, 0.0, 0.0)).reshape((-1,) + (1,) * len(shape))
+        which take the six channel values, a (6, points) block, six arrays
+        over those points or six numbers for all of them; its active
+        channels are those nonzero among the values.  With no point in
+        `where` it is a read-only view of the still column and allocates
+        nothing of its size."""
+        still = self._still
+        # every point views the one column: the points' strides are 0
+        view = np.ndarray((len(CHANNELS),) + shape, buffer=still,
+                          strides=(still.itemsize,) + (0,) * len(shape))
         if not len(where):
-            return BottomSample(np.broadcast_to(still, (len(CHANNELS),) + shape), frozenset())
-        moving = np.array(values).reshape(len(CHANNELS), -1)
-        channels = np.empty((len(CHANNELS),) + shape)
-        channels[...] = still
+            return BottomSample._of(view, frozenset())
+        moving = np.asarray(values).reshape(len(CHANNELS), -1)
+        channels = view.copy()
         channels.reshape(len(CHANNELS), -1)[:, where] = moving
         channels.setflags(write=False)
-        return BottomSample(channels, frozenset(compress(CHANNELS[1:],
-                                                         moving[1:].any(axis=1))))
+        active = np.logical_or.reduce(moving[1:], axis=1)
+        return BottomSample._of(channels, frozenset(compress(CHANNELS[1:], active)))
 
     def _sample(self, x: np.ndarray, t: float) -> BottomSample:
         raise NotImplementedError
@@ -190,28 +216,43 @@ class WhittakerSlide(BathymetryModel):
 
     def _sample(self, x: np.ndarray, t: float) -> BottomSample:
         s, sp, spp = self.motion.position(t)
-        center = self.x_start + s
-        xi = 2.0 * (x.reshape(-1) - center) / self.Ls
+        xi = x.reshape(-1) - (self.x_start + s)
+        xi *= 2.0
+        xi /= self.Ls
         on = (np.abs(xi) < 1.0).nonzero()[0]
         xi = xi[on]
-        xi2, xi3 = xi ** 2, xi ** 3
         c = 2.0 / self.Ls
-        # exact derivatives of h0 - Hs(1 - xi^4) with xi = c (x - x_start - S(t))
-        a3 = self.Hs * 4.0 * xi3          # d_x / c and d_t / (-c S')
-        a2 = self.Hs * 12.0 * xi2 * c     # d_xx / c and d_xt / (-c S')
-        d_tt = 12.0 * xi2 * (c * sp) ** 2
+        v = -c * sp
+        # exact derivatives of h0 - Hs(1 - xi^4) with xi = c (x - x_start - S(t)),
+        # written into one block, whose rows hold the temporaries until their
+        # channel is due: with a3 = 4 Hs xi^3 and a2 = 12 Hs xi^2 c, d_x and
+        # d_t are a3 c and a3 v, d_xx and d_xt are a2 c and a2 v
+        values = np.empty((len(CHANNELS), len(on)))
+        d, d_x, d_t, d_tt, d_xt, d_xx = values
+        # numpy's xi ** 4 and xi ** 3, not repeated products, which round otherwise
+        np.power(xi, 4.0, out=d)
+        np.power(xi, 3.0, out=d_x)
+        xi2 = np.multiply(xi, xi, out=xi)
+        np.multiply(xi2, 12.0, out=d_tt)
+        d_tt *= (c * sp) ** 2
         if spp != 0.0:
             # while the slide coasts this term is a signed zero, which
             # leaves d_tt unchanged: d_tt >= +0 before it is taken off
-            d_tt = d_tt - 4.0 * xi3 * c * spp
-        values = (
-            self.h0 - self.Hs * (1.0 - xi ** 4),
-            a3 * c,
-            a3 * (-c * sp),
-            self.Hs * d_tt,
-            a2 * (-c * sp),
-            a2 * c,
-        )
+            brake = np.multiply(d_x, 4.0, out=d_t)
+            brake *= c
+            brake *= spp
+            d_tt -= brake
+        d_tt *= self.Hs
+        d_x *= self.Hs * 4.0
+        np.multiply(d_x, v, out=d_t)
+        d_x *= c
+        np.multiply(xi2, self.Hs * 12.0, out=d_xx)
+        d_xx *= c
+        np.multiply(d_xx, v, out=d_xt)
+        d_xx *= c
+        np.subtract(1.0, d, out=d)
+        d *= self.Hs
+        np.subtract(self.h0, d, out=d)
         return self._still_bottom_with(x.shape, on, values)
 
 

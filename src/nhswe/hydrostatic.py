@@ -8,11 +8,13 @@ triple packed into one node-by-node array, so each stage computes traces,
 wave speeds and the three flux components in one pass rather than once per
 field.  Every state owns such an array (`FlowState.packed`), which the step
 reads in place, and the state it returns owns a fresh one; every stage
-temporary is one of the run's StageBuffers, written with `out=`.  So a step
-allocates nothing else of the grid's size.  A stage writes the nodal fluxes
-and the unhalved flux through each element's two faces into one operand,
-and its tendency is one matmul of the element operator [W | lift / 2]
-(`GridSpec.element_operator`) over it, plus the bottom source.
+temporary is one of the run's StageBuffers, written with `out=`, and every
+fixed slice of them is made once per run, when they are carved.  So a step
+allocates nothing else of the grid's size, and slices only its states.  A
+stage writes the nodal fluxes and the unhalved flux through each element's
+two faces into one operand, and its tendency is one matmul of the element
+operator [W | lift / 2] (`GridSpec.element_operator`) over it, plus the
+bottom source.
 """
 
 from __future__ import annotations
@@ -116,6 +118,16 @@ class StageBuffers:
     One matmul of `GridSpec.element_operator` over its grid columns is the
     whole tendency but the bottom source.
 
+    The fixed slices a stage takes of them are made here, once per run, and
+    held beside them: the operand's flux rows (`flux`), their two traces
+    (`flux_out`, `flux_in`), the face rows an interface flux is written
+    into (`face_in`) and copied from (`face_next`, into `face_out`), its
+    grid columns (`columns`), the two trace rows of the speed (`speed_out`,
+    `speed_in`) and its grid columns (`speed_grid`), the scratch columns of
+    the bottom source (`source`) and the interior of `star` (`star_grid`).
+    `carved` lists the carved buffers alone.  Only the views of a stage's
+    state are taken per call, since the first stage reads the step's own.
+
     They are carved from `block` (see `carve`), the run's workspace, which
     the correction reuses once the step has returned: nothing the step
     returns views them, and nothing in them outlives the step.  Without a
@@ -124,8 +136,19 @@ class StageBuffers:
     """
 
     def __init__(self, grid: GridSpec, block: np.ndarray | None = None):
+        self.carved = carve(self.shapes(grid), block)
         (self.u, self.speed, self.scratch, self.operand, self.face_speed, self.jump,
-         self.k1, self.k2, self.star) = carve(self.shapes(grid), block)
+         self.k1, self.k2, self.star) = self.carved
+        operand, speed = self.operand, self.speed
+        self.flux = flux = operand[:, :-2]
+        self.flux_out, self.flux_in = flux[:, -1, :-1], flux[:, 0, 1:]
+        self.face_in = operand[:, -2, 1:]
+        self.face_out, self.face_next = operand[:, -1, 1:-1], operand[:, -2, 2:]
+        self.columns = operand[:, :, 1:-1]
+        self.speed_out, self.speed_in = speed[-1, :-1], speed[0, 1:]
+        self.speed_grid = speed[:, 1:-1]
+        self.source = self.scratch[:, 1:-1]
+        self.star_grid = self.star[:, :, 1:-1]
 
     @staticmethod
     def shapes(grid: GridSpec) -> list[tuple[int, ...]]:
@@ -182,7 +205,7 @@ def _step_faces(q: np.ndarray, operand: np.ndarray, d: np.ndarray, interfaces) -
 
 def rhs_operator(q: np.ndarray, t: float, grid: GridSpec, bottom: BottomSample,
                  jumps, bcs: BoundaryPair, buffers: StageBuffers,
-                 out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                 out: np.ndarray) -> np.ndarray:
     """Semi-discrete tendency of the packed state at time t, over the bottom
     `bottom` sampled at the grid's sample nodes at that time.
 
@@ -191,9 +214,9 @@ def rhs_operator(q: np.ndarray, t: float, grid: GridSpec, bottom: BottomSample,
     here from the boundary conditions.  Laid out this way, the traces on
     either side of all interfaces are contiguous rows.  The tendency of the
     grid's elements, shape (3, nodes, n_elements), is written into `out`;
-    every temporary is one of `buffers`.  Returns the tendency and the
-    largest characteristic speed |u| + sqrt(g h) at every node of q, which
-    the next call overwrites.
+    every temporary is one of `buffers`.  Returns the tendency; the largest
+    characteristic speed |u| + sqrt(g h) at every node of q is left in
+    `buffers.speed`, which the next call overwrites.
 
     The physical flux and, unhalved, the flux through each element's two
     faces are written into one operand (`StageBuffers.operand`), and one
@@ -216,25 +239,25 @@ def rhs_operator(q: np.ndarray, t: float, grid: GridSpec, bottom: BottomSample,
     np.multiply(q[:, 0, 1:2], bcs.left.signs, out=q[:, :, 0])
     np.multiply(q[:, -1, -2:-1], bcs.right.signs, out=q[:, :, -1])
 
-    operand = buffers.operand
-    u = np.divide(q[1], q[0], out=buffers.u)
-    f = _flux(q, u, operand[:, :-2], buffers.scratch)
-    speed = _speed(u, q[0], buffers.speed, scratch=u)
+    b = buffers
+    u = np.divide(q[1], q[0], out=b.u)
+    _flux(q, u, b.flux, b.scratch)
+    _speed(u, q[0], b.speed, scratch=u)
     # interface i lies between padded elements i and i + 1, and its flux is
     # the left face row of element i + 1 and the right face row of element
     # i; the bottom is continuous across the two domain ends
-    _rusanov(q[:, -1, :-1], q[:, 0, 1:], f[:, -1, :-1], f[:, 0, 1:],
-             np.maximum(speed[-1, :-1], speed[0, 1:], out=buffers.face_speed),
-             operand[:, -2, 1:], buffers.jump)
-    operand[:, -1, 1:-1] = operand[:, -2, 2:]
-    _step_faces(q, operand, bottom.d, grid.interfaces_near(jumps))
+    _rusanov(q[:, -1, :-1], q[:, 0, 1:], b.flux_out, b.flux_in,
+             np.maximum(b.speed_out, b.speed_in, out=b.face_speed), b.face_in, b.jump)
+    b.face_out[...] = b.face_next
+    if jumps:
+        _step_faces(q, b.operand, bottom.d, grid.interfaces_near(jumps))
 
-    tend = np.matmul(grid.element_operator, operand[:, :, 1:-1], out=out)
+    tend = np.matmul(grid.element_operator, b.columns, out=out)
     if "d_x" in bottom.active:
-        source = np.multiply(h, GRAVITY, out=buffers.scratch[:, 1:-1])
+        source = np.multiply(h, GRAVITY, out=b.source)
         source *= bottom.d_x.T
         tend[1] += source
-    return tend, speed
+    return tend
 
 
 def heun_step(state: FlowState, dt: float, bathy: BathymetryModel,
@@ -264,18 +287,18 @@ def heun_step(state: FlowState, dt: float, bathy: BathymetryModel,
         bottoms = (bathy.sample(grid.sample_nodes, state.time),
                    bathy.sample(grid.sample_nodes, new_time))
     q = state.packed
-    k1, speed = rhs_operator(q, state.time, grid, bottoms[0], bathy.jumps(state.time),
-                             bcs, buffers, buffers.k1)
-    cfl = float(speed[:, 1:-1].max()) * dt / grid.dx
+    k1 = rhs_operator(q, state.time, grid, bottoms[0], bathy.jumps(state.time), bcs,
+                      buffers, buffers.k1)
+    # over the speeds the first stage left in its buffer
+    cfl = float(buffers.speed_grid.max()) * dt / grid.dx
     limit = 1.0 / (2 * grid.poly_order + 1)
     if cfl > limit:
         warnings.warn(f"advisory CFL number {cfl:.3f} exceeds the stability limit "
                       f"{limit:.3f} of degree-{grid.poly_order} RKDG at t={state.time:.6g}",
                       RuntimeWarning, stacklevel=2)
-    star = buffers.star
-    _advance(q, k1, dt, new_time, 1, out=star[:, :, 1:-1])
-    k2, _ = rhs_operator(star, new_time, grid, bottoms[1], bathy.jumps(new_time), bcs,
-                         buffers, buffers.k2)
+    _advance(q, k1, dt, new_time, 1, out=buffers.star_grid)
+    k2 = rhs_operator(buffers.star, new_time, grid, bottoms[1], bathy.jumps(new_time), bcs,
+                      buffers, buffers.k2)
     k1 += k2
     new = np.empty(q.shape)
     _advance(q, k1, 0.5 * dt, new_time, 2, out=new[:, :, 1:-1])
