@@ -41,6 +41,15 @@ is therefore the work on the flagged elements, plus two parts that do not
 shrink with them: the copy of the predictor's padded array that the
 corrected state owns, and a fixed count of array operations, which
 dominates on small masks.
+
+A moving bottom enters through one bracket, the moving-bottom terms of the
+quadratic-pressure closure (Jeschke et al., IJNMF 2017):
+B = g d_x eta_x - d_tt - 2 u d_xt - u^2 d_xx, formed once on the flagged
+elements (_forcing_bracket).  With q = 4 + d_x^2 its forcing is
+phi = rho h B / q, and its part of f2 is -dt B / 2.  A sloped stretch forms
+q and h / q once, and the momentum update's (h p)_x is one matmul of the
+central operator [D 2/dx | lift / 2] (`GridSpec.central_operator`) over the
+nodal values of h p and the jumps of h p across each element's two faces.
 """
 
 from __future__ import annotations
@@ -196,31 +205,43 @@ def _active_rows(bottom: BottomSample, mask: NonHydroMask) -> tuple[np.ndarray |
     return (rows[0], *[rows[k] if on else None for k, on in enumerate(nonzero, 1)])
 
 
-def _phi_values(grid: GridSpec, h: np.ndarray, hu: np.ndarray,
-                rows: tuple[np.ndarray | None, ...], rho: float) -> np.ndarray | None:
-    """Moving-bottom forcing on the mask's rows, or None where it vanishes.
+def _forcing_bracket(grid: GridSpec, h: np.ndarray, hu: np.ndarray,
+                     rows: tuple[np.ndarray | None, ...]) -> np.ndarray | None:
+    """The moving-bottom bracket B = g d_x eta_x - d_tt - 2 u d_xt - u^2 d_xx
+    on the mask's rows, or None where it vanishes; the forcing is
+    phi = rho h B / (4 + d_x^2).
 
     Arrays are node by node, (nodes, rows); `rows` are the bottom's rows as
     _active_rows gives them.  Only the bottom channels that are active on
-    the rows enter the sum.
+    the rows enter the sum.  u is formed once, and 2 u d_xt + u^2 d_xx as
+    ((u d_xx + d_xt) + d_xt) u.
     """
     d, d_x, _, d_tt, d_xt, d_xx = rows
-    inner = -d_tt if d_tt is not None else None
-    if d_xt is not None or d_xx is not None:
-        zero = np.zeros_like(h)
-        d_xt = zero if d_xt is None else d_xt
-        d_xx = zero if d_xx is None else d_xx
-        u = hu / h
-        drag = -2.0 * u * d_xt - u * u * d_xx
-        inner = drag if inner is None else inner + drag
+    bracket = None
     if d_x is not None:
-        eta_x = derivative_values(grid, (h - d).T).T
-        slope = (GRAVITY * d_x) * eta_x
-        inner = slope if inner is None else inner + slope
-        return (rho * h / (4.0 + d_x * d_x)) * inner
-    if inner is None:
-        return None
-    return (0.25 * rho) * h * inner
+        # eta_x on the reference element, its scale 2 / dx folded into g
+        bracket = np.matmul(grid.deriv_ref, h - d)
+        bracket *= (2.0 * GRAVITY / grid.dx) * d_x
+    if d_tt is not None:
+        if bracket is None:
+            bracket = np.negative(d_tt)
+        else:
+            bracket -= d_tt
+    if d_xt is not None or d_xx is not None:
+        u = hu / h
+        if d_xx is None:
+            drag = d_xt + d_xt
+        else:
+            drag = u * d_xx
+            if d_xt is not None:
+                drag += d_xt
+                drag += d_xt
+        drag *= u
+        if bracket is None:
+            bracket = np.negative(drag, out=drag)
+        else:
+            bracket -= drag
+    return bracket
 
 
 def assemble_coefficients(predictor: FlowState, bottom: BottomSample, dt: float,
@@ -238,12 +259,15 @@ def assemble_coefficients(predictor: FlowState, bottom: BottomSample, dt: float,
     for.  The stack and the temporaries are `workspace`'s, the run's; without
     it the assembly carves a workspace of its own size.
 
-    With q = 4 + d_x^2 (4 on a flat stretch), s12 = rho q / (4 dt h),
-    s11 = (h_x - 1.5 d_x) / h, s22 = 3 dt / (rho h), f1 = q (phi d_x +
-    rho hu / dt) / (4 h) and f2 = -(2 hw + d_x hu / 2 + dt q phi / (2 rho)) / h
-    - 2 d_t, so 1 / s12' = 4 dt h / q and f1' / s12' = hu + dt phi d_x / rho.
-    The work runs on c / h, c = dx / 2, which carries the element size into
-    the features at no extra cost.
+    With q = 4 + d_x^2 (4 on a flat stretch) and the moving-bottom bracket
+    B = g d_x eta_x - d_tt - 2 u d_xt - u^2 d_xx (_forcing_bracket), whose
+    forcing is phi = rho h B / q: s12 = rho q / (4 dt h), s11 = (h_x - 1.5
+    d_x) / h, s22 = 3 dt / (rho h), f1 = q (phi d_x + rho hu / dt) / (4 h)
+    and f2 = -(2 hw + d_x hu / 2 + dt q phi / (2 rho)) / h - 2 d_t, so
+    1 / s12' = 4 dt h / q, f1' / s12' = hu + dt phi d_x / rho and the
+    forcing's part of f2 is -dt B / 2.  The work runs on c / h, c = dx / 2,
+    which carries the element size into the features at no extra cost; a
+    sloped stretch forms q and h / q once.
     """
     grid = predictor.grid
     mask = (ranges if isinstance(ranges, NonHydroMask)
@@ -258,28 +282,35 @@ def assemble_coefficients(predictor: FlowState, bottom: BottomSample, dt: float,
     h_x = derivative_values(grid, h.T, out=h_x.reshape(h.T.shape)).T
     rows = _active_rows(bottom, mask)
     d_x, d_t = rows[1], rows[2]
-    phi = _phi_values(grid, h, hu, rows, rho)
+    bracket = _forcing_bracket(grid, h, hu, rows)
     c = 0.5 * grid.dx
     np.divide(c, h, out=c_h)
     t, a, g, r = stack[_T], stack[_A], stack[_G], stack[_R]
-    quad = None
+    phi = quad = None
     if d_x is not None:
-        quad = 4.0 + d_x * d_x
-        np.divide((4.0 * dt / c) * h, quad, out=t)
         np.subtract(h_x, np.multiply(d_x, 1.5, out=term), out=c_s11)
         c_s11 *= c_h
+        quad = 4.0 + d_x * d_x
+        # h / q, in the storage of h_x, which is read no more
+        h_q = np.divide(h, quad, out=h_x)
+        np.multiply(h_q, 4.0 * dt / c, out=t)
         np.multiply(c_s11, t, out=a)
+        phi = np.multiply(h_q, rho)
+        phi *= bracket
         np.multiply((dt / rho) * phi, d_x, out=g)
         g += hu
         np.multiply(-2.0 * hw - (0.5 * d_x) * hu, c_h, out=r)
-        r -= (0.5 * dt / rho) * quad * phi * c_h
+        # -(0.5 dt / rho) q phi c / h, as 0.5 dt c B
+        bracket *= 0.5 * dt * c
+        r -= bracket
     else:
         np.multiply(h, dt / c, out=t)
         np.multiply(h_x, dt, out=a)
         np.multiply(h_x, c_h, out=c_s11)
         g[...] = hu
         np.multiply(np.multiply(hw, -2.0, out=term), c_h, out=r)
-        if phi is not None:
+        if bracket is not None:
+            phi = (0.25 * rho) * h * bracket
             np.multiply(phi, 2.0 * dt / rho, out=term)
             term *= c_h
             r -= term
@@ -560,8 +591,9 @@ class BandedWorkspace:
     - the condensed system in the layout of `ab` with its right-hand side
       in the row dgbsv fills in (`band`), the dgbsv work array `ab` and the
       residual check's products (`scratch`); the residual lands in `ab`'s
-      storage, and the momentum update's term (`nodal`, node by node) in
-      `band`'s;
+      storage, the momentum update's term (`nodal`, node by node) in
+      `band`'s, and the operand of its central derivative (`operand`) in
+      `local`'s;
     - `padded`, the condensed solution after one zero, whose `windows` row
       0 views each element's left neighbour's value and row 1 its own.
     """
@@ -612,6 +644,12 @@ class BandedWorkspace:
         """The momentum update's pressure term of n elements, node by node,
         (m, n)."""
         return self._band[:self.m * n].reshape(self.m, n)
+
+    def operand(self, n: int) -> np.ndarray:
+        """The operand of the momentum update's central derivative of n
+        elements, (m + 2, n), in the local systems' storage, which the
+        update no longer reads."""
+        return self._local[:(self.m + 2) * n].reshape(self.m + 2, n)
 
 
 def _banded_matvec(ab: np.ndarray, band: int, x: np.ndarray, scratch: np.ndarray,
@@ -785,33 +823,39 @@ def solve_on_ranges(predictor: FlowState, coeffs: EllipticCoefficients,
     return PressureSolution(coeffs.grid, coeffs.mask.rows, p, hu)
 
 
-def central_derivative_values(grid: GridSpec, values: np.ndarray) -> np.ndarray:
-    """Element-local derivative plus central-average interface lifting.
+def _central_derivative_on_ranges(grid: GridSpec, operand: np.ndarray,
+                                  mask: NonHydroMask, out: np.ndarray | None = None
+                                  ) -> np.ndarray:
+    """The central derivative over the grid of a field that is zero off the
+    mask's rows, on those rows, node by node: the element-local derivative
+    lifted by half of the field's jump across each face, one-sided at the
+    domain ends.  Written into `out` where it is given.
 
-    One-sided at the ends of the supplied element window.
+    `operand`, (m + 2, rows), holds the field's m nodal rows on the mask's
+    rows in order; its last two rows are overwritten with the jump, right
+    value less left, across each element's left face and across its right
+    face.  Across a face to an element off the mask the field is zero on
+    the other side; across a domain end the jump is zero.  One matmul of
+    `GridSpec.central_operator` over it is the derivative.
     """
-    d = derivative_values(grid, values)
-    left_tr = values[:, 0]
-    right_tr = values[:, -1]
-    avg = 0.5 * (right_tr[:-1] + left_tr[1:])
-    d[:-1] += (avg - right_tr[:-1])[:, None] * grid.lift_right
-    d[1:] -= (avg - left_tr[1:])[:, None] * grid.lift_left
-    return d
-
-
-def _central_derivative_on_ranges(grid: GridSpec, values: np.ndarray,
-                                  mask: NonHydroMask) -> np.ndarray:
-    """central_derivative_values over the grid, of a field that is zero off
-    the mask's rows, on those rows, where `values` holds it in order.  The
-    field is laid into a zeroed window one element wider than the rows on
-    each side, clipped at the domain ends, where the derivative is one-sided.
-    """
-    first, stop = mask.ranges[0][0], mask.ranges[-1][1] + 1
-    lo = max(first - 1, 0)
-    at = mask.index(-lo)
-    window = np.zeros((min(stop + 1, grid.n_elements) - lo, values.shape[1]))
-    window[at] = values
-    return central_derivative_values(grid, window)[at]
+    m = operand.shape[0] - 2
+    first, last, left, right = operand[0], operand[m - 1], operand[m], operand[m + 1]
+    # a face between two neighbours on the mask is the right face of the
+    # one and the left face of the other, so both rows take its jump
+    np.subtract(first[1:], last[:-1], out=left[1:])
+    right[:-1] = left[1:]
+    ranges = mask.ranges
+    left[0] = 0.0 if ranges[0][0] == 0 else first[0]
+    right[-1] = 0.0 if ranges[-1][1] == grid.n_elements - 1 else -last[-1]
+    # where a range does not start next to the one before, each of the two
+    # faces has an element off the mask on its other side
+    apart = [k + 1 for k, (_, e1), (e0, _) in zip(mask.lasts.tolist(), ranges, ranges[1:])
+             if e0 > e1 + 1]
+    if apart:
+        before = [k - 1 for k in apart]
+        left[apart] = first[apart]
+        right[before] = -last[before]
+    return np.matmul(grid.central_operator, operand, out=out)
 
 
 def correct_momentum(predictor: FlowState, coeffs: EllipticCoefficients,
@@ -823,20 +867,25 @@ def correct_momentum(predictor: FlowState, coeffs: EllipticCoefficients,
     copies of the predictor's everywhere else.  The corrected state owns a
     copy of the predictor's padded array (`FlowState.packed`), whose
     momentum rows, contiguous along the elements, take the solution node by
-    node.  The vertical update reads dt, rho, the forcing and the slope from
-    `coeffs` and builds its pressure term, (nodes, elements), in
+    node.  The vertical update, dt / rho ((6 p + d_x (h p)_x) / q + phi),
+    reads dt, rho, the forcing and the slope from `coeffs` and builds its
+    pressure term, (nodes, elements), and the operand of (h p)_x in
     `workspace`, the run's, where it is given.
     """
     grid, mask = predictor.grid, coeffs.mask
     # node by node, (nodes, elements), as the solution and the padded array
     p = sol.p.T
-    term = np.empty(p.shape) if workspace is None else workspace.nodal(p.shape[1])
+    m, n = p.shape
+    term = np.empty(p.shape) if workspace is None else workspace.nodal(n)
     if coeffs.d_x is not None:
-        hp_x = _central_derivative_on_ranges(grid, predictor.h.values[sol.rows] * sol.p, mask)
-        quad = coeffs.quad.T
-        np.divide(6.0, quad, out=term)
-        term *= p
-        term += coeffs.d_x.T / quad * hp_x.T
+        operand = np.empty((m + 2, n)) if workspace is None else workspace.operand(n)
+        hp = np.multiply(mask.gather(predictor.packed[0], axis=1, shift=1), p,
+                         out=operand[:m])
+        _central_derivative_on_ranges(grid, operand, mask, out=term)
+        term *= coeffs.d_x.T
+        # 6 p in the rows of h p, which the derivative has read
+        term += np.multiply(p, 6.0, out=hp)
+        term /= coeffs.quad.T
     else:
         # flat stretch: the slope-weighted (h p)_x term drops out exactly
         np.multiply(p, 1.5, out=term)

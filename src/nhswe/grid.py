@@ -122,6 +122,12 @@ class GridSpec:
         # unhalved; the halving is exact, so it costs no round-off here
         set_(self, "element_operator",
              np.column_stack((self.weak_div, 0.5 * self.lift_left, -0.5 * self.lift_right)))
+        # [D 2/dx | lift / 2]: the central derivative, the element-local one
+        # lifted by half of the field's jump, right value less left, across
+        # each face, as one operator on an element's m nodal values and
+        # those two (left, right) jumps
+        set_(self, "central_operator",
+             np.column_stack(((2.0 / dx) * dref, 0.5 * self.lift_left, 0.5 * self.lift_right)))
 
     @property
     def n_nodes(self) -> int:
@@ -131,8 +137,8 @@ class GridSpec:
         """The interior element interfaces nearest the points x, interface k
         lying at x_left + k dx, between elements k - 1 and k; a point nearest
         a domain end has none."""
-        near = (round((x - self.x_left) / self.dx) for x in points)
-        return [k for k in near if 0 < k < self.n_elements]
+        return [k for x in points
+                if 0 < (k := round((x - self.x_left) / self.dx)) < self.n_elements]
 
     def nearest_node(self, x: float) -> tuple[int, int]:
         """Element and local node index of the grid node closest to x."""

@@ -212,7 +212,9 @@ def rhs_operator(q: np.ndarray, t: float, grid: GridSpec, bottom: BottomSample,
     `q` holds (h, hu, hw) node by node, shape (3, nodes, n_elements + 2):
     the grid's elements plus one ghost element at each end, which is filled
     here from the boundary conditions.  Laid out this way, the traces on
-    either side of all interfaces are contiguous rows.  The tendency of the
+    either side of all interfaces are contiguous rows.  Its depth must be
+    positive on the grid's elements, which `heun_step` checks of a step's
+    input and `_advance` of each stage's update.  The tendency of the
     grid's elements, shape (3, nodes, n_elements), is written into `out`;
     every temporary is one of `buffers`.  Returns the tendency; the largest
     characteristic speed |u| + sqrt(g h) at every node of q is left in
@@ -233,9 +235,6 @@ def rhs_operator(q: np.ndarray, t: float, grid: GridSpec, bottom: BottomSample,
     exactly still while letting a surface offset across the step radiate.
     """
     h = q[0, :, 1:-1]
-    if h.min() <= 0.0:
-        el = int(np.argwhere(np.any(h <= 0.0, axis=0))[0][0])
-        raise PositivityError(el, t)
     np.multiply(q[:, 0, 1:2], bcs.left.signs, out=q[:, :, 0])
     np.multiply(q[:, -1, -2:-1], bcs.right.signs, out=q[:, :, -1])
 
@@ -287,6 +286,12 @@ def heun_step(state: FlowState, dt: float, bathy: BathymetryModel,
         bottoms = (bathy.sample(grid.sample_nodes, state.time),
                    bathy.sample(grid.sample_nodes, new_time))
     q = state.packed
+    # the one depth check a step needs: each stage's update is checked as
+    # it is made, so only the step's input, which a trusted constructor
+    # may have let through, is left
+    h = q[0, :, 1:-1]
+    if h.min() <= 0.0:
+        raise PositivityError(int(np.argwhere(np.any(h <= 0.0, axis=0))[0][0]), state.time)
     k1 = rhs_operator(q, state.time, grid, bottoms[0], bathy.jumps(state.time), bcs,
                       buffers, buffers.k1)
     # over the speeds the first stage left in its buffer

@@ -13,12 +13,24 @@ from nhswe.bathymetry import (FlatBottom, GRAVITY, HammackPlate, RHO_WATER,
                               SlideMotion, WhittakerSlide)
 from nhswe.corrector import (_S, EllipticCoefficients, EllipticSolveError, NonHydroMask,
                              _banded_matvec, apply_correction,
-                             assemble_coefficients, central_derivative_values,
-                             ldg_solve, solve_on_ranges)
+                             assemble_coefficients, ldg_solve, solve_on_ranges)
 from nhswe.grid import FlowState, GridSpec, NodalField, derivative_values
 from nhswe.hydrostatic import ABSORBING, WALL, BoundaryPair
 
 WALLS = BoundaryPair(WALL, WALL)
+
+
+def central_derivative_values(grid, values):
+    """The whole-grid reference of the momentum update's (h p)_x: the
+    element-local derivative of (elements, nodes) values plus the
+    central-average interface lifting, one-sided at the domain ends."""
+    d = derivative_values(grid, values)
+    left_tr = values[:, 0]
+    right_tr = values[:, -1]
+    avg = 0.5 * (right_tr[:-1] + left_tr[1:])
+    d[:-1] += (avg - right_tr[:-1])[:, None] * grid.lift_right
+    d[1:] -= (avg - left_tr[1:])[:, None] * grid.lift_left
+    return d
 
 
 def still_state(grid, bathy, t=0.0):
@@ -71,21 +83,24 @@ def test_phi_hand_value_inside_plate():
 
 
 def test_phi_matches_bruteforce_formula_on_moving_slope():
-    # independent recomputation of the full closure on a sloped moving bottom
-    grid = GridSpec(0.0, 15.0, 200, 1)
+    # independent recomputation of the full closure on a sloped moving
+    # bottom, at P1 to P3
     motion = SlideMotion(1.5, 0.327, 0.218, 2.218, 2.436)
     bathy = WhittakerSlide(0.175, 0.026, 0.5, motion, x_start=5.0)
-    state = smooth_state(grid, d0=0.175, amp=0.01, u0=0.1)
     t = 0.7
-    state = FlowState(state.h, state.hu, state.hw, t)
-    s = bathy.sample(grid.sample_nodes, t)
-    h = state.h.values
-    u = state.hu.values / h
-    eta_x = derivative_values(grid, h - s.d)
-    brute = (RHO_WATER * h / (4.0 + s.d_x ** 2)) * (
-        GRAVITY * s.d_x * eta_x - s.d_tt - 2.0 * u * s.d_xt - u * u * s.d_xx)
-    phi = assemble_coefficients(state, bottom_at(state, bathy), 0.01).phi
-    assert np.allclose(phi, brute, rtol=1e-12, atol=1e-12)
+    for order in (1, 2, 3):
+        grid = GridSpec(0.0, 15.0, 200, order)
+        state = smooth_state(grid, d0=0.175, amp=0.01, u0=0.1)
+        state = FlowState(state.h, state.hu, state.hw, t)
+        s = bathy.sample(grid.sample_nodes, t)
+        assert np.count_nonzero(s.d_x) > order
+        h = state.h.values
+        u = state.hu.values / h
+        eta_x = derivative_values(grid, h - s.d)
+        brute = (RHO_WATER * h / (4.0 + s.d_x ** 2)) * (
+            GRAVITY * s.d_x * eta_x - s.d_tt - 2.0 * u * s.d_xt - u * u * s.d_xx)
+        phi = assemble_coefficients(state, bottom_at(state, bathy), 0.01).phi
+        assert np.allclose(phi, brute, rtol=1e-12, atol=1e-12)
 
 
 # ----------------------------------------------------------------- assembly
@@ -513,15 +528,18 @@ def test_momentum_update_on_a_sloped_bottom(ranges):
     # and at a domain end it is one-sided, the window of the ranges being
     # clipped there
     from nhswe.corrector import _central_derivative_on_ranges
-    # at P2 an element's recovery has three rows per half
-    for order in (1, 2):
+    # at P2 and P3 an element's recovery has three and four rows per half
+    for order in (1, 2, 3):
         grid = GridSpec(0.0, 10.0, 50, order)
         rows = np.concatenate([np.arange(e0, e1 + 1) for e0, e1 in ranges])
         values = np.random.default_rng(5).normal(size=(len(rows), order + 1))
         padded = np.zeros((50, order + 1))
         padded[rows] = values
         mask = NonHydroMask.checked(ranges, 50)
-        assert np.allclose(_central_derivative_on_ranges(grid, values, mask),
+        # node by node: the m nodal rows, then the two jump rows it fills
+        operand = np.full((order + 3, len(rows)), np.nan)
+        operand[:-2] = values.T
+        assert np.allclose(_central_derivative_on_ranges(grid, operand, mask).T,
                            central_derivative_values(grid, padded)[rows],
                            rtol=0.0, atol=1e-12)
 
@@ -696,6 +714,25 @@ def test_a_small_correction_makes_a_bounded_number_of_calls(mid_run, name, total
         # the first call fills the caches of the reference-element tensors
         apply_correction(*args, workspace=stepper.banded)
         assert total_calls(apply_correction, *args, workspace=stepper.banded) <= bound, ranges
+
+
+# the bound of a correction on the bump's elements, where both the assembly
+# and the momentum update take their sloped branches: the count measured
+# when the moving-bottom terms came to be one bracket and (h p)_x one matmul
+SLOPED_CORRECTION_CALLS = 91
+
+
+def test_a_sloped_correction_makes_a_bounded_number_of_calls(mid_run, total_calls):
+    # at mid-run the bump sits under a few elements, away from the ranges
+    # above: the mask is the elements where the sample slopes
+    spec, stepper, predictor, bottom = mid_run["whittaker"]
+    mask = NonHydroMask.from_flags(bottom.d_x.any(axis=1))
+    assert 0 < mask.fraction < 0.25
+    args = (predictor, bottom, spec.dt, mask, spec.bcs)
+    assert assemble_coefficients(*args[:3], ranges=mask).d_x is not None
+    apply_correction(*args, workspace=stepper.banded)
+    assert total_calls(apply_correction, *args, workspace=stepper.banded) <= \
+        SLOPED_CORRECTION_CALLS
 
 
 GLOBAL_STEP_FAULTS = """

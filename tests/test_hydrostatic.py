@@ -251,11 +251,11 @@ def test_a_step_between_walls_conserves_mass(order, eta, u, w, stairs):
 # Python-level calls (cProfile's total_calls) of one predictor step of a
 # run, on the run's stage buffers and with the step's two bottom samples
 # handed in, counted as the corrector's CORRECTION_CALLS are.  The bounds
-# are the counts measured when the stage views came to be made once per
-# run and a stage with no declared bottom jump stopped looking for one;
-# the hammack plate adds the search and its one reconstructed interface
-# per stage
-PREDICTOR_CALLS = {"solitary": 56, "whittaker": 56, "hammack_up": 88}
+# are the counts measured when the step's one depth check moved from each
+# stage into the step, and the plate's jumps came to be mapped to their
+# interfaces in one comprehension; the hammack plate adds that mapping and
+# its one reconstructed interface per stage
+PREDICTOR_CALLS = {"solitary": 53, "whittaker": 53, "hammack_up": 79}
 
 
 @pytest.mark.parametrize("name", sorted(PREDICTOR_CALLS))
@@ -323,6 +323,25 @@ def test_positivity_error_names_the_dried_element(k):
     assert (err.value.element, err.value.stage) == (k, 1)
     assert err.value.time == pytest.approx(0.2)
     assert f"element {k} " in str(err.value) and "stage 1" in str(err.value)
+
+
+@pytest.mark.parametrize("k, depth", [(0, 0.0), (6, -0.5), (9, 0.0)])
+def test_a_step_refuses_an_input_with_a_non_positive_depth(k, depth):
+    # a trusted constructor checks nothing, so a step's input may hold a
+    # non-positive depth: the step names its element, before any stage,
+    # and so before anything divides by it
+    grid = GridSpec(0.0, 10.0, 10, 1)
+    h = np.ones((10, 2))
+    h[k, 1] = depth
+    zero = NodalField._wrap(grid, np.zeros((10, 2)))
+    state = FlowState._wrap(NodalField._wrap(grid, h), zero, zero, 0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(PositivityError) as err:
+            heun_step(state, 0.01, FlatBottom(1.0), WALLS)
+    assert (err.value.field, err.value.element, err.value.stage) == ("h", k, None)
+    assert err.value.time == 0.5
+    assert str(err.value) == f"non-positive or non-finite water depth in element {k} at t=0.5"
 
 
 def nan_state(field, element):
