@@ -63,8 +63,11 @@ def read_config_file(path: str) -> dict:
 
 
 def gauge_name(x: float) -> str:
-    """The column name of the gauge at position x, as gauge CSVs are written."""
-    return f"eta@{x:g}"
+    """The column name of the gauge at position x, as gauge CSVs are written:
+    `eta@{x:g}` where those six significant digits give x back, else the
+    shortest repr that does, so that no two positions share a name."""
+    short = f"{x:g}"
+    return f"eta@{short}" if float(short) == x else f"eta@{float(x)!r}"
 
 
 def _column_name(header: str) -> str:

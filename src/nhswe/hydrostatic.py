@@ -14,7 +14,9 @@ allocates nothing else of the grid's size, and slices only its states.  A
 stage writes the nodal fluxes and the unhalved flux through each element's
 two faces into one operand, and its tendency is one matmul of the element
 operator [W | lift / 2] (`GridSpec.element_operator`) over it, plus the
-bottom source.
+bottom source.  The tendencies are padded like the states, with zero ghost
+columns, so a stage update, its checks and the CFL number are passes over
+whole contiguous arrays, not over strided grid columns.
 """
 
 from __future__ import annotations
@@ -110,7 +112,11 @@ class StageBuffers:
     """The arrays a predictor step writes and no caller keeps, for one grid:
     rhs_operator's stage temporaries, among them the `operand` of its
     element operator, the two stage tendencies `k1` and `k2`, and the first
-    stage's padded state `star`.
+    stage's padded state `star`.  The tendencies are padded like `star`,
+    shape (3, m, n_elements + 2): a stage writes its tendency into the grid
+    columns (`k1_grid`, `k2_grid`), and `heun_step` zeroes the two ghost
+    columns (`k1_ghosts`, `k2_ghosts`, one strided view each) every step,
+    so that a stage update runs over whole padded arrays.
 
     `operand`, shape (3, m + 2, n_elements + 2), holds per padded element
     the physical flux at its m nodes (rows 0 to m - 1), then twice the flux
@@ -123,10 +129,10 @@ class StageBuffers:
     (`flux_out`, `flux_in`), the face rows an interface flux is written
     into (`face_in`) and copied from (`face_next`, into `face_out`), its
     grid columns (`columns`), the two trace rows of the speed (`speed_out`,
-    `speed_in`) and its grid columns (`speed_grid`), the scratch columns of
-    the bottom source (`source`) and the interior of `star` (`star_grid`).
-    `carved` lists the carved buffers alone.  Only the views of a stage's
-    state are taken per call, since the first stage reads the step's own.
+    `speed_in`), the scratch columns of the bottom source (`source`) and
+    the tendencies' grid and ghost columns.  `carved` lists the carved
+    buffers alone.  Only the views of a stage's state are taken per call,
+    since the first stage reads the step's own.
 
     They are carved from `block` (see `carve`), the run's workspace, which
     the correction reuses once the step has returned: nothing the step
@@ -146,9 +152,13 @@ class StageBuffers:
         self.face_out, self.face_next = operand[:, -1, 1:-1], operand[:, -2, 2:]
         self.columns = operand[:, :, 1:-1]
         self.speed_out, self.speed_in = speed[-1, :-1], speed[0, 1:]
-        self.speed_grid = speed[:, 1:-1]
         self.source = self.scratch[:, 1:-1]
-        self.star_grid = self.star[:, :, 1:-1]
+        # a padded row's two ghost columns, its first and last entries, are
+        # one stride of n + 1 apart in the rows laid end to end
+        stride = grid.n_elements + 1
+        self.k1_grid, self.k2_grid = self.k1[:, :, 1:-1], self.k2[:, :, 1:-1]
+        self.k1_ghosts = self.k1.reshape(-1, stride + 1)[:, ::stride]
+        self.k2_ghosts = self.k2.reshape(-1, stride + 1)[:, ::stride]
 
     @staticmethod
     def shapes(grid: GridSpec) -> list[tuple[int, ...]]:
@@ -156,9 +166,10 @@ class StageBuffers:
         scratch holds g h^2 / 2 of the flux, then g h d_x of the bottom
         source."""
         m, n = grid.poly_order + 1, grid.n_elements
-        padded, interior = (m, n + 2), (3, m, n)
+        padded = (m, n + 2)
+        state = (3,) + padded
         return [padded, padded, padded, (3, m + 2, n + 2), (n + 1,), (3, n + 1),
-                interior, interior, (3,) + padded]
+                state, state, state]
 
 
 def _step_faces(q: np.ndarray, operand: np.ndarray, d: np.ndarray, interfaces) -> None:
@@ -292,44 +303,55 @@ def heun_step(state: FlowState, dt: float, bathy: BathymetryModel,
     h = q[0, :, 1:-1]
     if h.min() <= 0.0:
         raise PositivityError(int(np.argwhere(np.any(h <= 0.0, axis=0))[0][0]), state.time)
-    k1 = rhs_operator(q, state.time, grid, bottoms[0], bathy.jumps(state.time), bcs,
-                      buffers, buffers.k1)
-    # over the speeds the first stage left in its buffer
-    cfl = float(buffers.speed_grid.max()) * dt / grid.dx
+    # the run's workspace is reused between steps, so each tendency's ghost
+    # columns are zeroed before its stage; an update's ghost columns then
+    # keep those of q, which the first stage filled from the boundaries
+    k1, k2 = buffers.k1, buffers.k2
+    buffers.k1_ghosts[...] = 0.0
+    rhs_operator(q, state.time, grid, bottoms[0], bathy.jumps(state.time), bcs,
+                 buffers, buffers.k1_grid)
+    # over the speeds the first stage left in its buffer; a ghost node's
+    # speed is that of the boundary node it mirrors
+    cfl = float(buffers.speed.max()) * dt / grid.dx
     limit = 1.0 / (2 * grid.poly_order + 1)
     if cfl > limit:
         warnings.warn(f"advisory CFL number {cfl:.3f} exceeds the stability limit "
                       f"{limit:.3f} of degree-{grid.poly_order} RKDG at t={state.time:.6g}",
                       RuntimeWarning, stacklevel=2)
-    _advance(q, k1, dt, new_time, 1, out=buffers.star_grid)
-    k2 = rhs_operator(buffers.star, new_time, grid, bottoms[1], bathy.jumps(new_time), bcs,
-                      buffers, buffers.k2)
+    _advance(q, k1, dt, new_time, 1, out=buffers.star)
+    buffers.k2_ghosts[...] = 0.0
+    rhs_operator(buffers.star, new_time, grid, bottoms[1], bathy.jumps(new_time), bcs,
+                 buffers, buffers.k2_grid)
     k1 += k2
     new = np.empty(q.shape)
-    _advance(q, k1, 0.5 * dt, new_time, 2, out=new[:, :, 1:-1])
+    _advance(q, k1, 0.5 * dt, new_time, 2, out=new)
     return FlowState._from_packed(grid, new, new_time)
 
 
 def _advance(q: np.ndarray, tend: np.ndarray, dt: float, new_time: float,
              stage: int, out: np.ndarray) -> np.ndarray:
-    """out = grid elements of q + dt * tend, checked for positive depth and
-    finite fields."""
+    """out = q + dt * tend over whole padded arrays, checked for positive
+    depth and finite fields.  `tend` is zero on the ghost columns, so those
+    of `out` are q's, mirrors of q's boundary nodes that the first stage
+    filled: they pass the checks exactly when those nodes do."""
     np.multiply(tend, dt, out=out)
-    out += q[:, :, 1:-1]
+    out += q
     # `not >` also trips on NaN, and a finite sum certifies every field finite
     if not (out[0].min() > 0.0 and isfinite(out.sum())):
-        raise _stage_error(q[:, :, 1:-1], out, new_time, stage)
+        raise _stage_error(q, out, new_time, stage)
     return out
 
 
 def _stage_error(state: np.ndarray, out: np.ndarray, new_time: float,
                  stage: int) -> PositivityError:
-    """The failure of the stage update `out` of the packed grid `state`: the
-    first field, and its first element, that is non-finite in the state,
-    else in the update, where h must also be positive.  The state is looked
-    at first because a NaN in hu reaches h within one stage.  In the update,
-    magnitudes that could overflow the finite sum count as non-finite."""
+    """The failure of the stage update `out` of the padded state `state`:
+    the first field, and its first element, that is non-finite in the
+    state's grid columns, else in the update's, where h must also be
+    positive.  The state is looked at first because a NaN in hu reaches h
+    within one stage.  In the update, magnitudes that could overflow the
+    finite sum, taken over the whole of `out`, count as non-finite."""
     limit = np.finfo(float).max / out.size
+    state, out = state[:, :, 1:-1], out[:, :, 1:-1]
     for values, bound in ((state, np.inf), (out, limit)):
         for field, v in zip(("h", "hu", "hw"), values):
             bad = ~(np.abs(v) < bound)

@@ -395,6 +395,23 @@ def test_two_gauges_at_one_position_are_a_config_error(tmp_path, monkeypatch, ca
             capsys.readouterr().err
 
 
+def test_gauges_that_agree_to_six_digits_keep_two_columns(tmp_path):
+    # a position that six significant digits do not give back is named by
+    # its repr, so the two gauges write, and read back as, two columns
+    out = tmp_path / "run"
+    argv = ("run", "--scenario", "whittaker", "--mode", "hydrostatic", "--t-end", "0.01",
+            "--gauges", "1.000001,1.000002")
+    assert run_cli(*argv, "--outdir", str(out)) == 0
+    names = ["eta@1.000001", "eta@1.000002"]
+    assert (out / "gauges.csv").read_text().splitlines()[1] == ",".join(["t"] + names)
+    t, cols = read_gauges_csv(str(out / "gauges.csv"))
+    assert list(cols) == names and len(t) == 3  # t = 0, dt, 2 dt
+    assert run_cli(*argv, "--outdir", str(tmp_path / "again"),
+                   "--reference", str(out / "gauges.csv")) == 0
+    report = json.loads((tmp_path / "again" / "report.json").read_text())
+    assert report["gauge_rmse"] == dict.fromkeys(names, 0.0)
+
+
 @pytest.mark.parametrize("times", [(0, 2, 1, 3), (0, 1, 1, 3)],
                          ids=["swapped", "repeated"])
 def test_gauge_times_that_do_not_increase_are_a_config_error(tmp_path, monkeypatch,

@@ -1,11 +1,14 @@
 """Predictor tests: flux values, well-balancedness, conservation, convergence."""
 
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
+from nhswe import hydrostatic
 from nhswe.bathymetry import (BathymetryModel, FlatBottom, GRAVITY,
                               HammackPlate, SlideMotion, WhittakerSlide)
 from nhswe.grid import FlowState, GridSpec, NodalField
@@ -285,6 +288,82 @@ def test_a_predictor_step_makes_a_bounded_number_of_calls(name):
     finally:
         gc.enable()
     assert pstats.Stats(profile).total_calls <= PREDICTOR_CALLS[name]
+
+
+def recording_advance(record):
+    """`_advance`, calling `record(q, tend, out, stage)` on what each stage
+    update received, once it has returned."""
+    advance = hydrostatic._advance
+
+    def recorded(q, tend, dt, new_time, stage, out):
+        advance(q, tend, dt, new_time, stage, out=out)
+        record(q, tend, out, stage)
+        return out
+    return recorded
+
+
+@pytest.mark.parametrize("name", ["whittaker", "hammack_up"])
+def test_stage_updates_run_over_whole_contiguous_padded_arrays(name, monkeypatch):
+    # a stage update and its checks over the grid columns of padded arrays
+    # are strided passes, twice as slow at 1,000 elements: every array an
+    # update reads or writes is a whole padded one, so the step zeroes the
+    # tendencies' ghost columns itself, and the new state's are finite
+    from nhswe.adaptivity import Stepper, adaptive_step
+    from nhswe.scenarios import build_scenario
+    spec, state = build_scenario(name)
+    stepper = Stepper(spec.grid, "global")
+    # a few global steps in, the bottom has moved and the correction has
+    # written the workspace
+    for _ in range(5):
+        state = adaptive_step(state, spec.dt, spec.bathymetry, spec.bcs, mode="global",
+                              stepper=stepper).state
+    received = []
+    monkeypatch.setattr(hydrostatic, "_advance",
+                        recording_advance(lambda *args: received.append(args[:3])))
+    stepper.block.fill(np.nan)
+    new = heun_step(state, spec.dt, spec.bathymetry, spec.bcs, buffers=stepper.stages)
+    shape = (3, spec.grid.poly_order + 1, spec.grid.n_elements + 2)
+    assert len(received) == 2 and received[1][2] is new.packed
+    for array in (a for arrays in received for a in arrays):
+        assert array.flags.c_contiguous and array.shape == shape
+    for k in (stepper.stages.k1, stepper.stages.k2):
+        assert (k[:, :, [0, -1]] == 0.0).all()
+    assert np.isfinite(new.packed[:, :, [0, -1]]).all()
+
+
+ENDS = st.sampled_from([WALL, ABSORBING])
+
+
+@settings(max_examples=40, deadline=None)
+@given(order=st.sampled_from([1, 2, 3]), left=ENDS, right=ENDS,
+       depth=hnp.arrays(np.float64, (7, 4), elements=st.floats(0.5, 4.0)),
+       momenta=hnp.arrays(np.float64, (2, 7, 4), elements=st.floats(-2.0, 2.0)))
+def test_ghost_columns_leave_the_cfl_and_the_stage_updates_as_they_were(
+        order, left, right, depth, momenta):
+    # a ghost node's speed is that of the boundary node it mirrors, so the
+    # CFL may take the max over the whole padded speed; a stage update's
+    # ghost columns are its input's, which the first stage filled from the
+    # boundary conditions
+    grid = GridSpec(0.0, 7.0, 7, order)
+    m = order + 1
+    state = FlowState(*(NodalField(grid, v[:, :m]) for v in (depth, *momenta)), 0.0)
+    buffers = StageBuffers(grid)
+    bcs = BoundaryPair(left, right)
+    seen = []
+
+    def record(q, tend, out, stage):
+        speed = buffers.speed
+        assert speed.max() == speed[:, 1:-1].max()
+        filled = (q[:, 0, 1:2] * left.signs, q[:, -1, -2:-1] * right.signs)
+        for column, ghost in zip((0, -1), filled):
+            assert q[:, :, column].tobytes() == np.broadcast_to(ghost, (3, m)).tobytes()
+            # equal, not bitwise: a wall's ghost -0.0 comes out as 0.0
+            assert (out[:, :, column] == q[:, :, column]).all()
+        seen.append(stage)
+
+    with mock.patch.object(hydrostatic, "_advance", recording_advance(record)):
+        heun_step(state, 1e-3, FlatBottom(1.0), bcs, buffers=buffers)
+    assert seen == [1, 2]
 
 
 # the step is far above the CFL limit on purpose
